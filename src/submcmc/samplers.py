@@ -430,10 +430,8 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     def grad_potential(t):
         return -(np.sum(model.grad_theta(t, dataset), axis=0) + model.grad_log_prior(t))
 
-    trace, diverged = _hmc_loop(potential, grad_potential, cfg, theta, n_iter, seed, d)
-    # the loop records -U = loglik + log prior; strip the prior back out
-    for i in range(n_iter):
-        trace.loglik_est[i] -= model.log_prior(trace.draws[i])
+    trace, diverged = _hmc_loop(potential, grad_potential, model.log_prior, cfg, theta,
+                                n_iter, seed, d)
     trace.meta = {
         "kernel": "hmc", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "divergences": diverged,
@@ -442,11 +440,14 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     return trace
 
 
-def _hmc_loop(potential, grad_potential, cfg: HmcConfig, theta0: np.ndarray,
+def _hmc_loop(potential, grad_potential, log_prior, cfg: HmcConfig, theta0: np.ndarray,
               n_iter: int, seed, d: int,
               u_step=None) -> tuple[ChainTrace, int]:
-    """Shared HMC driver; u_step, when given, runs before each trajectory and
-    may swap out the potential (the energy conserving subsampling pattern)."""
+    """Shared HMC driver; u_step, when given, runs before each trajectory,
+    may swap out the potential (the energy conserving subsampling pattern)
+    and returns the new potential's value at the current point.  The
+    recorded log-likelihood is -U minus the log prior at the draw, so it
+    is taken under the potential the draw was accepted or kept under."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = _streams(seed)
@@ -460,8 +461,7 @@ def _hmc_loop(potential, grad_potential, cfg: HmcConfig, theta0: np.ndarray,
     t_start = time.perf_counter()
     for i in range(n_iter):
         if u_step is not None:
-            potential, grad_potential, trace.u_accept[i] = u_step(theta, rng_sub)
-            U = potential(theta)
+            potential, grad_potential, trace.u_accept[i], U = u_step(theta, rng_sub)
         mom = chol_M @ rng_prop.standard_normal(d)
         u = rng_accept.random()
         K = 0.5 * float(mom @ (M_inv @ mom))
@@ -479,7 +479,7 @@ def _hmc_loop(potential, grad_potential, cfg: HmcConfig, theta0: np.ndarray,
             theta, U = theta_prop, U_prop
             trace.accept[i] = True
         trace.draws[i] = theta
-        trace.loglik_est[i] = -U
+        trace.loglik_est[i] = -U - log_prior(theta)
     trace.meta["wall_time"] = time.perf_counter() - t_start
     return trace, diverged
 
@@ -534,7 +534,6 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
         DifferenceConfig(m), dependence, dataset.n, init_rng)
 
     box = {"state": state}
-    records = []
 
     def make_potential(indices):
         def potential(t):
@@ -552,23 +551,21 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
-        _, _, log_cur = subsampled_potential(model, cache, dataset, theta,
-                                             cur.indices, include_variance_grad)
-        _, _, log_prop = subsampled_potential(model, cache, dataset, theta,
-                                              prop.indices, include_variance_grad)
+        U_cur, _, log_cur = subsampled_potential(model, cache, dataset, theta,
+                                                 cur.indices, include_variance_grad)
+        U_prop, _, log_prop = subsampled_potential(model, cache, dataset, theta,
+                                                   prop.indices, include_variance_grad)
         accepted = np.isfinite(log_prop) and np.log(u) < log_prop - log_cur
         if accepted:
             box["state"] = prop
         else:
             box["state"] = _advance_cursor(cur, prop)
-        records.append(log_prop if accepted else log_cur)
         pot, grad = make_potential(box["state"].indices)
-        return pot, grad, accepted
+        return pot, grad, accepted, U_prop if accepted else U_cur
 
     pot0, grad0 = make_potential(state.indices)
-    trace, diverged = _hmc_loop(pot0, grad0, cfg, theta_arr, n_iter, seed, d,
-                                u_step=u_step)
-    trace.loglik_est = np.asarray(records)
+    trace, diverged = _hmc_loop(pot0, grad0, model.log_prior, cfg, theta_arr, n_iter,
+                                seed, d, u_step=u_step)
     trace.meta = {
         "kernel": "hmc_ecs", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "dependence": dependence, "m": m, "divergences": diverged,

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from submcmc import load_dataset
+from submcmc import PoissonRegression, load_dataset
 from submcmc.cli import main
 from submcmc.experiments import (
     example_dataset,
     figure1_table,
     figure234_tables,
     figure5_study,
+    laplace_covariance,
     parse_config_file,
     read_trace_csv,
+    resolve,
 )
 
 
@@ -129,6 +131,39 @@ class TestRunCommand:
                                                    "epsilon": "0.05",
                                                    "leapfrog_steps": "4", "m": "12"})
         assert main(["run", "--config", cfg2, "--out", str(tmp_path / "e")]) == 0
+
+
+class TestResolve:
+    PLANNED = dict(model="poisson", simulate_n="10000", simulate_theta="1.0,0.75",
+                   sampler="pmmh", estimator="difference", cv="param", order="2",
+                   sigma2_target="1.0", iterations="10", seed="4")
+
+    def test_planned_m_is_floored_and_echoed(self):
+        # second-order control variates plan m = 1 here, where the sample
+        # variance of one difference is identically zero
+        plan, resolved = resolve(self.PLANNED)
+        assert plan.estimator.m == 30
+        assert resolved["m"] == "30" and resolved["plan_floored"] == "1"
+        _, again = resolve(resolved)
+        assert again == resolved
+
+    def test_laplace_shape_reads_the_cache_curvature(self, monkeypatch):
+        passes = []
+        real = PoissonRegression.hess_theta
+
+        def counting(self, theta, dataset, idx=None):
+            if idx is None:
+                passes.append(1)
+            return real(self, theta, dataset, idx)
+
+        monkeypatch.setattr(PoissonRegression, "hess_theta", counting)
+        plan, _ = resolve({**self.PLANNED, "omega": "laplace"})
+        # the cache build is the only full-data Hessian pass: the proposal
+        # shape and the planning draws both read its summed Hessian
+        assert len(passes) == 1
+        monkeypatch.undo()
+        full_pass = laplace_covariance(plan.model, plan.dataset, plan.theta0)
+        assert plan.proposal.shape.tobytes() == full_pass.tobytes()
 
 
 class TestSimulateAndDiagnose:

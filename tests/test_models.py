@@ -1,7 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from submcmc import (
     CsvParseError,
@@ -277,6 +282,60 @@ class TestDatasetIO:
             load_dataset(path)
         path.write_text("y,x1\n1,0.5\n2,0.5,9\n")
         with pytest.raises(CsvParseError, match="row 3"):
+            load_dataset(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=st.integers(0, 3).flatmap(lambda p: arrays(
+        np.float64, st.tuples(st.integers(1, 6), st.just(p + 1)),
+        elements=st.floats(allow_nan=False, allow_infinity=False))))
+    def test_csv_round_trip_is_bit_exact(self, table):
+        ds = Dataset(y=table[:, 0], X=table[:, 1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "round.csv"
+            save_dataset(ds, path)
+            back = load_dataset(path)
+        assert back.X.shape == ds.X.shape
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert np.ascontiguousarray(back.X).tobytes() == np.ascontiguousarray(ds.X).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        'y,x1\n"1","0.5"\n2,"-1e-3"\n',
+        "y,x1\r\n1,0.5\r\n\r\n2,-1e-3\r\n",
+        "\ufeffy,x1\n1,0.5\n2,-1e-3\n",
+        "y,x1\n\n1,0.5\n\n2,-1e-3\n\n",
+    ], ids=["quoted", "crlf", "bom", "blank-lines"])
+    def test_accepted_dialect(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = load_dataset(path)
+        assert np.array_equal(ds.y, [1.0, 2.0])
+        assert np.array_equal(ds.X, [[0.5], [-1e-3]])
+
+    def test_single_column_has_no_covariates(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("y\n3\n0\n")
+        ds = load_dataset(path)
+        assert ds.p == 0 and ds.X.shape == (2, 0)
+        assert np.array_equal(ds.y, [3.0, 0.0])
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("y,x1\n")
+        with pytest.raises(CsvParseError, match="no data rows"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text, row", [
+        ("y,x1\n1,0.5\n   \n2,0.5\n", "row 3"),
+        ("y\n1\n\n   \n", "row 4"),
+        ("y,x1\n1,0.5\n\n2\n", "row 4"),
+        ("y,x1\n1,0.5,7\n2,0.5,7\n", "row 2"),
+        ("y,x1\n1,0.5\n1_0,0.5\n", "row 3"),
+    ], ids=["whitespace-line", "whitespace-line-one-column", "ragged", "wider-than-header",
+            "digit-underscore"])
+    def test_bad_line_is_named(self, tmp_path, text, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=row):
             load_dataset(path)
 
     def test_sample_mean_approaches_lognormal_moment(self):

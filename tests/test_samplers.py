@@ -545,6 +545,36 @@ class TestHmcEcs:
         assert trace.u_accept.dtype == bool
         assert trace.u_accept.mean() > 0.2
 
+    def test_recorded_loglik_is_at_the_recorded_draw(self, poisson_model, poisson_example,
+                                                     example_center):
+        # exact control variates make the estimate the full-data log-likelihood
+        cache = ExactControlVariate(poisson_model, poisson_example)
+        cfg = HmcConfig(step_size=0.005, n_steps=5)
+        trace = hmc_ecs_run(poisson_model, poisson_example, cache, cfg, 50,
+                            example_center, 200, seed=3)
+        want = [poisson_model.loglik_sum(t, poisson_example) for t in trace.draws]
+        np.testing.assert_allclose(trace.loglik_est, want, rtol=1e-9, atol=0)
+
+    def test_potential_evaluations_per_iteration(self, monkeypatch, poisson_model,
+                                                 poisson_example, example_center,
+                                                 param_caches):
+        from submcmc import samplers
+        calls = []
+        real = samplers.subsampled_potential
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "subsampled_potential", counting)
+        n_iter, n_steps = 10, 5
+        hmc_ecs_run(poisson_model, poisson_example, param_caches[2],
+                    HmcConfig(step_size=0.005, n_steps=n_steps), 50, example_center,
+                    n_iter, seed=3)
+        # the start-point check, then per iteration two subsample estimates,
+        # n_steps + 1 gradients and the proposal's potential
+        assert len(calls) == 1 + n_iter * (2 + n_steps + 1 + 1)
+
     def test_data_expanded_cache_rejected(self, poisson_model, poisson_example,
                                           example_center):
         from submcmc import build_data_expanded, kmeans_cluster
