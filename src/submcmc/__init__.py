@@ -63,6 +63,7 @@ from .estimators import (
 from .models import (
     Dataset,
     GaussianPrior,
+    GlmModel,
     LogisticRegression,
     ModelSpec,
     NormalMeanModel,

@@ -15,26 +15,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheBuildError, DomainError
-from .models import Dataset, ModelSpec
+from .models import Dataset, GlmModel, ModelSpec
 
 
-def _first_bad_index(*arrays) -> int | None:
-    for arr in arrays:
-        if arr is None:
-            continue
-        flat_ok = np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
-        if not flat_ok.all():
-            return int(np.argmin(flat_ok))
-    return None
+def _first_bad_index(arr: np.ndarray) -> int | None:
+    ok = np.isfinite(arr).all(axis=1)
+    return None if ok.all() else int(np.argmin(ok))
 
 
 @dataclass
 class ParamExpandedCache:
     """Taylor-in-theta control variates anchored at `expansion_point`.
 
-    Stored per-observation ingredients cost about 8*n*(1 + d + d^2) bytes
-    at order 2; pass store_per_obs=False to trade that for recomputation
-    on every per-index evaluation (the cheap total-sum path is unaffected).
+    The model has GLM form, so with a_i = w_i'(theta - theta0)
+
+        q_i(theta) = ell(y_i, eta0_i) + ell'(eta0_i) a_i + ell''(eta0_i) a_i^2 / 2
+
+    (truncated at `order`), and the cache keeps one float per observation,
+    eta0_i = w_i'theta0: 8n bytes.  The summed terms make sum_values O(d^2)
+    per theta; per-index evaluation reads y_i and w_i from the dataset.
     """
 
     expansion_point: np.ndarray
@@ -42,35 +41,27 @@ class ParamExpandedCache:
     sum_ell: float
     sum_grad: np.ndarray
     sum_hess: np.ndarray
-    ell: np.ndarray | None
-    grad: np.ndarray | None
-    hess: np.ndarray | None
+    eta0: np.ndarray
     n: int
     d: int
-    _model: ModelSpec | None = field(default=None, repr=False)
-    _dataset: Dataset | None = field(default=None, repr=False)
+    _model: GlmModel = field(default=None, repr=False)
+    _dataset: Dataset = field(default=None, repr=False)
 
-    def _per_obs(self, idx):
-        if self.ell is not None:
-            ell = self.ell[idx]
-            grad = self.grad[idx] if self.order >= 1 else None
-            hess = self.hess[idx] if self.order >= 2 else None
-            return ell, grad, hess
-        t0 = self.expansion_point
-        ell = self._model.loglik(t0, self._dataset, idx)
-        grad = self._model.grad_theta(t0, self._dataset, idx) if self.order >= 1 else None
-        hess = self._model.hess_theta(t0, self._dataset, idx) if self.order >= 2 else None
-        return ell, grad, hess
+    def _expansion_terms(self, theta, idx):
+        """(ell', ell'') at eta0 (None above the order), a and the design rows."""
+        rows = gather_rows(self._model, self, self._dataset, idx)
+        a = rows.W @ (np.asarray(theta, dtype=float) - self.expansion_point)
+        d1 = self._model.ell_d1(rows.y, rows.eta0) if self.order >= 1 else None
+        d2 = self._model.ell_d2(rows.y, rows.eta0) if self.order >= 2 else None
+        return rows, a, d1, d2
 
     def values_at(self, theta, idx) -> np.ndarray:
-        idx = _check_indices(idx, self.n)
-        ell, grad, hess = self._per_obs(idx)
-        q = ell.copy()
+        rows, a, d1, d2 = self._expansion_terms(theta, idx)
+        q = self._model.ell(rows.y, rows.eta0)
         if self.order >= 1:
-            delta = np.asarray(theta, dtype=float) - self.expansion_point
-            q += grad @ delta
+            q = q + d1 * a
             if self.order >= 2:
-                q += 0.5 * np.einsum("kij,i,j->k", hess, delta, delta)
+                q = q + 0.5 * d2 * a * a
         return q
 
     def sum_values(self, theta) -> float:
@@ -82,17 +73,13 @@ class ParamExpandedCache:
                 total += 0.5 * float(delta @ self.sum_hess @ delta)
         return total
 
-    # theta-gradients of the q_i, needed by the subsampled HMC potential
+    # theta-gradients of the q_i
     def grads_at(self, theta, idx) -> np.ndarray:
-        idx = _check_indices(idx, self.n)
-        _, grad, hess = self._per_obs(idx)
+        rows, a, d1, d2 = self._expansion_terms(theta, idx)
         if self.order == 0:
-            return np.zeros((len(idx), self.d))
-        out = grad.copy()
-        if self.order >= 2:
-            delta = np.asarray(theta, dtype=float) - self.expansion_point
-            out += hess @ delta
-        return out
+            return np.zeros((rows.idx.size, self.d))
+        slope = d1 + d2 * a if self.order >= 2 else d1
+        return slope[:, None] * rows.W
 
     def grad_sum(self, theta) -> np.ndarray:
         if self.order == 0:
@@ -105,34 +92,22 @@ class ParamExpandedCache:
 
 
 def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
-                         order: int = 2, store_per_obs: bool = True) -> ParamExpandedCache:
-    """One full pass over the data; afterwards sum_values() is O(d^2) per theta."""
+                         order: int = 2) -> ParamExpandedCache:
+    """One blocked full pass over the data; afterwards sum_values() is
+    O(d^2) per theta and the cache holds 8n bytes per dataset."""
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
+    if not isinstance(model, GlmModel):
+        raise DomainError(
+            f"parameter-expanded control variates need a model of GLM form "
+            f"(log-likelihood a function of w_i'theta); {type(model).__name__} is not")
     t0 = np.asarray(expansion_point, dtype=float)
-    d = model.dim(dataset)
-    ell = model.loglik(t0, dataset)
-    grad = model.grad_theta(t0, dataset) if order >= 1 else None
-    hess = model.hess_theta(t0, dataset) if order >= 2 else None
-    bad = _first_bad_index(ell[:, None], grad, hess)
-    if bad is not None:
-        raise CacheBuildError(f"non-finite expansion quantity at observation {bad}")
-    cache = ParamExpandedCache(
-        expansion_point=t0,
-        order=order,
-        sum_ell=float(np.sum(ell)),
-        sum_grad=np.sum(grad, axis=0) if order >= 1 else np.zeros(d),
-        sum_hess=np.sum(hess, axis=0) if order >= 2 else np.zeros((d, d)),
-        ell=ell if store_per_obs else None,
-        grad=grad if (store_per_obs and order >= 1) else None,
-        hess=hess if (store_per_obs and order >= 2) else None,
-        n=dataset.n,
-        d=d,
+    eta0, sum_ell, sum_grad, sum_hess = model.taylor_sums(t0, dataset, order)
+    return ParamExpandedCache(
+        expansion_point=t0, order=order, sum_ell=sum_ell, sum_grad=sum_grad,
+        sum_hess=sum_hess, eta0=eta0, n=dataset.n, d=t0.size,
+        _model=model, _dataset=dataset,
     )
-    if not store_per_obs:
-        cache._model = model
-        cache._dataset = dataset
-    return cache
 
 
 @dataclass
@@ -333,10 +308,54 @@ class ExactControlVariate:
         return np.sum(self._model.grad_theta(theta, self._dataset), axis=0)
 
 
-def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx) -> np.ndarray:
-    """d_i(theta) = ell_i(theta) - q_i(theta) at the given indices."""
+@dataclass
+class SubsampleRows:
+    """The rows of one subsample, gathered once for repeated evaluation.
+
+    `idx` holds the range-checked indices.  For a parameter-expanded cache
+    `y`, `W` and `eta0` hold the responses, design rows and expansion-point
+    predictors; for any other cache they stay None and evaluation goes
+    through the model and the cache by index.
+    """
+
+    idx: np.ndarray
+    y: np.ndarray | None = None
+    W: np.ndarray | None = None
+    eta0: np.ndarray | None = None
+
+    def weighted_grad(self, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights_i * grad d_i, from the `s` of differences(grad=True)."""
+        if self.W is None:
+            return weights @ s
+        return (weights * s) @ self.W
+
+
+def gather_rows(model: ModelSpec, cache, dataset: Dataset, idx) -> SubsampleRows:
+    """Check `idx` against the data size and gather what evaluating it needs."""
     idx = _check_indices(idx, dataset.n)
-    return model.loglik(theta, dataset, idx) - cache.values_at(theta, idx)
+    if not isinstance(cache, ParamExpandedCache):
+        return SubsampleRows(idx)
+    return SubsampleRows(idx, dataset.y[idx], model.design(dataset, idx), cache.eta0[idx])
+
+
+def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: bool = False):
+    """d_i(theta) = ell_i(theta) - q_i(theta) at the given indices.
+
+    `idx` is an index array or the SubsampleRows of one.  A parameter-
+    expanded cache takes d_i from the model's Taylor remainder at
+    a_i = w_i'(theta - theta0), free of the cancellation in ell - q; other
+    caches subtract q from ell.  With grad=True the result is (d, s): the
+    theta-gradient of d_i is s_i * w_i for a parameter-expanded cache, and
+    row i of s otherwise (see SubsampleRows.weighted_grad).
+    """
+    rows = idx if isinstance(idx, SubsampleRows) else gather_rows(model, cache, dataset, idx)
+    if rows.W is not None:
+        a = rows.W @ (np.asarray(theta, dtype=float) - cache.expansion_point)
+        return model.remainder(rows.y, rows.eta0, a, cache.order, grad)
+    d = model.loglik(theta, dataset, rows.idx) - cache.values_at(theta, rows.idx)
+    if not grad:
+        return d
+    return d, model.grad_theta(theta, dataset, rows.idx) - cache.grads_at(theta, rows.idx)
 
 
 def _check_indices(idx, n: int) -> np.ndarray:
@@ -391,22 +410,21 @@ def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SMCV"
-_VERSION = 1
+# version 2: parameter-expanded caches hold eta0 instead of per-observation
+# value, gradient and Hessian arrays
+_VERSION = 2
 _KIND_PARAM = 1
 _KIND_DATA = 2
 _HEADER = struct.Struct("<4sIBQQQB")
+_PAYLOAD_ARRAYS = {_KIND_PARAM: 5, _KIND_DATA: 6}
 
 
 def save_cache(cache, path):
     """Persist a built cache so expensive passes are reusable across runs."""
     if isinstance(cache, ParamExpandedCache):
-        if cache.ell is None:
-            raise DomainError("recompute-on-demand caches hold model references; rebuild to save")
         header = _HEADER.pack(_MAGIC, _VERSION, _KIND_PARAM, cache.n, cache.d, 0, cache.order)
         arrays = [cache.expansion_point, np.asarray(cache.sum_ell), cache.sum_grad,
-                  cache.sum_hess, cache.ell,
-                  cache.grad if cache.grad is not None else np.zeros(0),
-                  cache.hess if cache.hess is not None else np.zeros(0)]
+                  cache.sum_hess, cache.eta0]
     elif isinstance(cache, DataExpandedCache):
         header = _HEADER.pack(_MAGIC, _VERSION, _KIND_DATA, cache.n,
                               cache.centroids.shape[1], cache.n_clusters, cache.order)
@@ -420,11 +438,12 @@ def save_cache(cache, path):
             np.save(fh, np.asarray(arr), allow_pickle=False)
 
 
-def load_cache(path, model: ModelSpec | None = None):
+def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = None):
     """Load a cache written by save_cache.
 
-    Data-expanded caches evaluate through the model at read time, so
-    `model` is required for them.
+    Both kinds evaluate through the model at read time, so `model` is
+    required; a parameter-expanded cache also reads y_i and w_i from the
+    dataset it was built on.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -435,28 +454,31 @@ def load_cache(path, model: ModelSpec | None = None):
             raise DomainError(f"{path}: not a cache file (bad magic)")
         if version != _VERSION:
             raise DomainError(f"{path}: unsupported cache version {version}")
-        expected = 7 if kind == _KIND_PARAM else 6
+        if kind not in _PAYLOAD_ARRAYS:
+            raise DomainError(f"{path}: unknown cache kind {kind}")
         arrays = []
-        for _ in range(expected):
+        for _ in range(_PAYLOAD_ARRAYS[kind]):
             try:
                 arrays.append(np.load(fh, allow_pickle=False))
             except (EOFError, ValueError, OSError):
                 raise DomainError(f"{path}: truncated cache payload") from None
     if kind == _KIND_PARAM:
-        point, sum_ell, sum_grad, sum_hess, ell, grad, hess = arrays
+        if not isinstance(model, GlmModel) or dataset is None:
+            raise DomainError("loading a parameter-expanded cache requires the GLM model "
+                              "and the dataset it was built on")
+        if dataset.n != n:
+            raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
+        point, sum_ell, sum_grad, sum_hess, eta0 = arrays
         return ParamExpandedCache(
             expansion_point=point, order=int(order), sum_ell=float(sum_ell),
-            sum_grad=sum_grad, sum_hess=sum_hess, ell=ell,
-            grad=grad if grad.size else None, hess=hess if hess.size else None,
-            n=int(n), d=int(dim),
+            sum_grad=sum_grad, sum_hess=sum_hess, eta0=eta0, n=int(n), d=int(dim),
+            _model=model, _dataset=dataset,
         )
-    if kind == _KIND_DATA:
-        if model is None:
-            raise DomainError("loading a data-expanded cache requires the model")
-        centroids, assignment, dev, counts, sum_dev, sum_outer = arrays
-        return DataExpandedCache(
-            centroids=centroids, assignment=assignment.astype(int), dev=dev,
-            counts=counts, sum_dev=sum_dev, sum_outer=sum_outer,
-            order=int(order), n=int(n), n_clusters=int(K), _model=model,
-        )
-    raise DomainError(f"{path}: unknown cache kind {kind}")
+    if model is None:
+        raise DomainError("loading a data-expanded cache requires the model")
+    centroids, assignment, dev, counts, sum_dev, sum_outer = arrays
+    return DataExpandedCache(
+        centroids=centroids, assignment=assignment.astype(int), dev=dev,
+        counts=counts, sum_dev=sum_dev, sum_outer=sum_outer,
+        order=int(order), n=int(n), n_clusters=int(K), _model=model,
+    )

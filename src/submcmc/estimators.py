@@ -139,6 +139,18 @@ def wor_sampling_fraction(n: int, sigma2_pop: float, target: float = 3.3) -> flo
     return n * sigma2_pop / (n * sigma2_pop + target)
 
 
+def difference_total(cache, theta, d: np.ndarray, n: int) -> tuple[float, float, np.ndarray]:
+    """Value sum q_i + (n/m) sum d_k, its estimated variance and the centered
+    differences, from the m sampled differences d.  The difference estimator
+    and the HMC-ECS potential both use it, so they agree to the bit."""
+    m = d.size
+    total = float(d.sum())
+    centered = d - total / m
+    value = cache.sum_values(theta) + n / m * total
+    sample_variance = n * n / m * (float(centered @ centered) / m)
+    return value, sample_variance, centered
+
+
 def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
                         sub) -> LogLikEstimate:
     """Survey-sampling difference estimator: sum q_i + (n/m) sum d_{u_k}.
@@ -150,11 +162,9 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
     indices = sub.indices if isinstance(sub, SubsampleState) else np.atleast_1d(np.asarray(sub))
     if indices is None or indices.size == 0:
         raise DomainError("empty index set")
-    n, m = dataset.n, indices.size
     d = differences(model, cache, dataset, theta, indices)
-    value = cache.sum_values(theta) + n / m * float(np.sum(d))
-    sample_variance = n * n / m * float(np.mean((d - np.mean(d)) ** 2))
-    return LogLikEstimate(value=value, sample_variance=sample_variance, m=m,
+    value, sample_variance, _ = difference_total(cache, theta, d, dataset.n)
+    return LogLikEstimate(value=value, sample_variance=sample_variance, m=d.size,
                           theta=np.asarray(theta, dtype=float))
 
 
@@ -233,9 +243,8 @@ def default_soft_bound(model: ModelSpec, cache, dataset: Dataset, theta,
     """bound = dhat_pilot - n_products, the variance-minimizing choice with
     the unknown total of differences replaced by a pilot estimate."""
     pilot = draw_srs(dataset.n, pilot_m, rng)
-    est = difference_estimate(model, cache, dataset, theta, pilot)
-    dhat = est.value - cache.sum_values(theta)
-    return dhat - cfg_n_products
+    d = differences(model, cache, dataset, theta, pilot.indices)
+    return dataset.n / pilot_m * float(np.sum(d)) - cfg_n_products
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .estimators import (
     plan_subsample_size,
     wor_sampling_fraction,
 )
-from .models import MODELS, Dataset, ModelSpec, load_dataset, simulate_poisson
+from .models import MODELS, Dataset, GlmModel, ModelSpec, load_dataset, simulate_poisson
 from .samplers import (
     ChainTrace,
     DependenceConfig,
@@ -197,10 +198,17 @@ def build_dataset(cfg: dict) -> tuple[Dataset, dict]:
     return dataset, resolved
 
 
-def _resolve_expansion(cfg, model, dataset, seed, resolved) -> np.ndarray:
+def _pilot_mode(model: ModelSpec, dataset: Dataset, seed):
+    """The pilot posterior mode as a function evaluated on first use only,
+    so a pilot theta0 and a pilot expansion point share one Newton run."""
+    return functools.cache(lambda: select_expansion_point(
+        model, dataset, seed=chain_seed(seed, _TAG_EXPANSION)))
+
+
+def _resolve_expansion(cfg, model, dataset, pilot, resolved) -> np.ndarray:
     raw = cfg.get("expansion", "pilot")
     if raw == "pilot":
-        point = select_expansion_point(model, dataset, seed=chain_seed(seed, _TAG_EXPANSION))
+        point = pilot()
     elif raw == "exact":
         point = select_expansion_point(model, dataset, exact=True)
     else:
@@ -211,7 +219,7 @@ def _resolve_expansion(cfg, model, dataset, seed, resolved) -> np.ndarray:
     return point
 
 
-def _build_cache(cfg, model, dataset, seed, resolved):
+def _build_cache(cfg, model, dataset, seed, resolved, pilot):
     kind = _get_choice(cfg, "cv", {"param", "data", "exact"}, default="param")
     resolved["cv"] = kind
     if kind == "exact":
@@ -221,7 +229,7 @@ def _build_cache(cfg, model, dataset, seed, resolved):
         raise ConfigError("order", "must be 0, 1 or 2")
     resolved["order"] = str(order)
     if kind == "param":
-        point = _resolve_expansion(cfg, model, dataset, seed, resolved)
+        point = _resolve_expansion(cfg, model, dataset, pilot, resolved)
         return build_param_expanded(model, dataset, point, order=order)
     K = _get_int(cfg, "centroids", default=75)
     resolved["centroids"] = str(K)
@@ -236,12 +244,14 @@ def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray,
     """Inverse negative curvature of the log-posterior at a central point.
 
     An order-2 parameter-expanded cache anchored exactly at `center` holds
-    the same summed Hessian, so it is read from there instead of making
-    another full-data pass; any other cache is ignored.
+    the same summed Hessian, from the same pass, so it is read from there
+    instead of making another full-data pass; any other cache is ignored.
     """
     if (isinstance(cache, ParamExpandedCache) and cache.order == 2
             and np.array_equal(cache.expansion_point, center)):
         H = cache.sum_hess
+    elif isinstance(model, GlmModel):
+        H = model.taylor_sums(center, dataset, order=2)[3]
     else:
         H = np.sum(model.hess_theta(center, dataset), axis=0)
     H = H - np.eye(center.size) / model.prior.sd**2
@@ -306,8 +316,7 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
     model = MODELS[model_name]()
     dataset, ds_resolved = build_dataset(cfg)
     resolved.update(ds_resolved)
-    if model_name == "poisson":
-        model._check_counts(dataset.y)
+    model.check_response(dataset.y)
 
     sampler = _get_choice(cfg, "sampler", {"mh", "pmmh", "hmc", "hmc_ecs"}, required=True)
     resolved["sampler"] = sampler
@@ -325,9 +334,10 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
                      "seed": str(seed), "chains": str(chains)})
 
     d = model.dim(dataset)
+    pilot = _pilot_mode(model, dataset, seed)
     raw_theta0 = cfg.get("theta0", "pilot")
     if raw_theta0 == "pilot":
-        theta0 = select_expansion_point(model, dataset, seed=chain_seed(seed, _TAG_EXPANSION))
+        theta0 = pilot()
     else:
         theta0 = _get_floats(cfg, "theta0", required=True)
         if theta0.size != d:
@@ -343,7 +353,7 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         resolved["estimator"] = est_name
         # built before the proposal, whose Laplace shape at the expansion
         # point then reads the summed Hessian from the cache
-        plan.cache = _build_cache(cfg, model, dataset, seed, resolved)
+        plan.cache = _build_cache(cfg, model, dataset, seed, resolved, pilot)
 
     if sampler in ("mh", "pmmh"):
         kappa = _get_float(cfg, "kappa")
@@ -406,7 +416,7 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
 
     if sampler == "hmc_ecs":
         kind = _get_choice(cfg, "cv", {"param", "exact"}, default="param")
-        plan.cache = _build_cache({**cfg, "cv": kind}, model, dataset, seed, resolved)
+        plan.cache = _build_cache({**cfg, "cv": kind}, model, dataset, seed, resolved, pilot)
         expansion = getattr(plan.cache, "expansion_point", theta0)
         plan.m = _resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion)
         plan.include_variance_grad = cfg.get("variance_grad", "1") not in ("0", "false")
@@ -667,11 +677,11 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     model = MODELS[model_name]()
     dataset, _ = build_dataset(cfg)
     seed = _get_int(cfg, "seed", default=0)
-    resolved = {}
-    cache = _build_cache(cfg, model, dataset, seed, resolved)
+    pilot = _pilot_mode(model, dataset, seed)
+    cache = _build_cache(cfg, model, dataset, seed, {}, pilot)
     center = getattr(cache, "expansion_point", None)
     if center is None:
-        center = select_expansion_point(model, dataset, seed=chain_seed(seed, _TAG_EXPANSION))
+        center = pilot()
     sigma2_d = _pilot_sigma2(model, dataset, cache, center, seed)
     rows = []
     for target in targets:

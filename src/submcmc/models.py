@@ -18,7 +18,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import CsvParseError, DomainError
+from .errors import CacheBuildError, CsvParseError, DomainError
 from .special import digamma, log_factorial, trigamma
 
 
@@ -67,10 +67,11 @@ class GaussianPrior:
     def __post_init__(self):
         if self.sd <= 0:
             raise DomainError("prior sd must be positive")
+        self._log_norm = np.log(self.sd * np.sqrt(2.0 * np.pi))
 
     def logpdf(self, theta: np.ndarray) -> float:
         z = (np.asarray(theta, dtype=float) - self.mean) / self.sd
-        return float(-0.5 * np.sum(z * z) - theta.size * np.log(self.sd * np.sqrt(2.0 * np.pi)))
+        return float(-0.5 * (z * z).sum() - z.size * self._log_norm)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return -(np.asarray(theta, dtype=float) - self.mean) / self.sd**2
@@ -129,45 +130,150 @@ class ModelSpec(ABC):
 
 
 def _take(arr: np.ndarray, idx):
-    return arr if idx is None else arr[np.asarray(idx)]
+    return arr if idx is None else arr[idx]
 
 
 def _design(dataset: Dataset, idx):
     X = _take(dataset.X, idx)
-    return np.column_stack([np.ones(X.shape[0]), X])
+    W = np.empty((X.shape[0], X.shape[1] + 1))
+    W[:, 0] = 1.0
+    W[:, 1:] = X
+    return W
 
 
-class PoissonRegression(ModelSpec):
+# rows per block of a full-data pass: bounded temporaries, one BLAS product each
+_BLOCK = 1 << 16
+
+
+class GlmModel(ModelSpec):
+    """A log-likelihood that sees theta only through eta_i = w_i'theta.
+
+    Subclasses supply the design rows w_i and the family: ell(y, eta), its
+    first two eta-derivatives, and the Taylor remainder
+    d(y, eta0, a, order) = ell(eta0 + a) - Taylor_order(a) of ell around
+    eta0, computed without the cancellation of ell - q.  That remainder is
+    the difference d_i of parameter-expanded control variates, with
+    a = w_i'(theta - theta0).  `idx` may be an index array, a list or a
+    slice.
+    """
+
+    @abstractmethod
+    def check_response(self, y: np.ndarray):
+        """Raise DomainError unless every response is in the family's support."""
+
+    @abstractmethod
+    def ell(self, y, eta) -> np.ndarray:
+        """Contributions at linear predictors eta."""
+
+    @abstractmethod
+    def ell_d1(self, y, eta) -> np.ndarray:
+        """First eta-derivative of ell."""
+
+    @abstractmethod
+    def ell_d2(self, y, eta) -> np.ndarray:
+        """Second eta-derivative of ell."""
+
+    @abstractmethod
+    def remainder(self, y, eta0, a, order: int, grad: bool = False):
+        """d = ell(eta0 + a) - sum_{j <= order} ell^(j)(eta0) a^j / j!, and
+        with grad=True also s = dd/da, so the theta-gradient of d_i is
+        s_i * w_i."""
+
+    def design(self, dataset: Dataset, idx=None) -> np.ndarray:
+        """Rows w_i = (1, x_i)."""
+        return _design(dataset, idx)
+
+    def _y_design_eta(self, theta, dataset, idx):
+        y = _take(dataset.y, idx)
+        self.check_response(y)
+        W = self.design(dataset, idx)
+        return y, W, W @ np.asarray(theta, dtype=float).reshape(-1)
+
+    def loglik(self, theta, dataset, idx=None):
+        y, _, eta = self._y_design_eta(theta, dataset, idx)
+        return self.ell(y, eta)
+
+    def grad_theta(self, theta, dataset, idx=None):
+        y, W, eta = self._y_design_eta(theta, dataset, idx)
+        return self.ell_d1(y, eta)[:, None] * W
+
+    def hess_theta(self, theta, dataset, idx=None):
+        y, W, eta = self._y_design_eta(theta, dataset, idx)
+        # in place: one (k, d, d) array instead of two at full-data size
+        H = W[:, :, None] * W[:, None, :]
+        H *= self.ell_d2(y, eta)[:, None, None]
+        return H
+
+    def taylor_sums(self, theta, dataset: Dataset, order: int = 2):
+        """One blocked pass over all observations at `theta`.
+
+        Returns (eta, sum_i ell_i, W'ell', W'diag(ell'')W): the gradient
+        sum is zero below order 1 and the Hessian sum zero below order 2.
+        Each block makes one BLAS product W'[ell', diag(ell'')W], so no
+        (n, d, d) array and no (n, d) array beyond a block is formed.  The
+        responses are validated here, once; a non-finite term raises
+        CacheBuildError naming its observation.
+        """
+        theta = np.asarray(theta, dtype=float)
+        self.check_response(dataset.y)
+        d = theta.size
+        eta = np.empty(dataset.n)
+        sum_ell = 0.0
+        moments = np.zeros((d, (1 if order >= 1 else 0) + (d if order >= 2 else 0)))
+        for lo in range(0, dataset.n, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            y, W = dataset.y[rows], self.design(dataset, rows)
+            e = eta[rows] = W @ theta
+            terms = [self.ell(y, e)[:, None]]
+            if order >= 1:
+                terms.append(self.ell_d1(y, e)[:, None])
+            if order >= 2:
+                terms.append(self.ell_d2(y, e)[:, None] * W)
+            cols = np.hstack(terms)
+            finite = np.isfinite(cols).all(axis=1)
+            if not finite.all():
+                raise CacheBuildError(
+                    f"non-finite expansion quantity at observation {lo + int(np.argmin(finite))}")
+            sum_ell += float(np.sum(cols[:, 0]))
+            if order >= 1:
+                moments += W.T @ cols[:, 1:]
+        sum_grad = moments[:, 0] if order >= 1 else np.zeros(d)
+        sum_hess = moments[:, 1:] if order >= 2 else np.zeros((d, d))
+        return eta, sum_ell, sum_grad, sum_hess
+
+
+class PoissonRegression(GlmModel):
     """Counts y_i ~ Pois(exp(w_i' theta)) with w_i = (1, x_i)."""
 
-    @staticmethod
-    def _check_counts(y: np.ndarray):
+    def check_response(self, y):
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise DomainError("Poisson responses must be nonnegative integers")
 
-    def loglik(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_counts(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
+    def ell(self, y, eta):
         return y * eta - np.exp(eta) - log_factorial(y)
 
-    def grad_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_counts(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
-        return (y - np.exp(eta))[:, None] * W
+    def ell_d1(self, y, eta):
+        return y - np.exp(eta)
 
-    def hess_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_counts(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
-        # in place: one (k, d, d) array instead of two at full-data size
-        H = W[:, :, None] * W[:, None, :]
-        H *= -np.exp(eta)[:, None, None]
-        return H
+    def ell_d2(self, y, eta):
+        return -np.exp(eta)
+
+    def remainder(self, y, eta0, a, order, grad=False):
+        # log y! and, from order 1 on, y * eta cancel exactly:
+        # d = y a [order 0] - mu0 (expm1(a) - sum_{1 <= j <= order} a^j / j!)
+        mu0 = np.exp(eta0)
+        e = np.expm1(a)
+        if order == 0:
+            d = y * a - mu0 * e
+            s = y - mu0 * (e + 1.0)
+        elif order == 1:
+            d = -mu0 * (e - a)
+            s = -mu0 * e
+        else:
+            r1 = e - a
+            d = -mu0 * (r1 - 0.5 * a * a)
+            s = -mu0 * r1
+        return (d, s) if grad else d
 
     def loglik_at(self, theta, Z):
         theta = np.asarray(theta, dtype=float)
@@ -206,11 +312,10 @@ class PoissonRegression(ModelSpec):
         return H
 
 
-class LogisticRegression(ModelSpec):
+class LogisticRegression(GlmModel):
     """Bernoulli-logit contributions y_i eta_i - log(1 + exp(eta_i))."""
 
-    @staticmethod
-    def _check_binary(y: np.ndarray):
+    def check_response(self, y):
         if np.any((y != 0.0) & (y != 1.0)):
             raise DomainError("logistic responses must be in {0, 1}")
 
@@ -218,30 +323,36 @@ class LogisticRegression(ModelSpec):
     def _softplus(eta: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, eta)
 
-    def loglik(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_binary(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
+    def ell(self, y, eta):
         return y * eta - self._softplus(eta)
 
-    def grad_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_binary(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
-        p = _sigmoid(eta)
-        return (y - p)[:, None] * W
+    def ell_d1(self, y, eta):
+        return y - _sigmoid(eta)
 
-    def hess_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        self._check_binary(y)
-        W = _design(dataset, idx)
-        eta = W @ np.asarray(theta, dtype=float)
+    def ell_d2(self, y, eta):
         p = _sigmoid(eta)
-        H = W[:, :, None] * W[:, None, :]
-        H *= -(p * (1.0 - p))[:, None, None]
-        return H
+        return -(p * (1.0 - p))
+
+    def remainder(self, y, eta0, a, order, grad=False):
+        # For |a| <= 1, with p0 = sigmoid(eta0), q0 = 1 - p0 and e = expm1(a):
+        #   softplus(eta0 + a) - softplus(eta0) = log1p(p0 e)
+        #   sigmoid(eta0 + a) - p0             = p0 q0 e / (1 + p0 e)
+        # so the leading Taylor terms cancel against small numbers; farther
+        # out there is nothing to cancel and the plain differences are used.
+        p0, q0 = _sigmoid(eta0), _sigmoid(-eta0)
+        eta = eta0 + a
+        near = np.abs(a) <= 1.0
+        pe = p0 * np.expm1(np.clip(a, -1.0, 1.0))
+        dsp = np.where(near, np.log1p(pe), self._softplus(eta) - self._softplus(eta0))
+        dp = np.where(near, q0 * pe / (1.0 + pe), _sigmoid(eta) - p0)
+        if order == 0:
+            d, s = y * a - dsp, y - p0 - dp
+        elif order == 1:
+            d, s = p0 * a - dsp, -dp
+        else:
+            c0 = p0 * q0
+            d, s = (p0 + 0.5 * c0 * a) * a - dsp, c0 * a - dp
+        return (d, s) if grad else d
 
     def loglik_at(self, theta, Z):
         theta = np.asarray(theta, dtype=float)
@@ -286,11 +397,12 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-class NormalMeanModel(ModelSpec):
+class NormalMeanModel(GlmModel):
     """y_i ~ N(theta, 1) with a conjugate N(mu0, tau0^2) prior.
 
     The posterior is available in closed form, which makes this model the
-    validation oracle for the exact samplers.
+    validation oracle for the exact samplers.  In GLM form w_i = 1, so
+    eta_i = theta for every observation.
     """
 
     def __init__(self, mu0: float = 0.0, tau0: float = 10.0):
@@ -303,19 +415,41 @@ class NormalMeanModel(ModelSpec):
     def dim(self, dataset):
         return 1
 
-    def loglik(self, theta, dataset, idx=None):
+    def design(self, dataset, idx=None):
+        return np.ones((_take(dataset.y, idx).shape[0], 1))
+
+    def _y_design_eta(self, theta, dataset, idx):
+        # w_i = 1: eta_i is theta itself, which broadcasts without a product
         y = _take(dataset.y, idx)
-        r = y - float(np.asarray(theta).reshape(-1)[0])
-        return -0.5 * r * r - self._HALF_LOG_2PI
+        return y, np.ones((y.shape[0], 1)), float(np.asarray(theta).reshape(-1)[0])
 
     def grad_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        r = y - float(np.asarray(theta).reshape(-1)[0])
-        return r[:, None]
+        y, _, eta = self._y_design_eta(theta, dataset, idx)
+        return self.ell_d1(y, eta)[:, None]
 
-    def hess_theta(self, theta, dataset, idx=None):
-        y = _take(dataset.y, idx)
-        return np.full((y.shape[0], 1, 1), -1.0)
+    def check_response(self, y):
+        pass
+
+    def ell(self, y, eta):
+        r = y - eta
+        return -0.5 * r * r - self._HALF_LOG_2PI
+
+    def ell_d1(self, y, eta):
+        return y - eta
+
+    def ell_d2(self, y, eta):
+        return np.full(np.shape(y), -1.0)
+
+    def remainder(self, y, eta0, a, order, grad=False):
+        # ell is quadratic in eta, so the second-order expansion is exact
+        if order == 0:
+            r = y - eta0
+            d, s = (r - 0.5 * a) * a, r - a
+        elif order == 1:
+            d, s = -0.5 * a * a, -a
+        else:
+            d, s = np.zeros_like(a), np.zeros_like(a)
+        return (d, s) if grad else d
 
     def loglik_at(self, theta, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .control_variates import SubsampleRows, differences, gather_rows
 from .errors import ConfigError, DomainError, SamplerError
 from .estimators import (
     KIND_BLOCK_POISSON,
@@ -26,6 +27,7 @@ from .estimators import (
     SubsampleState,
     block_poisson_evaluate,
     difference_estimate,
+    difference_total,
     draw_block_poisson,
     draw_bpm,
     draw_cpm,
@@ -402,16 +404,24 @@ def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: float,
-             n_steps: int, mass_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             n_steps: int, mass_inv: np.ndarray, evaluate=None):
     """Half momentum step, n_steps position steps with interleaved momentum
-    steps, closing half momentum step."""
+    steps, closing half momentum step.
+
+    Given `evaluate(theta) -> (U, grad U, log-likelihood)`, the last
+    gradient comes from it and the end point's (U, log-likelihood) is
+    returned as a third item, so the caller need not evaluate there again.
+    """
     theta = theta.copy()
     mom = mom - 0.5 * step_size * grad_potential(theta)
-    for step in range(1, n_steps + 1):
+    for step in range(1, n_steps):
         theta = theta + step_size * (mass_inv @ mom)
-        g = grad_potential(theta)
-        mom = mom - (step_size if step != n_steps else 0.5 * step_size) * g
-    return theta, mom
+        mom = mom - step_size * grad_potential(theta)
+    theta = theta + step_size * (mass_inv @ mom)
+    if evaluate is None:
+        return theta, mom - 0.5 * step_size * grad_potential(theta)
+    U, g, loglik = evaluate(theta)
+    return theta, mom - 0.5 * step_size * g, (U, loglik)
 
 
 def _hmc_machinery(cfg: HmcConfig, d: int):
@@ -424,14 +434,14 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
 
-    def potential(t):
-        return -(model.loglik_sum(t, dataset) + model.log_prior(t))
-
     def grad_potential(t):
         return -(np.sum(model.grad_theta(t, dataset), axis=0) + model.grad_log_prior(t))
 
-    trace, diverged = _hmc_loop(potential, grad_potential, model.log_prior, cfg, theta,
-                                n_iter, seed, d)
+    def evaluate(t):
+        loglik = model.loglik_sum(t, dataset)
+        return -(loglik + model.log_prior(t)), grad_potential(t), loglik
+
+    trace, diverged = _hmc_loop(grad_potential, evaluate, cfg, theta, n_iter, seed, d)
     trace.meta = {
         "kernel": "hmc", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "divergences": diverged,
@@ -440,20 +450,21 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     return trace
 
 
-def _hmc_loop(potential, grad_potential, log_prior, cfg: HmcConfig, theta0: np.ndarray,
-              n_iter: int, seed, d: int,
-              u_step=None) -> tuple[ChainTrace, int]:
-    """Shared HMC driver; u_step, when given, runs before each trajectory,
-    may swap out the potential (the energy conserving subsampling pattern)
-    and returns the new potential's value at the current point.  The
-    recorded log-likelihood is -U minus the log prior at the draw, so it
-    is taken under the potential the draw was accepted or kept under."""
+def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
+              n_iter: int, seed, d: int, u_step=None) -> tuple[ChainTrace, int]:
+    """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood);
+    the (U, log-likelihood) pair of the current point is carried from one
+    iteration to the next.  u_step, when given, runs before each trajectory,
+    may swap out the potential (the energy conserving subsampling pattern),
+    and returns the functions in force with their (U, log-likelihood) at
+    the current point.  The recorded log-likelihood is the one the draw was
+    accepted or kept under."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = _streams(seed)
     chol_M, M_inv = _hmc_machinery(cfg, d)
     theta = theta0.copy()
-    U = potential(theta)
+    U, _, loglik = evaluate(theta)
     if not np.isfinite(U):
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
@@ -461,25 +472,25 @@ def _hmc_loop(potential, grad_potential, log_prior, cfg: HmcConfig, theta0: np.n
     t_start = time.perf_counter()
     for i in range(n_iter):
         if u_step is not None:
-            potential, grad_potential, trace.u_accept[i], U = u_step(theta, rng_sub)
+            grad_potential, evaluate, trace.u_accept[i], U, loglik = u_step(
+                theta, U, loglik, rng_sub)
         mom = chol_M @ rng_prop.standard_normal(d)
         u = rng_accept.random()
         K = 0.5 * float(mom @ (M_inv @ mom))
         # trajectories are allowed to blow up; the divergence guard below
         # is the designed response, so silence the intermediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            theta_prop, mom_prop = leapfrog(grad_potential, theta, mom,
-                                            cfg.step_size, cfg.n_steps, M_inv)
-            U_prop = potential(theta_prop)
+            theta_prop, mom_prop, (U_prop, loglik_prop) = leapfrog(
+                grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate)
             K_prop = 0.5 * float(mom_prop @ (M_inv @ mom_prop))
         dH = (U_prop + K_prop) - (U + K)
         if not np.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
             diverged += 1
         elif np.log(u) < -dH:
-            theta, U = theta_prop, U_prop
+            theta, U, loglik = theta_prop, U_prop, loglik_prop
             trace.accept[i] = True
         trace.draws[i] = theta
-        trace.loglik_est[i] = -U - log_prior(theta)
+        trace.loglik_est[i] = loglik
     trace.meta["wall_time"] = time.perf_counter() - t_start
     return trace, diverged
 
@@ -492,25 +503,24 @@ def subsampled_potential(model: ModelSpec, cache, dataset: Dataset, theta,
                          indices, include_variance_grad: bool = True):
     """Estimated potential and its exact theta-gradient at a fixed subsample.
 
-    The potential is -(log-lik estimate - sample_variance/2 + log prior);
-    the gradient differentiates the variance-correction term as well
-    unless include_variance_grad is False (ablation flag).
+    `indices` is an index array or its SubsampleRows, gathered once and
+    reused by every evaluation of a trajectory.  The potential is
+    -(log-lik estimate - sample_variance/2 + log prior), the estimate and
+    variance being difference_estimate's; the gradient differentiates the
+    variance-correction term as well unless include_variance_grad is False
+    (ablation flag).
     """
     theta = np.asarray(theta, dtype=float)
-    indices = np.atleast_1d(np.asarray(indices))
-    n, m = dataset.n, indices.size
-    ell = model.loglik(theta, dataset, indices)
-    q = cache.values_at(theta, indices)
-    d_vals = ell - q
-    centered = d_vals - np.mean(d_vals)
-    value = cache.sum_values(theta) + n / m * float(np.sum(d_vals))
-    svar = n * n / m * float(np.mean(centered**2))
-    grad_d = model.grad_theta(theta, dataset, indices) - cache.grads_at(theta, indices)
-    grad_value = cache.grad_sum(theta) + n / m * np.sum(grad_d, axis=0)
+    rows = (indices if isinstance(indices, SubsampleRows)
+            else gather_rows(model, cache, dataset, indices))
+    n, m = dataset.n, rows.idx.size
+    d_vals, s = differences(model, cache, dataset, theta, rows, grad=True)
+    value, svar, centered = difference_total(cache, theta, d_vals, n)
+    # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i
+    weights = (n / m - n * n / (m * m) * centered if include_variance_grad
+               else np.full(m, n / m))
+    grad_log_phat = cache.grad_sum(theta) + rows.weighted_grad(s, weights)
     log_phat = value - svar / 2.0
-    grad_log_phat = grad_value.copy()
-    if include_variance_grad:
-        grad_log_phat -= n * n / (m * m) * (centered @ grad_d)
     potential = -(log_phat + model.log_prior(theta))
     grad = -(grad_log_phat + model.grad_log_prior(theta))
     return potential, grad, log_phat
@@ -523,7 +533,12 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
                 include_variance_grad: bool = True) -> ChainTrace:
     """Two-block Gibbs: MH refresh of the subsample, then an HMC update of
     theta whose trajectory gradients and acceptance Hamiltonian come from
-    the same estimated potential at the just-updated subsample."""
+    the same estimated potential at the just-updated subsample.
+
+    Each proposed subsample's rows are gathered once; the current point's
+    log-likelihood estimate is carried over from the previous iteration, so
+    an iteration makes n_steps + 2 potential evaluations: the proposed
+    subsample's, and the trajectory's."""
     theta_arr = np.asarray(theta0, dtype=float)
     d = theta_arr.size
     dependence = dependence if dependence is not None else DependenceConfig()
@@ -533,39 +548,31 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     state = u0 if u0 is not None else initial_subsample(
         DifferenceConfig(m), dependence, dataset.n, init_rng)
 
-    box = {"state": state}
-
-    def make_potential(indices):
-        def potential(t):
-            val, _, _ = subsampled_potential(model, cache, dataset, t, indices,
-                                             include_variance_grad)
-            return val
+    def potential_at(rows):
+        def evaluate(t):
+            return subsampled_potential(model, cache, dataset, t, rows, include_variance_grad)
 
         def grad_potential(t):
-            _, g, _ = subsampled_potential(model, cache, dataset, t, indices,
-                                           include_variance_grad)
-            return g
-        return potential, grad_potential
+            return evaluate(t)[1]
+        return grad_potential, evaluate
 
-    def u_step(theta, rng_sub):
+    box = {"state": state, "fns": potential_at(gather_rows(model, cache, dataset,
+                                                          state.indices))}
+
+    def u_step(theta, U_cur, log_cur, rng_sub):
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
-        U_cur, _, log_cur = subsampled_potential(model, cache, dataset, theta,
-                                                 cur.indices, include_variance_grad)
-        U_prop, _, log_prop = subsampled_potential(model, cache, dataset, theta,
-                                                   prop.indices, include_variance_grad)
-        accepted = np.isfinite(log_prop) and np.log(u) < log_prop - log_cur
-        if accepted:
-            box["state"] = prop
-        else:
-            box["state"] = _advance_cursor(cur, prop)
-        pot, grad = make_potential(box["state"].indices)
-        return pot, grad, accepted, U_prop if accepted else U_cur
+        rows = gather_rows(model, cache, dataset, prop.indices)
+        U_prop, _, log_prop = subsampled_potential(model, cache, dataset, theta, rows,
+                                                   include_variance_grad)
+        if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
+            box["state"], box["fns"] = prop, potential_at(rows)
+            return *box["fns"], True, U_prop, log_prop
+        box["state"] = _advance_cursor(cur, prop)
+        return *box["fns"], False, U_cur, log_cur
 
-    pot0, grad0 = make_potential(state.indices)
-    trace, diverged = _hmc_loop(pot0, grad0, model.log_prior, cfg, theta_arr, n_iter,
-                                seed, d, u_step=u_step)
+    trace, diverged = _hmc_loop(*box["fns"], cfg, theta_arr, n_iter, seed, d, u_step=u_step)
     trace.meta = {
         "kernel": "hmc_ecs", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "dependence": dependence, "m": m, "divergences": diverged,

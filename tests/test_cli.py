@@ -149,21 +149,47 @@ class TestResolve:
 
     def test_laplace_shape_reads_the_cache_curvature(self, monkeypatch):
         passes = []
-        real = PoissonRegression.hess_theta
+        real_sums = PoissonRegression.taylor_sums
+        real_hess = PoissonRegression.hess_theta
 
-        def counting(self, theta, dataset, idx=None):
+        def counting_sums(self, theta, dataset, order=2):
+            passes.append("taylor_sums")
+            return real_sums(self, theta, dataset, order)
+
+        def counting_hess(self, theta, dataset, idx=None):
             if idx is None:
-                passes.append(1)
-            return real(self, theta, dataset, idx)
+                passes.append("hess_theta")
+            return real_hess(self, theta, dataset, idx)
 
-        monkeypatch.setattr(PoissonRegression, "hess_theta", counting)
+        monkeypatch.setattr(PoissonRegression, "taylor_sums", counting_sums)
+        monkeypatch.setattr(PoissonRegression, "hess_theta", counting_hess)
         plan, _ = resolve({**self.PLANNED, "omega": "laplace"})
         # the cache build is the only full-data Hessian pass: the proposal
         # shape and the planning draws both read its summed Hessian
-        assert len(passes) == 1
+        assert passes == ["taylor_sums"]
         monkeypatch.undo()
         full_pass = laplace_covariance(plan.model, plan.dataset, plan.theta0)
         assert plan.proposal.shape.tobytes() == full_pass.tobytes()
+
+    def test_pilot_mode_is_computed_once(self, monkeypatch):
+        from submcmc import experiments
+
+        calls = []
+        real = experiments.select_expansion_point
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_expansion_point", counting)
+        plan, resolved = resolve(self.PLANNED)
+        # theta0 and the expansion point both default to the pilot mode
+        assert calls == [[4, 101]]
+        assert resolved["theta0"] == resolved["expansion"]
+        monkeypatch.undo()
+        direct = real(plan.model, plan.dataset, seed=[4, 101])
+        assert plan.theta0.tobytes() == direct.tobytes()
+        assert plan.cache.expansion_point.tobytes() == direct.tobytes()
 
 
 class TestSimulateAndDiagnose:

@@ -82,17 +82,33 @@ class TestParamExpanded:
             brute = math.fsum(param_caches[order].values_at(theta, idx))
             assert param_caches[order].sum_values(theta) == pytest.approx(brute, rel=1e-9)
 
-    def test_recompute_mode_matches_stored_mode(self, poisson_model, poisson_example,
-                                                example_center, param_caches):
-        lean = build_param_expanded(poisson_model, poisson_example, example_center,
-                                    order=2, store_per_obs=False)
-        theta = example_center + 0.05
+    def test_cache_holds_one_predictor_per_observation(self, poisson_model,
+                                                       poisson_example, example_center,
+                                                       param_caches):
+        # eta0_i = w_i'theta0 is all the cache keeps per observation: 8n bytes
+        eta = poisson_model.design(poisson_example) @ example_center
+        for cache in param_caches.values():
+            assert cache.eta0.shape == (poisson_example.n,)
+            assert cache.eta0.nbytes == 8 * poisson_example.n
+            np.testing.assert_array_equal(cache.eta0, eta)
+            for name in ("ell", "grad", "hess"):
+                assert not hasattr(cache, name)
+
+    def test_per_index_terms_match_model_derivatives(self, poisson_model, poisson_example,
+                                                     example_center, param_caches):
+        # q_i and its gradient rebuilt from loglik, grad_theta and hess_theta
+        theta = example_center + np.array([0.05, -0.03])
+        delta = theta - example_center
         idx = np.arange(0, poisson_example.n, 7)
-        np.testing.assert_allclose(lean.values_at(theta, idx),
-                                   param_caches[2].values_at(theta, idx), rtol=1e-14)
-        np.testing.assert_allclose(lean.grads_at(theta, idx),
-                                   param_caches[2].grads_at(theta, idx), rtol=1e-14)
-        assert lean.sum_values(theta) == param_caches[2].sum_values(theta)
+        ell0 = poisson_model.loglik(example_center, poisson_example, idx)
+        g0 = poisson_model.grad_theta(example_center, poisson_example, idx)
+        H0 = poisson_model.hess_theta(example_center, poisson_example, idx)
+        q = [ell0, ell0 + g0 @ delta, ell0 + g0 @ delta + 0.5 * (H0 @ delta) @ delta]
+        grads = [np.zeros_like(g0), g0, g0 + H0 @ delta]
+        for order, cache in param_caches.items():
+            np.testing.assert_allclose(cache.values_at(theta, idx), q[order], rtol=1e-13)
+            np.testing.assert_allclose(cache.grads_at(theta, idx), grads[order],
+                                       rtol=1e-12, atol=1e-13)
 
     def test_gradient_paths_match_finite_differences(self, poisson_example,
                                                      example_center, param_caches):
@@ -116,11 +132,25 @@ class TestParamExpanded:
             build_param_expanded(poisson_model, poisson_example,
                                  np.array([800.0, 0.0]), order=2)
 
-    def test_sums_consistent_with_stored_per_obs(self, param_caches):
+    def test_sums_match_per_observation_terms(self, poisson_model, poisson_example,
+                                              example_center, param_caches):
         cache = param_caches[2]
-        assert cache.sum_ell == pytest.approx(math.fsum(cache.ell), rel=1e-12)
-        np.testing.assert_allclose(cache.sum_grad, cache.grad.sum(axis=0), rtol=1e-9)
-        np.testing.assert_allclose(cache.sum_hess, cache.sum_hess.T)
+        ell = poisson_model.loglik(example_center, poisson_example)
+        grad = poisson_model.grad_theta(example_center, poisson_example)
+        hess = poisson_model.hess_theta(example_center, poisson_example)
+        assert cache.sum_ell == pytest.approx(math.fsum(ell), rel=1e-12)
+        np.testing.assert_allclose(cache.sum_grad, grad.sum(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(cache.sum_hess, hess.sum(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(cache.sum_hess, cache.sum_hess.T)
+        np.testing.assert_array_equal(param_caches[1].sum_hess, np.zeros((2, 2)))
+        np.testing.assert_array_equal(param_caches[0].sum_grad, np.zeros(2))
+
+    def test_model_without_glm_form_rejected(self, poisson_example, example_center):
+        from tests.test_estimators import TableModel
+
+        with pytest.raises(DomainError, match="GLM form"):
+            build_param_expanded(TableModel(np.zeros(poisson_example.n)), poisson_example,
+                                 example_center, order=2)
 
 
 class TestKMeans:
@@ -286,11 +316,11 @@ class TestExactControlVariate:
 
 
 class TestSerialization:
-    def test_param_cache_round_trip(self, poisson_example, example_center,
+    def test_param_cache_round_trip(self, poisson_model, poisson_example, example_center,
                                     param_caches, tmp_path):
         path = tmp_path / "param.cvc"
         save_cache(param_caches[2], path)
-        back = load_cache(path)
+        back = load_cache(path, model=poisson_model, dataset=poisson_example)
         theta = example_center + 0.04
         idx = np.arange(0, poisson_example.n, 13)
         assert back.sum_values(theta) == param_caches[2].sum_values(theta)
@@ -316,6 +346,28 @@ class TestSerialization:
         path = tmp_path / "data.cvc"
         save_cache(cache, path)
         with pytest.raises(DomainError, match="model"):
+            load_cache(path)
+
+    def test_param_cache_requires_model_and_dataset(self, poisson_model, poisson_example,
+                                                    param_caches, tmp_path):
+        path = tmp_path / "param.cvc"
+        save_cache(param_caches[2], path)
+        with pytest.raises(DomainError, match="dataset"):
+            load_cache(path, model=poisson_model)
+        small = Dataset(y=poisson_example.y[:10], X=poisson_example.X[:10])
+        with pytest.raises(DomainError, match="1000 observations"):
+            load_cache(path, model=poisson_model, dataset=small)
+
+    def test_version_1_file_rejected(self, param_caches, tmp_path):
+        # version 1 stored per-observation value, gradient and Hessian arrays
+        import struct
+
+        path = tmp_path / "old.cvc"
+        save_cache(param_caches[2], path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DomainError, match="unsupported cache version 1"):
             load_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):

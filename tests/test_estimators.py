@@ -359,6 +359,25 @@ class TestBlockPoisson:
         # at the expansion point all differences vanish, so bound ~ -lambda
         assert bound == pytest.approx(-5.0, abs=1e-9)
 
+    def test_one_differences_call_per_minibatch(self, monkeypatch, poisson_model,
+                                                poisson_example, example_center,
+                                                param_caches):
+        # outside timing tools count mini-batches at estimators.differences
+        from submcmc import estimators
+        calls = []
+        real = estimators.differences
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[4]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "differences", counting)
+        state = draw_block_poisson(poisson_example.n, 6, 8, np.random.default_rng(12))
+        cfg = BlockPoissonConfig(n_products=6, batch_size=8, bound=-6.0)
+        block_poisson_evaluate(poisson_model, param_caches[2], poisson_example,
+                               example_center + 0.01, cfg, state)
+        assert calls == [8] * sum(len(block) for block in state.batches)
+
     def test_deterministic_given_state(self, poisson_model, poisson_example,
                                        example_center, param_caches):
         state = draw_block_poisson(poisson_example.n, 3, 10, np.random.default_rng(11))

@@ -1,0 +1,156 @@
+"""The fused GLM difference path against the generic ell - q path.
+
+Parameter-expanded control variates take d_i = ell_i - q_i from each
+model's Taylor remainder in the linear predictor.  These properties pin it
+to the generic construction from `loglik`, `grad_theta` and `hess_theta`,
+to the cached totals, and to a long-double reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submcmc import (
+    Dataset,
+    LogisticRegression,
+    NormalMeanModel,
+    PoissonRegression,
+    build_param_expanded,
+    differences,
+)
+
+MODELS = {"poisson": PoissonRegression, "logistic": LogisticRegression,
+          "normal_mean": NormalMeanModel}
+
+
+def make_problem(name, n, p, seed):
+    """A dataset drawn from the model at a random theta0 in [-1, 1]^d."""
+    model = MODELS[name]()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, 0 if name == "normal_mean" else p))
+    d = model.dim(Dataset(y=np.zeros(n), X=X))
+    theta0 = rng.uniform(-1.0, 1.0, size=d)
+    eta = model.design(Dataset(y=np.zeros(n), X=X)) @ theta0
+    if name == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    elif name == "logistic":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = eta + rng.standard_normal(n)
+    return model, Dataset(y=y, X=X), theta0, rng
+
+
+def generic_terms(model, ds, theta0, theta, order):
+    """d and its gradient rows as ell - q from the model's derivatives, plus
+    the magnitudes of the summed terms (the scale of their rounding)."""
+    delta = theta - theta0
+    ell = model.loglik(theta, ds)
+    grad = model.grad_theta(theta, ds)
+    q_terms = [model.loglik(theta0, ds)]
+    gq_terms = [np.zeros_like(grad)]
+    if order >= 1:
+        g0 = model.grad_theta(theta0, ds)
+        q_terms.append(g0 @ delta)
+        gq_terms.append(g0)
+    if order >= 2:
+        H0d = model.hess_theta(theta0, ds) @ delta
+        q_terms.append(0.5 * (H0d @ delta))
+        gq_terms.append(H0d)
+    d = ell - sum(q_terms)
+    g = grad - sum(gq_terms)
+    scale = 1.0 + np.abs(ell) + sum(np.abs(t) for t in q_terms)
+    gscale = 1.0 + np.abs(grad) + sum(np.abs(t) for t in gq_terms)
+    return d, g, scale, gscale
+
+
+def long_double_remainder(name, model, ds, theta0, theta, order):
+    """ell(eta) minus its Taylor polynomial around eta0, in long double;
+    log y! is left out of the Poisson ell because it cancels."""
+    ld = np.longdouble
+    W = model.design(ds).astype(ld)
+    y = ds.y.astype(ld)
+    eta0 = W @ theta0.astype(ld)
+    a = W @ theta.astype(ld) - eta0
+
+    def family(eta):
+        if name == "poisson":
+            mu = np.exp(eta)
+            return y * eta - mu, y - mu, -mu
+        if name == "logistic":
+            p = 1 / (1 + np.exp(-eta))
+            return y * eta - np.logaddexp(ld(0), eta), y - p, -p * (1 - p)
+        r = y - eta
+        return -r * r / 2, r, -np.ones_like(eta)
+
+    ell, _, _ = family(eta0 + a)
+    derivs = family(eta0)
+    taylor = derivs[0]
+    if order >= 1:
+        taylor = taylor + derivs[1] * a
+    if order >= 2:
+        taylor = taylor + derivs[2] * a * a / 2
+    return ell - taylor, np.max(np.abs(ell)) + np.max(np.abs(taylor))
+
+
+names = st.sampled_from(sorted(MODELS))
+problem_args = dict(name=names, n=st.integers(1, 200), p=st.integers(0, 3),
+                    seed=st.integers(0, 2**32 - 1), order=st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=st.sampled_from([1e-3, 0.1, 1.0]), **problem_args)
+def test_fused_differences_match_generic_path(name, n, p, seed, order, step):
+    model, ds, theta0, rng = make_problem(name, n, p, seed)
+    theta = theta0 + step * rng.uniform(-1.0, 1.0, size=theta0.size)
+    cache = build_param_expanded(model, ds, theta0, order=order)
+    d, s = differences(model, cache, ds, theta, np.arange(n), grad=True)
+    d_ref, g_ref, scale, gscale = generic_terms(model, ds, theta0, theta, order)
+    # the generic path carries the rounding of every summed term
+    assert np.all(np.abs(d - d_ref) <= 1e-12 * scale)
+    grad = s[:, None] * model.design(ds)
+    assert np.all(np.abs(grad - g_ref) <= 1e-12 * gscale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=st.sampled_from([1e-3, 0.1, 1.0]), **problem_args)
+def test_cached_total_is_sum_of_ell_minus_d(name, n, p, seed, order, step):
+    model, ds, theta0, rng = make_problem(name, n, p, seed)
+    theta = theta0 + step * rng.uniform(-1.0, 1.0, size=theta0.size)
+    cache = build_param_expanded(model, ds, theta0, order=order)
+    ell = model.loglik(theta, ds)
+    d = differences(model, cache, ds, theta, np.arange(n))
+    _, _, scale, _ = generic_terms(model, ds, theta0, theta, order)
+    total = math.fsum(ell - d)
+    assert abs(cache.sum_values(theta) - total) <= 1e-12 * math.fsum(scale + np.abs(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**problem_args)
+def test_fused_differences_no_less_accurate_near_expansion_point(name, n, p, seed, order):
+    model, ds, theta0, rng = make_problem(name, n, p, seed)
+    direction = rng.standard_normal(theta0.size)
+    theta = theta0 + 1e-4 * direction / np.linalg.norm(direction)
+    cache = build_param_expanded(model, ds, theta0, order=order)
+    fused = differences(model, cache, ds, theta, np.arange(n))
+    generic, _, _, _ = generic_terms(model, ds, theta0, theta, order)
+    ref, magnitude = long_double_remainder(name, model, ds, theta0, theta, order)
+    fused_err = float(np.max(np.abs(fused - ref)))
+    generic_err = float(np.max(np.abs(generic - ref)))
+    # below the reference's own rounding the comparison means nothing
+    resolution = 8 * float(np.finfo(np.longdouble).eps) * float(1 + magnitude)
+    assert fused_err <= generic_err + resolution
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_fused_error_at_small_step(name):
+    """At |delta| = 1e-4 the generic path loses about eps * |ell| to
+    cancellation; the remainder keeps the error orders of magnitude lower."""
+    model, ds, theta0, rng = make_problem(name, 200, 1, seed=7)
+    theta = theta0 + np.full(theta0.size, 1e-4 / math.sqrt(theta0.size))
+    cache = build_param_expanded(model, ds, theta0, order=2)
+    fused = differences(model, cache, ds, theta, np.arange(ds.n))
+    ref, magnitude = long_double_remainder(name, model, ds, theta0, theta, 2)
+    assert float(np.max(np.abs(fused - ref))) <= 1e-17 * (1 + float(magnitude))

@@ -571,9 +571,51 @@ class TestHmcEcs:
         hmc_ecs_run(poisson_model, poisson_example, param_caches[2],
                     HmcConfig(step_size=0.005, n_steps=n_steps), 50, example_center,
                     n_iter, seed=3)
-        # the start-point check, then per iteration two subsample estimates,
-        # n_steps + 1 gradients and the proposal's potential
-        assert len(calls) == 1 + n_iter * (2 + n_steps + 1 + 1)
+        # the start-point check, then per iteration the proposed subsample's
+        # estimate and n_steps + 1 gradients, the last of which also gives
+        # the proposal's potential; the current point's estimate carries over
+        assert len(calls) == 1 + n_iter * (n_steps + 2)
+
+    def test_potential_on_bare_indices_is_corrected_difference_estimate(
+            self, poisson_model, poisson_example, example_center, param_caches):
+        from submcmc.control_variates import gather_rows
+
+        rng = np.random.default_rng(26)
+        theta = example_center + np.array([0.02, -0.01])
+        for order in (0, 1, 2):
+            cache = param_caches[order]
+            idx = rng.integers(0, poisson_example.n, size=40)
+            est = difference_estimate(poisson_model, cache, poisson_example, theta, idx)
+            U, grad, log_phat = subsampled_potential(poisson_model, cache, poisson_example,
+                                                     theta, idx)
+            want = est.value - est.sample_variance / 2.0
+            assert log_phat == pytest.approx(want, rel=1e-10)
+            assert U == -(log_phat + poisson_model.log_prior(theta))
+            # gathered rows evaluate to the same bits as the bare indices
+            rows = gather_rows(poisson_model, cache, poisson_example, idx)
+            U2, grad2, log_phat2 = subsampled_potential(poisson_model, cache,
+                                                        poisson_example, theta, rows)
+            assert (U2, log_phat2) == (U, log_phat)
+            np.testing.assert_array_equal(grad2, grad)
+
+    def test_leapfrog_hands_back_its_end_point_evaluation(self, poisson_model,
+                                                          poisson_example, example_center,
+                                                          param_caches):
+        idx = np.random.default_rng(27).integers(0, poisson_example.n, size=50)
+
+        def evaluate(t):
+            return subsampled_potential(poisson_model, param_caches[2], poisson_example,
+                                        t, idx)
+
+        mom = np.array([0.3, -0.2])
+        eye = np.eye(2)
+        t1, m1 = leapfrog(lambda t: evaluate(t)[1], example_center, mom, 0.01, 4, eye)
+        t2, m2, (U, log_phat) = leapfrog(lambda t: evaluate(t)[1], example_center, mom,
+                                         0.01, 4, eye, evaluate)
+        np.testing.assert_array_equal(t1, t2)
+        np.testing.assert_array_equal(m1, m2)
+        U_end, _, log_phat_end = evaluate(t2)
+        assert (U, log_phat) == (U_end, log_phat_end)
 
     def test_data_expanded_cache_rejected(self, poisson_model, poisson_example,
                                           example_center):
@@ -584,6 +626,47 @@ class TestHmcEcs:
         with pytest.raises(NotImplementedError):
             hmc_ecs_run(poisson_model, poisson_example, cache, cfg, 20,
                         example_center, 5, seed=25)
+
+
+class TestBenchmarkHookPoints:
+    """Kernels mark each iteration with exactly one module-level
+    `samplers.propose_u` call, which outside timing tools rely on."""
+
+    @staticmethod
+    def _count_propose_u(monkeypatch):
+        from submcmc import samplers
+        calls = []
+        real = samplers.propose_u
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "propose_u", counting)
+        return calls
+
+    def test_propose_u_once_per_pmmh_iteration(self, monkeypatch, poisson_model,
+                                               poisson_example, example_center,
+                                               param_caches):
+        from submcmc import BlockPoissonConfig
+        calls = self._count_propose_u(monkeypatch)
+        proposal = ProposalConfig(step_scale=0.02)
+        pmmh_run(poisson_model, poisson_example, param_caches[2], DifferenceConfig(m=30),
+                 proposal, DependenceConfig(), example_center, 25, seed=28)
+        assert len(calls) == 25
+        cfg = BlockPoissonConfig(n_products=4, batch_size=5, bound=-4.0)
+        pmmh_run(poisson_model, poisson_example, param_caches[2], cfg, proposal,
+                 DependenceConfig(kind="bpm", n_blocks=2), example_center, 15, seed=29)
+        assert len(calls) == 25 + 15
+
+    def test_propose_u_once_per_hmc_ecs_iteration(self, monkeypatch, poisson_model,
+                                                  poisson_example, example_center,
+                                                  param_caches):
+        calls = self._count_propose_u(monkeypatch)
+        hmc_ecs_run(poisson_model, poisson_example, param_caches[2],
+                    HmcConfig(step_size=0.005, n_steps=3), 40, example_center, 12, seed=30,
+                    dependence=DependenceConfig(kind="bpm", n_blocks=4))
+        assert len(calls) == 12
 
 
 def test_stream_split_is_stable():
