@@ -113,13 +113,15 @@ def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
 @dataclass
 class ClusteringResult:
     """k-means output: centroids in original scale, per-point assignment,
-    the per-coordinate scales used for distances, and the within-cluster
-    sum of squares recorded after every assignment step."""
+    the per-coordinate scales used for distances, the within-cluster
+    sum of squares recorded after every assignment step, and whether the
+    assignment settled before max_iter steps."""
 
     centroids: np.ndarray
     assignment: np.ndarray
     scales: np.ndarray
     objective_path: list[float]
+    converged: bool
 
 
 def kmeans_cluster(dataset: Dataset, n_clusters: int, seed: int = 0,
@@ -156,12 +158,14 @@ def kmeans_cluster(dataset: Dataset, n_clusters: int, seed: int = 0,
 
     assignment = np.full(n, -1, dtype=int)
     objective_path: list[float] = []
+    converged = False
     for _ in range(max_iter):
         dist2 = np.sum((S[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assignment = np.argmin(dist2, axis=1)
         point_d2 = dist2[np.arange(n), new_assignment]
         objective_path.append(float(point_d2.sum()))
         if np.array_equal(new_assignment, assignment):
+            converged = True
             break
         assignment = new_assignment
         for j in range(n_clusters):
@@ -176,6 +180,7 @@ def kmeans_cluster(dataset: Dataset, n_clusters: int, seed: int = 0,
         assignment=assignment,
         scales=scales,
         objective_path=objective_path,
+        converged=converged,
     )
 
 

@@ -11,63 +11,57 @@ explicit numpy Generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy import special
 
 from .control_variates import differences
 from .errors import DomainError
 from .models import Dataset, ModelSpec
-
-KIND_SRS = "independent_srs_wr"
-KIND_CPM = "cpm_gaussian"
-KIND_BPM = "bpm_blocks"
-KIND_BLOCK_POISSON = "block_poisson"
 
 
 @dataclass
 class SubsampleState:
     """The auxiliary variable u: which observations a likelihood estimate saw.
 
-    kind selects the layout: plain with-replacement indices, a Gaussian
-    code vector (correlated proposals), indices partitioned into blocks
-    (block-wise refresh), or nested mini-batches (product estimator).
-    `cursor` tracks which block a cyclic refresh touches next.
+    `indices` are the sampled observations, split by `bounds` into
+    segments: one for a plain or Gaussian-coded draw, one per refresh block
+    for block-wise refresh, and one per product for the product estimator,
+    whose segments hold whole mini-batches of `batch_size`, so that
+    `indices.reshape(-1, batch_size)` lists them.  `gaussians` are the
+    codes behind the indices of a correlated draw.  `cursor` tracks which
+    refresh block a cyclic refresh touches next.
     """
 
-    kind: str
     n: int
-    indices: np.ndarray | None = None
+    indices: np.ndarray
+    bounds: np.ndarray
     gaussians: np.ndarray | None = None
-    block_bounds: np.ndarray | None = None
-    batches: list[list[np.ndarray]] | None = field(default=None)
     batch_size: int | None = None
     cursor: int = 0
 
     @property
     def m(self) -> int:
-        if self.indices is not None:
-            return int(self.indices.shape[0])
-        return sum(b.shape[0] for block in self.batches for b in block)
+        return int(self.indices.shape[0])
 
 
 def gaussian_to_index(g: np.ndarray, n: int) -> np.ndarray:
     """Map standard normals to uniform observation indices via the normal CDF."""
-    return np.minimum((n * ndtr(g)).astype(int), n - 1)
+    return np.minimum((n * special.ndtr(g)).astype(int), n - 1)
 
 
 def draw_srs(n: int, m: int, rng: np.random.Generator) -> SubsampleState:
     if m < 1:
         raise DomainError("subsample size must be >= 1")
-    return SubsampleState(kind=KIND_SRS, n=n, indices=rng.integers(0, n, size=m))
+    return SubsampleState(n, rng.integers(0, n, size=m), np.array([0, m]))
 
 
 def draw_cpm(n: int, m: int, rng: np.random.Generator) -> SubsampleState:
     if m < 1:
         raise DomainError("subsample size must be >= 1")
     g = rng.standard_normal(m)
-    return SubsampleState(kind=KIND_CPM, n=n, indices=gaussian_to_index(g, n), gaussians=g)
+    return SubsampleState(n, gaussian_to_index(g, n), np.array([0, m]), g)
 
 
 def draw_bpm(n: int, m: int, n_blocks: int, rng: np.random.Generator) -> SubsampleState:
@@ -78,8 +72,20 @@ def draw_bpm(n: int, m: int, n_blocks: int, rng: np.random.Generator) -> Subsamp
     sizes = np.full(n_blocks, m // n_blocks)
     sizes[: m % n_blocks] += 1
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return SubsampleState(kind=KIND_BPM, n=n, indices=rng.integers(0, n, size=m),
-                          block_bounds=bounds)
+    return SubsampleState(n, rng.integers(0, n, size=m), bounds)
+
+
+def draw_products(n: int, n_products: int, batch_size: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of n_products products, each Pois(1)-many mini-batches,
+    and the product bounds starting at 0.  One draw of count * batch_size
+    indices reads the same stream as count draws of batch_size each."""
+    segments = []
+    for _ in range(n_products):
+        count = rng.poisson(1.0)
+        segments.append(rng.integers(0, n, size=count * batch_size) if count
+                        else np.empty(0, dtype=np.int64))
+    return np.concatenate(segments), np.cumsum([0] + [s.size for s in segments])
 
 
 def draw_block_poisson(n: int, n_products: int, batch_size: int,
@@ -87,12 +93,8 @@ def draw_block_poisson(n: int, n_products: int, batch_size: int,
     """lambda outer products, each holding Pois(1)-many mini-batches of indices."""
     if n_products < 1 or batch_size < 1:
         raise DomainError("need n_products >= 1 and batch_size >= 1")
-    batches = []
-    for _ in range(n_products):
-        count = rng.poisson(1.0)
-        batches.append([rng.integers(0, n, size=batch_size) for _ in range(count)])
-    return SubsampleState(kind=KIND_BLOCK_POISSON, n=n, batches=batches,
-                          batch_size=batch_size)
+    indices, bounds = draw_products(n, n_products, batch_size, rng)
+    return SubsampleState(n, indices, bounds, batch_size=batch_size)
 
 
 @dataclass
@@ -160,7 +162,7 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
     indices, or a bare index array.
     """
     indices = sub.indices if isinstance(sub, SubsampleState) else np.atleast_1d(np.asarray(sub))
-    if indices is None or indices.size == 0:
+    if indices.size == 0:
         raise DomainError("empty index set")
     d = differences(model, cache, dataset, theta, indices)
     value, sample_variance, _ = difference_total(cache, theta, d, dataset.n)
@@ -212,22 +214,21 @@ def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
     the soft bound.  A mini-batch hitting the bound exactly yields sign 0
     with log_abs = -inf (callers treat it as an invalid proposal).
     """
-    if state.kind != KIND_BLOCK_POISSON:
-        raise DomainError(f"expected a {KIND_BLOCK_POISSON} state, got {state.kind}")
+    if state.batch_size != cfg.batch_size:
+        raise DomainError(f"expected mini-batches of {cfg.batch_size}, got {state.batch_size}")
     n = dataset.n
     lam = cfg.n_products
     log_abs = cache.sum_values(theta) + cfg.bound + lam
     sign = 1
-    for block in state.batches:
-        for batch in block:
-            d = differences(model, cache, dataset, theta, batch)
-            dhat = n / cfg.batch_size * float(np.sum(d))
-            factor = (dhat - cfg.bound) / lam
-            if factor == 0.0:
-                return -np.inf, 0
-            if factor < 0.0:
-                sign = -sign
-            log_abs += np.log(abs(factor))
+    for batch in state.indices.reshape(-1, state.batch_size):
+        d = differences(model, cache, dataset, theta, batch)
+        dhat = n / cfg.batch_size * float(np.sum(d))
+        factor = (dhat - cfg.bound) / lam
+        if factor == 0.0:
+            return -np.inf, 0
+        if factor < 0.0:
+            sign = -sign
+        log_abs += np.log(abs(factor))
     return float(log_abs), sign
 
 

@@ -236,6 +236,8 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot):
     cseed = _get_int(cfg, "cluster_seed", default=seed)
     resolved["cluster_seed"] = str(cseed)
     clustering = kmeans_cluster(dataset, K, seed=cseed)
+    if not clustering.converged:
+        resolved["kmeans_converged"] = "0"
     return build_data_expanded(model, dataset, clustering, order=order)
 
 
@@ -306,6 +308,11 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
         resolved["plan_floored"] = "1"
     resolved["m"] = str(m)
     return m
+
+
+def _check_blocks(dependence: DependenceConfig, m: int) -> None:
+    if dependence.kind == "bpm" and dependence.n_blocks > m:
+        raise ConfigError("blocks", f"block count must not exceed the subsample size m = {m}")
 
 
 def resolve(cfg: dict) -> tuple[RunPlan, dict]:
@@ -397,7 +404,10 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         if est_name == "difference":
             plan.estimator = DifferenceConfig(
                 m=_resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion))
+            _check_blocks(plan.dependence, plan.estimator.m)
         else:
+            if plan.dependence.kind == "cpm":
+                raise ConfigError("dependence", "cpm does not apply to the product estimator")
             lam = _get_int(cfg, "lambda", required=True)
             m_b = _get_int(cfg, "m_b", required=True)
             if lam < 1 or m_b < 1:
@@ -419,6 +429,7 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         plan.cache = _build_cache({**cfg, "cv": kind}, model, dataset, seed, resolved, pilot)
         expansion = getattr(plan.cache, "expansion_point", theta0)
         plan.m = _resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion)
+        _check_blocks(plan.dependence, plan.m)
         plan.include_variance_grad = cfg.get("variance_grad", "1") not in ("0", "false")
         resolved["variance_grad"] = "1" if plan.include_variance_grad else "0"
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
+from scipy import special
 
 from .errors import CacheBuildError, CsvParseError, DomainError
-from .special import digamma, log_factorial, trigamma
 
 
 @dataclass
@@ -242,6 +242,13 @@ class GlmModel(ModelSpec):
         return eta, sum_ell, sum_grad, sum_hess
 
 
+def _log_factorial(y):
+    """log(y!) = log Gamma(y + 1), overflow-free for large counts, for real y > -1."""
+    if np.any(y <= -1.0):
+        raise DomainError("log y! requires y > -1")
+    return special.gammaln(y + 1.0)
+
+
 class PoissonRegression(GlmModel):
     """Counts y_i ~ Pois(exp(w_i' theta)) with w_i = (1, x_i)."""
 
@@ -250,7 +257,7 @@ class PoissonRegression(GlmModel):
             raise DomainError("Poisson responses must be nonnegative integers")
 
     def ell(self, y, eta):
-        return y * eta - np.exp(eta) - log_factorial(y)
+        return y * eta - np.exp(eta) - _log_factorial(y)
 
     def ell_d1(self, y, eta):
         return y - np.exp(eta)
@@ -280,7 +287,7 @@ class PoissonRegression(GlmModel):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         y, x = Z[:, 0], Z[:, 1:]
         mu = theta[0] + x @ theta[1:]
-        return y * mu - np.exp(mu) - log_factorial(y)
+        return y * mu - np.exp(mu) - _log_factorial(y)
 
     def grad_data(self, theta, Z):
         theta = np.asarray(theta, dtype=float)
@@ -291,7 +298,7 @@ class PoissonRegression(GlmModel):
         beta = theta[1:]
         mu = theta[0] + x @ beta
         g = np.empty_like(Z)
-        g[:, 0] = mu - digamma(y + 1.0)
+        g[:, 0] = mu - special.digamma(y + 1.0)
         g[:, 1:] = (y - np.exp(mu))[:, None] * beta
         return g
 
@@ -305,7 +312,7 @@ class PoissonRegression(GlmModel):
         mu = theta[0] + x @ beta
         k, dz = Z.shape
         H = np.empty((k, dz, dz))
-        H[:, 0, 0] = -trigamma(y + 1.0)
+        H[:, 0, 0] = -special.polygamma(1, y + 1.0)
         H[:, 0, 1:] = beta
         H[:, 1:, 0] = beta
         H[:, 1:, 1:] = -np.exp(mu)[:, None, None] * np.outer(beta, beta)

@@ -17,12 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control_variates import SubsampleRows, differences, gather_rows
-from .errors import ConfigError, DomainError, SamplerError
+from .errors import ConfigError, SamplerError
 from .estimators import (
-    KIND_BLOCK_POISSON,
-    KIND_BPM,
-    KIND_CPM,
-    KIND_SRS,
     BlockPoissonConfig,
     SubsampleState,
     block_poisson_evaluate,
@@ -31,6 +27,7 @@ from .estimators import (
     draw_block_poisson,
     draw_bpm,
     draw_cpm,
+    draw_products,
     draw_srs,
     gaussian_to_index,
 )
@@ -249,51 +246,39 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
 
 def propose_u(current: SubsampleState, dependence: DependenceConfig,
               rng: np.random.Generator) -> SubsampleState:
-    """Propose a new subsample state; never mutates the current one."""
-    n = current.n
-    if dependence.kind == "independent":
-        if current.kind == KIND_SRS:
-            return draw_srs(n, current.m, rng)
-        if current.kind == KIND_CPM:
-            return draw_cpm(n, current.m, rng)
-        if current.kind == KIND_BPM:
-            return SubsampleState(kind=KIND_BPM, n=n,
-                                  indices=rng.integers(0, n, size=current.m),
-                                  block_bounds=current.block_bounds)
-        if current.kind == KIND_BLOCK_POISSON:
-            return draw_block_poisson(n, len(current.batches), current.batch_size, rng)
-        raise DomainError(f"unknown subsample kind {current.kind!r}")
+    """Propose a new subsample state; never mutates the current one.
 
-    if dependence.kind == "cpm":
-        if current.kind != KIND_CPM:
-            raise ConfigError("dependence", "cpm dependence needs a Gaussian-coded subsample")
-        phi = dependence.ar_coef
+    Gaussian codes move autoregressively under cpm and are drawn afresh
+    otherwise.  Any other state redraws the segments of one refresh block:
+    all segments when independent, block `cursor` of n_blocks under bpm.
+    A product's segment is redrawn as a fresh Pois(1) count of mini-batches.
+    """
+    n, bounds = current.n, current.bounds
+    if current.gaussians is not None:
+        if dependence.kind == "bpm":
+            raise ConfigError("dependence", "bpm dependence needs an index-coded subsample")
+        phi = dependence.ar_coef if dependence.kind == "cpm" else 0.0
         g = phi * current.gaussians + np.sqrt(1.0 - phi * phi) * rng.standard_normal(current.m)
-        return SubsampleState(kind=KIND_CPM, n=n, indices=gaussian_to_index(g, n), gaussians=g)
-
-    # bpm: refresh the cursor block, deterministic cycle
-    if current.kind == KIND_BPM:
-        G = current.block_bounds.size - 1
-        g = current.cursor % G
-        lo, hi = current.block_bounds[g], current.block_bounds[g + 1]
+        return SubsampleState(n, gaussian_to_index(g, n), bounds, g)
+    if dependence.kind == "cpm":
+        raise ConfigError("dependence", "cpm dependence needs a Gaussian-coded subsample")
+    G = dependence.n_blocks if dependence.kind == "bpm" else 1
+    if G == 1 and current.batch_size is None:
+        return SubsampleState(n, rng.integers(0, n, size=current.m), bounds)
+    if (bounds.size - 1) % G != 0:
+        raise ConfigError("blocks", "block count must divide the number of segments")
+    per = (bounds.size - 1) // G
+    g = current.cursor % G
+    lo, hi = bounds[g * per], bounds[(g + 1) * per]
+    if current.batch_size is None:
         indices = current.indices.copy()
         indices[lo:hi] = rng.integers(0, n, size=hi - lo)
-        return SubsampleState(kind=KIND_BPM, n=n, indices=indices,
-                              block_bounds=current.block_bounds, cursor=(g + 1) % G)
-    if current.kind == KIND_BLOCK_POISSON:
-        lam = len(current.batches)
-        G = dependence.n_blocks
-        if lam % G != 0:
-            raise ConfigError("blocks", "block count must divide the number of products")
-        per = lam // G
-        g = current.cursor % G
-        batches = [list(block) for block in current.batches]
-        for l in range(g * per, (g + 1) * per):
-            count = rng.poisson(1.0)
-            batches[l] = [rng.integers(0, n, size=current.batch_size) for _ in range(count)]
-        return SubsampleState(kind=KIND_BLOCK_POISSON, n=n, batches=batches,
-                              batch_size=current.batch_size, cursor=(g + 1) % G)
-    raise ConfigError("dependence", "bpm dependence needs a blocked subsample")
+    else:
+        new, offsets = draw_products(n, per, current.batch_size, rng)
+        indices = np.concatenate([current.indices[:lo], new, current.indices[hi:]])
+        bounds = np.concatenate([bounds[:g * per], lo + offsets,
+                                 bounds[(g + 1) * per + 1:] + (new.size - (hi - lo))])
+    return SubsampleState(n, indices, bounds, None, current.batch_size, (g + 1) % G)
 
 
 def initial_subsample(est_cfg, dependence: DependenceConfig, n: int,
@@ -307,8 +292,6 @@ def initial_subsample(est_cfg, dependence: DependenceConfig, n: int,
     if isinstance(est_cfg, BlockPoissonConfig):
         if dependence.kind == "cpm":
             raise ConfigError("dependence", "cpm does not apply to the product estimator")
-        if dependence.kind == "bpm" and est_cfg.n_products % dependence.n_blocks != 0:
-            raise ConfigError("blocks", "block count must divide the number of products")
         return draw_block_poisson(n, est_cfg.n_products, est_cfg.batch_size, rng)
     raise ConfigError("estimator", f"unknown estimator config {type(est_cfg).__name__}")
 
@@ -359,14 +342,14 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
         log_target_p = log_est_p + model.log_prior(theta_prop)
         if sign_p == 0 or not np.isfinite(log_target_p):
             invalid += 1
-            state = _advance_cursor(state, state_prop)
+            state.cursor = state_prop.cursor
         elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
             theta, state = theta_prop, state_prop
             log_target, record, sign = log_target_p, record_p, sign_p
             trace.accept[i] = True
         else:
             # carry the cursor forward so the refresh cycle keeps rotating
-            state = _advance_cursor(state, state_prop)
+            state.cursor = state_prop.cursor
         trace.draws[i] = theta
         trace.loglik_est[i] = record
         trace.sign[i] = sign
@@ -378,15 +361,6 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
                        else est_cfg.n_products * est_cfg.batch_size),
     }
     return trace
-
-
-def _advance_cursor(state: SubsampleState, proposed: SubsampleState) -> SubsampleState:
-    if state.cursor == proposed.cursor:
-        return state
-    return SubsampleState(kind=state.kind, n=state.n, indices=state.indices,
-                          gaussians=state.gaussians, block_bounds=state.block_bounds,
-                          batches=state.batches, batch_size=state.batch_size,
-                          cursor=proposed.cursor)
 
 
 def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
@@ -529,7 +503,6 @@ def subsampled_potential(model: ModelSpec, cache, dataset: Dataset, theta,
 def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
                 m: int, theta0, n_iter: int, seed,
                 dependence: DependenceConfig | None = None,
-                u0: SubsampleState | None = None,
                 include_variance_grad: bool = True) -> ChainTrace:
     """Two-block Gibbs: MH refresh of the subsample, then an HMC update of
     theta whose trajectory gradients and acceptance Hamiltonian come from
@@ -542,11 +515,8 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     theta_arr = np.asarray(theta0, dtype=float)
     d = theta_arr.size
     dependence = dependence if dependence is not None else DependenceConfig()
-    if dependence.kind == "cpm" and u0 is not None and u0.kind != KIND_CPM:
-        raise ConfigError("dependence", "cpm dependence needs a Gaussian-coded subsample")
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
-    state = u0 if u0 is not None else initial_subsample(
-        DifferenceConfig(m), dependence, dataset.n, init_rng)
+    state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
 
     def potential_at(rows):
         def evaluate(t):
@@ -569,7 +539,7 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
             box["state"], box["fns"] = prop, potential_at(rows)
             return *box["fns"], True, U_prop, log_prop
-        box["state"] = _advance_cursor(cur, prop)
+        cur.cursor = prop.cursor
         return *box["fns"], False, U_cur, log_cur
 
     trace, diverged = _hmc_loop(*box["fns"], cfg, theta_arr, n_iter, seed, d, u_step=u_step)

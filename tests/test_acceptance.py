@@ -40,7 +40,6 @@ from submcmc import (
     srs_wr_estimate,
     subsampled_potential,
 )
-from submcmc.estimators import KIND_BLOCK_POISSON
 from submcmc.experiments import (
     chain_seed,
     figure1_table,
@@ -136,8 +135,8 @@ def test_criterion_2_exhaustive_estimator_unbiasedness(poisson_model, poisson_ex
     cfg = BlockPoissonConfig(n_products=2, batch_size=2, bound=d_total - 2.0)
 
     def factor(batch):
-        state = SubsampleState(kind=KIND_BLOCK_POISSON, n=5,
-                               batches=[[np.asarray(batch)]], batch_size=2)
+        state = SubsampleState(n=5, indices=np.asarray(batch), bounds=np.array([0, 2]),
+                               batch_size=2)
         log_abs, sign = block_poisson_evaluate(poisson_model, cache5, tiny, theta,
                                                cfg, state)
         return sign * math.exp(log_abs - cache5.sum_values(theta)

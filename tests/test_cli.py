@@ -133,6 +133,23 @@ class TestRunCommand:
         assert main(["run", "--config", cfg2, "--out", str(tmp_path / "e")]) == 0
 
 
+    @pytest.mark.parametrize("field, settings", [
+        ("dependence", {"sampler": "pmmh", "estimator": "block_poisson", "lambda": "4",
+                        "m_b": "5", "dependence": "cpm", "phi": "0.5"}),
+        ("blocks", {"sampler": "pmmh", "estimator": "difference", "m": "10",
+                    "dependence": "bpm", "blocks": "11"}),
+        ("blocks", {"sampler": "hmc_ecs", "epsilon": "0.05", "leapfrog_steps": "4",
+                    "m": "10", "dependence": "bpm", "blocks": "11"}),
+    ])
+    def test_undrawable_subsample_layouts_rejected_before_any_output(
+            self, tmp_path, capsys, field, settings):
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, **settings})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestResolve:
     PLANNED = dict(model="poisson", simulate_n="10000", simulate_theta="1.0,0.75",
                    sampler="pmmh", estimator="difference", cv="param", order="2",
@@ -144,6 +161,20 @@ class TestResolve:
         plan, resolved = resolve(self.PLANNED)
         assert plan.estimator.m == 30
         assert resolved["m"] == "30" and resolved["plan_floored"] == "1"
+        _, again = resolve(resolved)
+        assert again == resolved
+
+    def test_kmeans_stopped_at_max_iter_is_echoed(self, monkeypatch):
+        from submcmc import experiments
+        cfg = {**self.PLANNED, "simulate_n": "1000", "cv": "data", "centroids": "10",
+               "m": "30"}
+        _, resolved = resolve(cfg)
+        assert "kmeans_converged" not in resolved
+        real = experiments.kmeans_cluster
+        monkeypatch.setattr(experiments, "kmeans_cluster",
+                            lambda *args, **kwargs: real(*args, **kwargs, max_iter=1))
+        _, resolved = resolve(cfg)
+        assert resolved["kmeans_converged"] == "0"
         _, again = resolve(resolved)
         assert again == resolved
 

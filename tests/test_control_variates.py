@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from submcmc import (
     CacheBuildError,
@@ -19,7 +20,6 @@ from submcmc import (
     select_expansion_point,
     simulate_poisson,
 )
-from submcmc.special import digamma, trigamma
 
 
 def poisson_param_cv_closed_form(theta, center, dataset):
@@ -45,8 +45,8 @@ def poisson_data_cv_closed_form(theta, dataset, centroids, assignment):
     mu_i = alpha + beta * x
     log_fact_c = np.array([math.lgamma(v + 1.0) for v in yc])
     return (yc * mu_c - np.exp(mu_c) - log_fact_c
-            + (y - yc) * (mu_c - digamma(yc + 1.0))
-            - 0.5 * (y - yc) ** 2 * trigamma(yc + 1.0)
+            + (y - yc) * (mu_c - special.digamma(yc + 1.0))
+            - 0.5 * (y - yc) ** 2 * special.polygamma(1, yc + 1.0)
             + (y - np.exp(mu_c)) * (mu_i - mu_c)
             - 0.5 * np.exp(mu_c) * (mu_i - mu_c) ** 2)
 
@@ -183,6 +183,11 @@ class TestKMeans:
         C = res.centroids / res.scales
         dist2 = np.sum((S[:, None, :] - C[None, :, :]) ** 2, axis=2)
         np.testing.assert_array_equal(res.assignment, np.argmin(dist2, axis=1))
+
+    def test_reports_whether_the_assignment_settled(self, poisson_example):
+        assert kmeans_cluster(poisson_example, n_clusters=10, seed=7).converged
+        stopped = kmeans_cluster(poisson_example, n_clusters=10, seed=7, max_iter=1)
+        assert not stopped.converged and len(stopped.objective_path) == 1
 
     def test_k_larger_than_n_rejected(self, poisson_example):
         with pytest.raises(DomainError):

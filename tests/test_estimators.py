@@ -31,7 +31,6 @@ from submcmc import (
     srs_wr_estimate,
     wor_sampling_fraction,
 )
-from submcmc.estimators import KIND_BLOCK_POISSON
 from submcmc.models import ModelSpec
 
 
@@ -225,8 +224,8 @@ class TestBiasCorrection:
 
 def _factor_from_single_batch(model, cache, ds, cfg, batch):
     """(dhat - a)/lambda recovered through the real evaluation path."""
-    state = SubsampleState(kind=KIND_BLOCK_POISSON, n=ds.n,
-                           batches=[[np.asarray(batch)]], batch_size=len(batch))
+    state = SubsampleState(n=ds.n, indices=np.asarray(batch),
+                           bounds=np.array([0, len(batch)]), batch_size=len(batch))
     log_abs, sign = block_poisson_evaluate(model, cache, ds, THETA, cfg, state)
     return sign * math.exp(log_abs - cache.sum_values(THETA) - (cfg.bound + cfg.n_products))
 
@@ -268,8 +267,8 @@ class TestBlockPoisson:
         cache = TableCache(q)
         ds = table_dataset(2)
         cfg = BlockPoissonConfig(n_products=3, batch_size=1, bound=-1.5)
-        state = SubsampleState(kind=KIND_BLOCK_POISSON, n=2, batches=[[], [], []],
-                               batch_size=1)
+        state = SubsampleState(n=2, indices=np.empty(0, dtype=int),
+                               bounds=np.zeros(4, dtype=int), batch_size=1)
         log_abs, sign = block_poisson_evaluate(model, cache, ds, THETA, cfg, state)
         assert sign == 1
         assert log_abs == pytest.approx(q.sum() + cfg.bound + 3, abs=1e-14)
@@ -281,8 +280,8 @@ class TestBlockPoisson:
         cache = TableCache(q)
         ds = table_dataset(2)
         cfg = BlockPoissonConfig(n_products=1, batch_size=1, bound=2 * c)
-        state = SubsampleState(kind=KIND_BLOCK_POISSON, n=2,
-                               batches=[[np.array([0])]], batch_size=1)
+        state = SubsampleState(n=2, indices=np.array([0]), bounds=np.array([0, 1]),
+                               batch_size=1)
         log_abs, sign = block_poisson_evaluate(model, cache, ds, THETA, cfg, state)
         assert sign == 0 and log_abs == -np.inf
 
@@ -305,12 +304,12 @@ class TestBlockPoisson:
         theta = example_center + np.array([0.15, -0.1])
         d = differences(poisson_model, cache, small, theta, np.arange(5))
         cfg = BlockPoissonConfig(n_products=2, batch_size=2, bound=float(d.sum()) - 2.0)
-        state0 = SubsampleState(kind=KIND_BLOCK_POISSON, n=5, batches=[[np.array([0, 0])]],
+        state0 = SubsampleState(n=5, indices=np.array([0, 0]), bounds=np.array([0, 2]),
                                 batch_size=2)
 
         def factor(batch):
-            st_ = SubsampleState(kind=KIND_BLOCK_POISSON, n=5,
-                                 batches=[[np.asarray(batch)]], batch_size=2)
+            st_ = SubsampleState(n=5, indices=np.asarray(batch), bounds=np.array([0, 2]),
+                                 batch_size=2)
             log_abs, sign = block_poisson_evaluate(poisson_model, cache, small, theta,
                                                    cfg, st_)
             return sign * math.exp(log_abs - cache.sum_values(theta)
@@ -343,13 +342,52 @@ class TestBlockPoisson:
         grouped = np.empty(reps)
         for r in range(reps):
             count = rng.poisson(lam)
-            batches = [[rng.integers(0, 10, size=3) for _ in range(count)], [], [], []]
-            state = SubsampleState(kind=KIND_BLOCK_POISSON, n=10, batches=batches,
-                                   batch_size=3)
+            batches = [rng.integers(0, 10, size=3) for _ in range(count)]
+            state = SubsampleState(n=10, indices=np.concatenate([np.empty(0, int), *batches]),
+                                   bounds=np.array([0] + [3 * count] * 4), batch_size=3)
             log_abs, sign = block_poisson_evaluate(model, cache, ds, THETA, cfg, state)
             grouped[r] = sign * math.exp(log_abs - cache.sum_values(THETA))
         ratio = standard.var(ddof=1) / grouped.var(ddof=1)
         assert 0.8 <= ratio <= 1.25
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_flat_state_equals_the_nested_product(self, data):
+        n = data.draw(st.integers(1, 6))
+        b = data.draw(st.integers(1, 3))
+        batch = st.lists(st.integers(0, n - 1), min_size=b, max_size=b)
+        nested = data.draw(st.lists(st.lists(batch, max_size=3), min_size=1, max_size=5))
+        values = st.floats(-3.0, 3.0, allow_nan=False)
+        q = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        ell = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        lam = len(nested)
+        cfg = BlockPoissonConfig(n_products=lam, batch_size=b, bound=data.draw(values))
+        # the product over products of the product over their mini-batches
+        log_abs, sign = q.sum() + cfg.bound + lam, 1
+        for product in nested:
+            for idx in product:
+                factor = (n / b * float(np.sum(ell[idx] - q[idx])) - cfg.bound) / lam
+                sign *= int(np.sign(factor))
+                log_abs += math.log(abs(factor)) if factor != 0.0 else -math.inf
+        flat = SubsampleState(n=n, indices=np.array([i for p in nested for k in p for i in k],
+                                                    dtype=int),
+                              bounds=np.cumsum([0] + [b * len(p) for p in nested]),
+                              batch_size=b)
+        got = block_poisson_evaluate(TableModel(ell), TableCache(q), table_dataset(n), THETA,
+                                     cfg, flat)
+        if sign == 0:
+            assert got == (-np.inf, 0)
+        else:
+            assert got[1] == sign
+            assert got[0] == pytest.approx(log_abs, rel=1e-12, abs=1e-12)
+
+    def test_state_must_hold_the_configured_mini_batches(self):
+        rng = np.random.default_rng(13)
+        cfg = BlockPoissonConfig(n_products=2, batch_size=3, bound=-2.0)
+        for state in (draw_srs(5, 6, rng), draw_block_poisson(5, 2, 2, rng)):
+            with pytest.raises(DomainError):
+                block_poisson_evaluate(TableModel(np.zeros(5)), TableCache(np.zeros(5)),
+                                       table_dataset(5), THETA, cfg, state)
 
     def test_default_soft_bound_uses_pilot_estimate(self, poisson_model, poisson_example,
                                                     example_center, param_caches):
@@ -376,7 +414,7 @@ class TestBlockPoisson:
         cfg = BlockPoissonConfig(n_products=6, batch_size=8, bound=-6.0)
         block_poisson_evaluate(poisson_model, param_caches[2], poisson_example,
                                example_center + 0.01, cfg, state)
-        assert calls == [8] * sum(len(block) for block in state.batches)
+        assert calls == [8] * (state.m // 8)
 
     def test_deterministic_given_state(self, poisson_model, poisson_example,
                                        example_center, param_caches):
@@ -412,17 +450,17 @@ class TestStateConstruction:
 
     def test_bpm_blocks_partition_slots(self):
         state = draw_bpm(50, 10, 3, np.random.default_rng(2))
-        assert state.block_bounds[0] == 0 and state.block_bounds[-1] == 10
-        sizes = np.diff(state.block_bounds)
+        assert state.bounds[0] == 0 and state.bounds[-1] == 10
+        sizes = np.diff(state.bounds)
         assert sizes.sum() == 10 and sizes.max() - sizes.min() <= 1
 
     def test_block_poisson_batch_shapes(self):
         state = draw_block_poisson(30, 6, 4, np.random.default_rng(3))
-        assert len(state.batches) == 6
-        for block in state.batches:
-            for batch in block:
-                assert batch.shape == (4,)
-                assert batch.min() >= 0 and batch.max() < 30
+        assert state.bounds.size == 7 and state.batch_size == 4
+        assert np.all(np.diff(state.bounds) % 4 == 0)
+        for batch in state.indices.reshape(-1, 4):
+            assert batch.shape == (4,)
+            assert batch.min() >= 0 and batch.max() < 30
 
     def test_constructor_validation(self):
         rng = np.random.default_rng(4)

@@ -140,6 +140,20 @@ class TestPoissonDataDerivatives:
             psi0 = -gamma + math.fsum(1.0 / k for k in range(1, y + 1))
             assert g[0] == pytest.approx(mu - psi0, abs=1e-12)
 
+    def test_trigamma_harmonic_identity_at_integer_counts(self):
+        # psi1(y + 1) = pi^2/6 - sum_{k=1}^{y} 1/k^2
+        model = PoissonRegression()
+        theta = np.array([0.3, -0.2])
+        for y in (1, 2, 7, 30):
+            H = model.hess_data(theta, np.array([[float(y), 1.0]]))[0]
+            psi1 = math.pi**2 / 6.0 - math.fsum(1.0 / k**2 for k in range(1, y + 1))
+            assert H[0, 0] == pytest.approx(-psi1, abs=1e-12)
+
+    def test_log_factorial_needs_counts_above_minus_one(self):
+        model = PoissonRegression()
+        with pytest.raises(DomainError):
+            model.loglik_at(np.array([0.3, -0.2]), np.array([[-1.5, 1.0]]))
+
     def test_zero_slope_kills_covariate_block(self):
         model = PoissonRegression()
         g = model.grad_data(np.array([0.7, 0.0]), np.array([[4.0, 2.5]]))[0]

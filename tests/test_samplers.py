@@ -222,8 +222,8 @@ class TestProposeU:
             new = propose_u(cur, dep, rng)
             changed = [g for g in range(3)
                        if not np.array_equal(
-                           new.indices[new.block_bounds[g]:new.block_bounds[g + 1]],
-                           cur.indices[cur.block_bounds[g]:cur.block_bounds[g + 1]])]
+                           new.indices[new.bounds[g]:new.bounds[g + 1]],
+                           cur.indices[cur.bounds[g]:cur.bounds[g + 1]])]
             assert len(changed) == 1
             seen.append(changed[0])
             cur = new
