@@ -213,22 +213,22 @@ def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
     not its log; possibly negative when a mini-batch estimate falls below
     the soft bound.  A mini-batch hitting the bound exactly yields sign 0
     with log_abs = -inf (callers treat it as an invalid proposal).
+
+    All mini-batches are gathered and evaluated in one `differences` call.
     """
     if state.batch_size != cfg.batch_size:
         raise DomainError(f"expected mini-batches of {cfg.batch_size}, got {state.batch_size}")
-    n = dataset.n
     lam = cfg.n_products
+    d = differences(model, cache, dataset, theta, state.indices)
+    dhat = dataset.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
+    factors = (dhat - cfg.bound) / lam
+    if np.any(factors == 0.0):
+        return -np.inf, 0
     log_abs = cache.sum_values(theta) + cfg.bound + lam
-    sign = 1
-    for batch in state.indices.reshape(-1, state.batch_size):
-        d = differences(model, cache, dataset, theta, batch)
-        dhat = n / cfg.batch_size * float(np.sum(d))
-        factor = (dhat - cfg.bound) / lam
-        if factor == 0.0:
-            return -np.inf, 0
-        if factor < 0.0:
-            sign = -sign
-        log_abs += np.log(abs(factor))
+    # one at a time in mini-batch order: a pairwise np.sum would round differently
+    for term in np.log(np.abs(factors)).tolist():
+        log_abs += term
+    sign = -1 if np.count_nonzero(factors < 0.0) % 2 else 1
     return float(log_abs), sign
 
 

@@ -378,16 +378,18 @@ def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: float,
-             n_steps: int, mass_inv: np.ndarray, evaluate=None):
+             n_steps: int, mass_inv: np.ndarray, evaluate=None, grad0=None):
     """Half momentum step, n_steps position steps with interleaved momentum
     steps, closing half momentum step.
 
-    Given `evaluate(theta) -> (U, grad U, log-likelihood)`, the last
-    gradient comes from it and the end point's (U, log-likelihood) is
-    returned as a third item, so the caller need not evaluate there again.
+    `grad0`, when given, is the gradient at the start point, which is then
+    not evaluated again.  Given `evaluate(theta) -> (U, grad U,
+    log-likelihood)`, the last gradient comes from it and the end point's
+    (U, grad U, log-likelihood) is returned as a third item, so the caller
+    need not evaluate there again.
     """
     theta = theta.copy()
-    mom = mom - 0.5 * step_size * grad_potential(theta)
+    mom = mom - 0.5 * step_size * (grad_potential(theta) if grad0 is None else grad0)
     for step in range(1, n_steps):
         theta = theta + step_size * (mass_inv @ mom)
         mom = mom - step_size * grad_potential(theta)
@@ -395,7 +397,7 @@ def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: floa
     if evaluate is None:
         return theta, mom - 0.5 * step_size * grad_potential(theta)
     U, g, loglik = evaluate(theta)
-    return theta, mom - 0.5 * step_size * g, (U, loglik)
+    return theta, mom - 0.5 * step_size * g, (U, g, loglik)
 
 
 def _hmc_machinery(cfg: HmcConfig, d: int):
@@ -427,18 +429,19 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
 def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
               n_iter: int, seed, d: int, u_step=None) -> tuple[ChainTrace, int]:
     """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood);
-    the (U, log-likelihood) pair of the current point is carried from one
-    iteration to the next.  u_step, when given, runs before each trajectory,
-    may swap out the potential (the energy conserving subsampling pattern),
-    and returns the functions in force with their (U, log-likelihood) at
-    the current point.  The recorded log-likelihood is the one the draw was
-    accepted or kept under."""
+    that triple at the current point is carried from one iteration to the
+    next, so a trajectory opens on the carried gradient and an iteration
+    makes n_steps potential evaluations.  u_step, when given, runs before
+    each trajectory, may swap out the potential (the energy conserving
+    subsampling pattern), and returns the functions in force with their
+    (U, grad U, log-likelihood) at the current point.  The recorded
+    log-likelihood is the one the draw was accepted or kept under."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = _streams(seed)
     chol_M, M_inv = _hmc_machinery(cfg, d)
     theta = theta0.copy()
-    U, _, loglik = evaluate(theta)
+    U, g, loglik = evaluate(theta)
     if not np.isfinite(U):
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
@@ -446,22 +449,22 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
     t_start = time.perf_counter()
     for i in range(n_iter):
         if u_step is not None:
-            grad_potential, evaluate, trace.u_accept[i], U, loglik = u_step(
-                theta, U, loglik, rng_sub)
+            grad_potential, evaluate, trace.u_accept[i], U, g, loglik = u_step(
+                theta, U, g, loglik, rng_sub)
         mom = chol_M @ rng_prop.standard_normal(d)
         u = rng_accept.random()
         K = 0.5 * float(mom @ (M_inv @ mom))
         # trajectories are allowed to blow up; the divergence guard below
         # is the designed response, so silence the intermediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            theta_prop, mom_prop, (U_prop, loglik_prop) = leapfrog(
-                grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate)
+            theta_prop, mom_prop, (U_prop, g_prop, loglik_prop) = leapfrog(
+                grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate, g)
             K_prop = 0.5 * float(mom_prop @ (M_inv @ mom_prop))
         dH = (U_prop + K_prop) - (U + K)
         if not np.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
             diverged += 1
         elif np.log(u) < -dH:
-            theta, U, loglik = theta_prop, U_prop, loglik_prop
+            theta, U, g, loglik = theta_prop, U_prop, g_prop, loglik_prop
             trace.accept[i] = True
         trace.draws[i] = theta
         trace.loglik_est[i] = loglik
@@ -509,9 +512,9 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     the same estimated potential at the just-updated subsample.
 
     Each proposed subsample's rows are gathered once; the current point's
-    log-likelihood estimate is carried over from the previous iteration, so
-    an iteration makes n_steps + 2 potential evaluations: the proposed
-    subsample's, and the trajectory's."""
+    potential, gradient and log-likelihood estimate are carried over from
+    the previous iteration, so an iteration makes n_steps + 1 potential
+    evaluations: the proposed subsample's, and the trajectory's n_steps."""
     theta_arr = np.asarray(theta0, dtype=float)
     d = theta_arr.size
     dependence = dependence if dependence is not None else DependenceConfig()
@@ -529,18 +532,18 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     box = {"state": state, "fns": potential_at(gather_rows(model, cache, dataset,
                                                           state.indices))}
 
-    def u_step(theta, U_cur, log_cur, rng_sub):
+    def u_step(theta, U_cur, g_cur, log_cur, rng_sub):
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
         rows = gather_rows(model, cache, dataset, prop.indices)
-        U_prop, _, log_prop = subsampled_potential(model, cache, dataset, theta, rows,
-                                                   include_variance_grad)
+        U_prop, g_prop, log_prop = subsampled_potential(model, cache, dataset, theta, rows,
+                                                        include_variance_grad)
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
             box["state"], box["fns"] = prop, potential_at(rows)
-            return *box["fns"], True, U_prop, log_prop
+            return *box["fns"], True, U_prop, g_prop, log_prop
         cur.cursor = prop.cursor
-        return *box["fns"], False, U_cur, log_cur
+        return *box["fns"], False, U_cur, g_cur, log_cur
 
     trace, diverged = _hmc_loop(*box["fns"], cfg, theta_arr, n_iter, seed, d, u_step=u_step)
     trace.meta = {

@@ -397,24 +397,33 @@ class TestBlockPoisson:
         # at the expansion point all differences vanish, so bound ~ -lambda
         assert bound == pytest.approx(-5.0, abs=1e-9)
 
-    def test_one_differences_call_per_minibatch(self, monkeypatch, poisson_model,
-                                                poisson_example, example_center,
-                                                param_caches):
-        # outside timing tools count mini-batches at estimators.differences
+    def test_one_differences_call_per_estimate(self, monkeypatch, poisson_model,
+                                               poisson_example, example_center,
+                                               param_caches):
+        # one call over the whole flat state evaluates each mini-batch once
         from submcmc import estimators
         calls = []
         real = estimators.differences
 
         def counting(*args, **kwargs):
-            calls.append(np.size(args[4]))
+            calls.append(np.array(args[4], copy=True))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "differences", counting)
-        state = draw_block_poisson(poisson_example.n, 6, 8, np.random.default_rng(12))
+        cache, theta = param_caches[2], example_center + 0.01
         cfg = BlockPoissonConfig(n_products=6, batch_size=8, bound=-6.0)
-        block_poisson_evaluate(poisson_model, param_caches[2], poisson_example,
-                               example_center + 0.01, cfg, state)
-        assert calls == [8] * (state.m // 8)
+        state = draw_block_poisson(poisson_example.n, 6, 8, np.random.default_rng(12))
+        assert state.m > 8
+        block_poisson_evaluate(poisson_model, cache, poisson_example, theta, cfg, state)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], state.indices)
+        # an all-empty state still makes its one (empty) call
+        calls.clear()
+        empty = SubsampleState(n=poisson_example.n, indices=np.empty(0, dtype=np.int64),
+                               bounds=np.zeros(7, dtype=int), batch_size=8)
+        got = block_poisson_evaluate(poisson_model, cache, poisson_example, theta, cfg, empty)
+        assert len(calls) == 1 and calls[0].size == 0
+        assert got == (cache.sum_values(theta) + cfg.bound + 6, 1)
 
     def test_deterministic_given_state(self, poisson_model, poisson_example,
                                        example_center, param_caches):
@@ -426,6 +435,85 @@ class TestBlockPoisson:
         b = block_poisson_evaluate(poisson_model, param_caches[2], poisson_example,
                                    theta, cfg, state)
         assert a == b
+
+
+def per_minibatch_evaluate(model, cache, dataset, theta, cfg, state):
+    """The product estimator as one `differences` call per mini-batch: the
+    reference that the one-call evaluation must match to the bit."""
+    n = dataset.n
+    lam = cfg.n_products
+    log_abs = cache.sum_values(theta) + cfg.bound + lam
+    sign = 1
+    for batch in state.indices.reshape(-1, state.batch_size):
+        d = differences(model, cache, dataset, theta, batch)
+        dhat = n / cfg.batch_size * float(np.sum(d))
+        factor = (dhat - cfg.bound) / lam
+        if factor == 0.0:
+            return -np.inf, 0
+        if factor < 0.0:
+            sign = -sign
+        log_abs += np.log(abs(factor))
+    return float(log_abs), sign
+
+
+class TestBlockPoissonBitExact:
+    """Evaluating all mini-batches in one call leaves (log_abs, sign) bit for
+    bit as the per-mini-batch loop had them, so traces stay byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def caches(self, poisson_model, poisson_example, param_caches):
+        from submcmc import build_data_expanded, kmeans_cluster
+        clustering = kmeans_cluster(poisson_example, 10, seed=0)
+        data_expanded = build_data_expanded(poisson_model, poisson_example, clustering,
+                                            order=2)
+        return [param_caches[0], param_caches[1], param_caches[2], data_expanded]
+
+    def test_drawn_states(self, poisson_model, poisson_example, example_center, caches):
+        rng = np.random.default_rng(40)
+        for cache in caches:
+            for lam, b in ((1, 1), (5, 7), (12, 30), (50, 8)):
+                cfg = BlockPoissonConfig(n_products=lam, batch_size=b, bound=-float(lam))
+                for _ in range(5):
+                    theta = example_center + rng.normal(0.0, 0.03, size=2)
+                    state = draw_block_poisson(poisson_example.n, lam, b, rng)
+                    args = (poisson_model, cache, poisson_example, theta, cfg, state)
+                    assert block_poisson_evaluate(*args) == per_minibatch_evaluate(*args)
+
+    def test_bound_hit_exactly(self, poisson_model, poisson_example, example_center, caches):
+        rng = np.random.default_rng(41)
+        theta = example_center + np.array([0.04, -0.02])
+        for cache in caches:
+            state = draw_block_poisson(poisson_example.n, 8, 6, rng)
+            assert state.m >= 12
+            # the bound equal to the second mini-batch's own estimate
+            batch = state.indices[6:12]
+            bound = poisson_example.n / 6 * float(np.sum(differences(
+                poisson_model, cache, poisson_example, theta, batch)))
+            cfg = BlockPoissonConfig(n_products=8, batch_size=6, bound=bound)
+            args = (poisson_model, cache, poisson_example, theta, cfg, state)
+            assert per_minibatch_evaluate(*args) == (-np.inf, 0)
+            assert block_poisson_evaluate(*args) == (-np.inf, 0)
+
+    def test_several_negative_factors(self, poisson_model, poisson_example,
+                                      example_center, caches):
+        rng = np.random.default_rng(42)
+        theta = example_center + np.array([0.05, -0.03])
+        signs = set()
+        for cache in caches:
+            for _ in range(4):
+                state = draw_block_poisson(poisson_example.n, 10, 5, rng)
+                batches = state.indices.reshape(-1, 5)
+                dhats = np.array([poisson_example.n / 5 * float(np.sum(differences(
+                    poisson_model, cache, poisson_example, theta, k))) for k in batches])
+                # a bound between the estimates puts several factors below it
+                bound = float(np.median(dhats)) + 1e-3
+                assert np.count_nonzero(dhats < bound) >= 2
+                cfg = BlockPoissonConfig(n_products=10, batch_size=5, bound=bound)
+                args = (poisson_model, cache, poisson_example, theta, cfg, state)
+                got = block_poisson_evaluate(*args)
+                assert got == per_minibatch_evaluate(*args)
+                signs.add(got[1])
+        assert signs == {-1, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -572,9 +572,10 @@ class TestHmcEcs:
                     HmcConfig(step_size=0.005, n_steps=n_steps), 50, example_center,
                     n_iter, seed=3)
         # the start-point check, then per iteration the proposed subsample's
-        # estimate and n_steps + 1 gradients, the last of which also gives
-        # the proposal's potential; the current point's estimate carries over
-        assert len(calls) == 1 + n_iter * (n_steps + 2)
+        # estimate and n_steps gradients, the last of which also gives the
+        # proposal's potential; the current point's estimate and gradient
+        # carry over
+        assert len(calls) == 1 + n_iter * (n_steps + 1)
 
     def test_potential_on_bare_indices_is_corrected_difference_estimate(
             self, poisson_model, poisson_example, example_center, param_caches):
@@ -610,12 +611,18 @@ class TestHmcEcs:
         mom = np.array([0.3, -0.2])
         eye = np.eye(2)
         t1, m1 = leapfrog(lambda t: evaluate(t)[1], example_center, mom, 0.01, 4, eye)
-        t2, m2, (U, log_phat) = leapfrog(lambda t: evaluate(t)[1], example_center, mom,
-                                         0.01, 4, eye, evaluate)
+        t2, m2, (U, g, log_phat) = leapfrog(lambda t: evaluate(t)[1], example_center, mom,
+                                            0.01, 4, eye, evaluate)
         np.testing.assert_array_equal(t1, t2)
         np.testing.assert_array_equal(m1, m2)
-        U_end, _, log_phat_end = evaluate(t2)
+        U_end, g_end, log_phat_end = evaluate(t2)
         assert (U, log_phat) == (U_end, log_phat_end)
+        np.testing.assert_array_equal(g, g_end)
+        # a carried opening gradient gives the same trajectory
+        t3, m3, _ = leapfrog(lambda t: evaluate(t)[1], example_center, mom, 0.01, 4, eye,
+                             evaluate, grad0=evaluate(example_center)[1])
+        np.testing.assert_array_equal(t3, t1)
+        np.testing.assert_array_equal(m3, m1)
 
     def test_data_expanded_cache_rejected(self, poisson_model, poisson_example,
                                           example_center):
