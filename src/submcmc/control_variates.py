@@ -65,9 +65,12 @@ class ParamExpandedCache:
         return q
 
     def sum_values(self, theta) -> float:
+        return self._total(np.asarray(theta, dtype=float) - self.expansion_point)
+
+    def _total(self, delta) -> float:
+        """sum_i q_i at theta = expansion_point + delta."""
         total = self.sum_ell
         if self.order >= 1:
-            delta = np.asarray(theta, dtype=float) - self.expansion_point
             total += float(self.sum_grad @ delta)
             if self.order >= 2:
                 total += 0.5 * float(delta @ self.sum_hess @ delta)
@@ -82,11 +85,14 @@ class ParamExpandedCache:
         return slope[:, None] * rows.W
 
     def grad_sum(self, theta) -> np.ndarray:
+        return self._grad_total(np.asarray(theta, dtype=float) - self.expansion_point)
+
+    def _grad_total(self, delta) -> np.ndarray:
+        """sum_i grad q_i at theta = expansion_point + delta."""
         if self.order == 0:
             return np.zeros(self.d)
         out = self.sum_grad.copy()
         if self.order >= 2:
-            delta = np.asarray(theta, dtype=float) - self.expansion_point
             out += self.sum_hess @ delta
         return out
 
@@ -212,8 +218,18 @@ class DataExpandedCache:
         return base, g, H
 
     def values_at(self, theta, idx) -> np.ndarray:
-        idx = _check_indices(idx, self.n)
-        base, g, H = self._centroid_eval(theta)
+        return self._values(self._centroid_eval(theta), check_indices(idx, self.n))
+
+    def sum_values(self, theta) -> float:
+        return self._total(self._centroid_eval(theta))
+
+    def _values_and_sum(self, theta, idx):
+        """q_i at trusted indices and sum_i q_i, from one centroid evaluation."""
+        at = self._centroid_eval(theta)
+        return self._values(at, idx), self._total(at)
+
+    def _values(self, at, idx) -> np.ndarray:
+        base, g, H = at
         c = self.assignment[idx]
         q = base[c].copy()
         if self.order >= 1:
@@ -223,8 +239,8 @@ class DataExpandedCache:
                 q += 0.5 * np.einsum("ki,kij,kj->k", dv, H[c], dv)
         return q
 
-    def sum_values(self, theta) -> float:
-        base, g, H = self._centroid_eval(theta)
+    def _total(self, at) -> float:
+        base, g, H = at
         total = float(self.counts @ base)
         if self.order >= 1:
             total += float(np.einsum("ci,ci->", self.sum_dev, g))
@@ -294,20 +310,19 @@ class ExactControlVariate:
     def __init__(self, model: ModelSpec, dataset: Dataset):
         self._model = model
         self._dataset = dataset
+        self._loglik_sum = model.bind_loglik_sum(dataset)
         self.n = dataset.n
         self.d = model.dim(dataset)
         self.order = 2
 
     def values_at(self, theta, idx):
-        idx = _check_indices(idx, self.n)
-        return self._model.loglik(theta, self._dataset, idx)
+        return self._model.loglik(theta, self._dataset, check_indices(idx, self.n))
 
     def sum_values(self, theta):
-        return self._model.loglik_sum(theta, self._dataset)
+        return self._loglik_sum(theta)
 
     def grads_at(self, theta, idx):
-        idx = _check_indices(idx, self.n)
-        return self._model.grad_theta(theta, self._dataset, idx)
+        return self._model.grad_theta(theta, self._dataset, check_indices(idx, self.n))
 
     def grad_sum(self, theta):
         return np.sum(self._model.grad_theta(theta, self._dataset), axis=0)
@@ -317,13 +332,15 @@ class ExactControlVariate:
 class SubsampleRows:
     """The rows of one subsample, gathered once for repeated evaluation.
 
-    `idx` holds the range-checked indices.  For a parameter-expanded cache
-    `y`, `W` and `eta0` hold the responses, design rows and expansion-point
-    predictors; for any other cache they stay None and evaluation goes
-    through the model and the cache by index.
+    `idx` holds the range-checked indices and `differ` the bound
+    differences that gathered them and evaluate them.  For a parameter-
+    expanded cache `y`, `W` and `eta0` hold the responses, design rows and
+    expansion-point predictors; for any other cache they stay None and
+    evaluation goes through the model and the cache by index.
     """
 
     idx: np.ndarray
+    differ: _Differences
     y: np.ndarray | None = None
     W: np.ndarray | None = None
     eta0: np.ndarray | None = None
@@ -335,12 +352,88 @@ class SubsampleRows:
         return (weights * s) @ self.W
 
 
+class _Differences:
+    """d_i(theta) = ell_i(theta) - q_i(theta) and the totals sum_i q_i of one
+    (model, cache, dataset), with their constants and the model's prior
+    bound once per chain.  Indices are trusted (in range) and theta is a
+    float array: the public functions check both before they get here."""
+
+    def __init__(self, model: ModelSpec, cache, dataset: Dataset):
+        self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
+        self.log_prior, self.grad_log_prior = model.prior.bind()
+
+    def gather(self, idx) -> SubsampleRows:
+        return SubsampleRows(idx, self)
+
+
+class _GlmDifferences(_Differences):
+    """A parameter-expanded cache takes d_i from the model's Taylor
+    remainder at a_i = w_i'(theta - theta0), free of the cancellation in
+    ell - q, and the theta-gradient of d_i is s_i * w_i."""
+
+    def __init__(self, model: GlmModel, cache: ParamExpandedCache, dataset: Dataset):
+        super().__init__(model, cache, dataset)
+        self._y, self._eta0, self._theta0 = dataset.y, cache.eta0, cache.expansion_point
+        self._order, self._design, self._remainder = cache.order, model.design, model.remainder
+        self._total, self._grad_total = cache._total, cache._grad_total
+
+    def gather(self, idx) -> SubsampleRows:
+        return SubsampleRows(idx, self, self._y[idx], self._design(self.dataset, idx),
+                             self._eta0[idx])
+
+    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
+        return self._remainder(rows.y, rows.eta0, rows.W @ (theta - self._theta0),
+                               self._order, grad)
+
+    def estimate_terms(self, theta, idx):
+        """(d_i, sum_i q_i) at `idx`, sharing theta - theta0 between them."""
+        delta = theta - self._theta0
+        W = self._design(self.dataset, idx)
+        d = self._remainder(self._y[idx], self._eta0[idx], W @ delta, self._order)
+        return d, self._total(delta)
+
+    def gradient_terms(self, theta, rows: SubsampleRows):
+        """(d_i, s_i, sum_i q_i, sum_i grad q_i) at gathered rows."""
+        delta = theta - self._theta0
+        d, s = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order, True)
+        return d, s, self._total(delta), self._grad_total(delta)
+
+
+class _PlainDifferences(_Differences):
+    """Any other cache: ell_i from the model less q_i from the cache."""
+
+    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
+        model, cache, dataset, idx = self.model, self.cache, self.dataset, rows.idx
+        d = model.loglik(theta, dataset, idx) - cache.values_at(theta, idx)
+        if not grad:
+            return d
+        return d, model.grad_theta(theta, dataset, idx) - cache.grads_at(theta, idx)
+
+    def estimate_terms(self, theta, idx):
+        cache = self.cache
+        if isinstance(cache, DataExpandedCache):
+            # one evaluation of the centroids serves both
+            q, total = cache._values_and_sum(theta, idx)
+        else:
+            q, total = cache.values_at(theta, idx), cache.sum_values(theta)
+        return self.model.loglik(theta, self.dataset, idx) - q, total
+
+    def gradient_terms(self, theta, rows: SubsampleRows):
+        d, s = self.differences(theta, rows, grad=True)
+        return d, s, self.cache.sum_values(theta), self.cache.grad_sum(theta)
+
+
+def bind_differences(model: ModelSpec, cache, dataset: Dataset) -> _Differences:
+    """The differences of one (model, cache, dataset), bound once: the GLM
+    remainder path for a parameter-expanded cache, ell - q otherwise."""
+    if isinstance(cache, ParamExpandedCache):
+        return _GlmDifferences(model, cache, dataset)
+    return _PlainDifferences(model, cache, dataset)
+
+
 def gather_rows(model: ModelSpec, cache, dataset: Dataset, idx) -> SubsampleRows:
     """Check `idx` against the data size and gather what evaluating it needs."""
-    idx = _check_indices(idx, dataset.n)
-    if not isinstance(cache, ParamExpandedCache):
-        return SubsampleRows(idx)
-    return SubsampleRows(idx, dataset.y[idx], model.design(dataset, idx), cache.eta0[idx])
+    return bind_differences(model, cache, dataset).gather(check_indices(idx, dataset.n))
 
 
 def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: bool = False):
@@ -354,16 +447,13 @@ def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: boo
     row i of s otherwise (see SubsampleRows.weighted_grad).
     """
     rows = idx if isinstance(idx, SubsampleRows) else gather_rows(model, cache, dataset, idx)
-    if rows.W is not None:
-        a = rows.W @ (np.asarray(theta, dtype=float) - cache.expansion_point)
-        return model.remainder(rows.y, rows.eta0, a, cache.order, grad)
-    d = model.loglik(theta, dataset, rows.idx) - cache.values_at(theta, rows.idx)
-    if not grad:
-        return d
-    return d, model.grad_theta(theta, dataset, rows.idx) - cache.grads_at(theta, rows.idx)
+    return rows.differ.differences(np.asarray(theta, dtype=float), rows, grad)
 
 
-def _check_indices(idx, n: int) -> np.ndarray:
+def check_indices(idx, n: int) -> np.ndarray:
+    """`idx` as an index array, raising DomainError unless 0 <= idx < n.
+    Indices entering the package are checked here, once; indices the
+    samplers draw themselves are trusted."""
     idx = np.atleast_1d(np.asarray(idx))
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DomainError("index out of range")

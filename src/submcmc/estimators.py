@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .control_variates import differences
+from .control_variates import bind_differences, check_indices, differences
 from .errors import DomainError
 from .models import Dataset, ModelSpec
 
@@ -141,16 +141,27 @@ def wor_sampling_fraction(n: int, sigma2_pop: float, target: float = 3.3) -> flo
     return n * sigma2_pop / (n * sigma2_pop + target)
 
 
-def difference_total(cache, theta, d: np.ndarray, n: int) -> tuple[float, float, np.ndarray]:
+def difference_total(q_total: float, d: np.ndarray, n: int) -> tuple[float, float, np.ndarray]:
     """Value sum q_i + (n/m) sum d_k, its estimated variance and the centered
-    differences, from the m sampled differences d.  The difference estimator
-    and the HMC-ECS potential both use it, so they agree to the bit."""
+    differences, from sum_i q_i and the m sampled differences d.  The
+    difference estimator and the HMC-ECS potential both use it, so they
+    agree to the bit."""
     m = d.size
-    total = float(d.sum())
+    total = float(np.add.reduce(d))
     centered = d - total / m
-    value = cache.sum_values(theta) + n / m * total
+    value = q_total + n / m * total
     sample_variance = n * n / m * (float(centered @ centered) / m)
     return value, sample_variance, centered
+
+
+def difference_value(differ, theta: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+    """(value, sample variance) of the difference estimator from bound
+    differences (control_variates.bind_differences) at trusted indices.
+    The samplers call it once per iteration, and difference_estimate
+    delegates to it, so the two agree to the bit."""
+    d, q_total = differ.estimate_terms(theta, idx)
+    value, sample_variance, _ = difference_total(q_total, d, differ.n)
+    return value, sample_variance
 
 
 def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
@@ -161,13 +172,14 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
     control variates.  `sub` is a SubsampleState carrying with-replacement
     indices, or a bare index array.
     """
-    indices = sub.indices if isinstance(sub, SubsampleState) else np.atleast_1d(np.asarray(sub))
+    indices = check_indices(sub.indices if isinstance(sub, SubsampleState) else sub, dataset.n)
     if indices.size == 0:
         raise DomainError("empty index set")
-    d = differences(model, cache, dataset, theta, indices)
-    value, sample_variance, _ = difference_total(cache, theta, d, dataset.n)
-    return LogLikEstimate(value=value, sample_variance=sample_variance, m=d.size,
-                          theta=np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    value, sample_variance = difference_value(bind_differences(model, cache, dataset),
+                                              theta, indices)
+    return LogLikEstimate(value=value, sample_variance=sample_variance, m=indices.size,
+                          theta=theta)
 
 
 def bias_corrected_likelihood(est: LogLikEstimate) -> float:
@@ -218,13 +230,31 @@ def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
     """
     if state.batch_size != cfg.batch_size:
         raise DomainError(f"expected mini-batches of {cfg.batch_size}, got {state.batch_size}")
-    lam = cfg.n_products
     d = differences(model, cache, dataset, theta, state.indices)
-    dhat = dataset.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
+    return _signed_product(d, cache.sum_values(theta), cfg, dataset.n)
+
+
+def block_poisson_value(differ, theta: np.ndarray, cfg: BlockPoissonConfig,
+                        state: SubsampleState) -> tuple[float, int]:
+    """block_poisson_evaluate from bound differences
+    (control_variates.bind_differences) on a state the sampler drew for
+    `cfg`, whose indices are trusted: the same one `differences` call, on
+    rows that `differ` gathers."""
+    d = differences(differ.model, differ.cache, differ.dataset, theta,
+                    differ.gather(state.indices))
+    return _signed_product(d, differ.cache.sum_values(theta), cfg, differ.n)
+
+
+def _signed_product(d: np.ndarray, q_total: float, cfg: BlockPoissonConfig,
+                    n: int) -> tuple[float, int]:
+    """(log |estimate|, sign) from the differences of all mini-batches in
+    order and sum_i q_i."""
+    lam = cfg.n_products
+    dhat = n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
     factors = (dhat - cfg.bound) / lam
     if np.any(factors == 0.0):
         return -np.inf, 0
-    log_abs = cache.sum_values(theta) + cfg.bound + lam
+    log_abs = q_total + cfg.bound + lam
     # one at a time in mini-batch order: a pairwise np.sum would round differently
     for term in np.log(np.abs(factors)).tolist():
         log_abs += term

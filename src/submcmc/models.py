@@ -11,6 +11,7 @@ concurrently.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -69,12 +70,24 @@ class GaussianPrior:
             raise DomainError("prior sd must be positive")
         self._log_norm = np.log(self.sd * np.sqrt(2.0 * np.pi))
 
+    def bind(self):
+        """(logpdf, grad) of float arrays with the constants bound once, for
+        a sampler's per-iteration calls; the methods below delegate to them."""
+        mean, sd, var, log_norm = self.mean, self.sd, self.sd**2, self._log_norm
+
+        def logpdf(theta):
+            z = (theta - mean) / sd
+            return float(-0.5 * np.add.reduce(z * z) - z.size * log_norm)
+
+        def grad(theta):
+            return -(theta - mean) / var
+        return logpdf, grad
+
     def logpdf(self, theta: np.ndarray) -> float:
-        z = (np.asarray(theta, dtype=float) - self.mean) / self.sd
-        return float(-0.5 * (z * z).sum() - z.size * self._log_norm)
+        return self.bind()[0](np.asarray(theta, dtype=float))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return -(np.asarray(theta, dtype=float) - self.mean) / self.sd**2
+        return self.bind()[1](np.asarray(theta, dtype=float))
 
 
 class ModelSpec(ABC):
@@ -122,6 +135,11 @@ class ModelSpec(ABC):
     def loglik_sum(self, theta, dataset: Dataset) -> float:
         return float(np.sum(self.loglik(theta, dataset)))
 
+    def bind_loglik_sum(self, dataset: Dataset):
+        """theta -> loglik_sum(theta, dataset), for many calls on one dataset;
+        a family may compute terms that depend on the responses alone once."""
+        return functools.partial(self.loglik_sum, dataset=dataset)
+
     def log_prior(self, theta) -> float:
         return self.prior.logpdf(np.asarray(theta, dtype=float))
 
@@ -131,14 +149,6 @@ class ModelSpec(ABC):
 
 def _take(arr: np.ndarray, idx):
     return arr if idx is None else arr[idx]
-
-
-def _design(dataset: Dataset, idx):
-    X = _take(dataset.X, idx)
-    W = np.empty((X.shape[0], X.shape[1] + 1))
-    W[:, 0] = 1.0
-    W[:, 1:] = X
-    return W
 
 
 # rows per block of a full-data pass: bounded temporaries, one BLAS product each
@@ -181,7 +191,11 @@ class GlmModel(ModelSpec):
 
     def design(self, dataset: Dataset, idx=None) -> np.ndarray:
         """Rows w_i = (1, x_i)."""
-        return _design(dataset, idx)
+        X = _take(dataset.X, idx)
+        W = np.empty((X.shape[0], X.shape[1] + 1))
+        W[:, 0] = 1.0
+        W[:, 1:] = X
+        return W
 
     def _y_design_eta(self, theta, dataset, idx):
         y = _take(dataset.y, idx)
@@ -249,6 +263,10 @@ def _log_factorial(y):
     return special.gammaln(y + 1.0)
 
 
+def _poisson_ell(y, eta, log_y_factorial):
+    return y * eta - np.exp(eta) - log_y_factorial
+
+
 class PoissonRegression(GlmModel):
     """Counts y_i ~ Pois(exp(w_i' theta)) with w_i = (1, x_i)."""
 
@@ -257,7 +275,18 @@ class PoissonRegression(GlmModel):
             raise DomainError("Poisson responses must be nonnegative integers")
 
     def ell(self, y, eta):
-        return y * eta - np.exp(eta) - _log_factorial(y)
+        return _poisson_ell(y, eta, _log_factorial(y))
+
+    def bind_loglik_sum(self, dataset: Dataset):
+        """loglik_sum to the bit, with the responses validated and log y!
+        computed once, at the cost of holding it: 8n bytes.  The result
+        pickles, so a cache holding it can go to worker processes."""
+        self.check_response(dataset.y)
+        return functools.partial(self._loglik_sum_given, dataset, _log_factorial(dataset.y))
+
+    def _loglik_sum_given(self, dataset, log_y_factorial, theta) -> float:
+        eta = self.design(dataset) @ np.asarray(theta, dtype=float).reshape(-1)
+        return float(np.sum(_poisson_ell(dataset.y, eta, log_y_factorial)))
 
     def ell_d1(self, y, eta):
         return y - np.exp(eta)

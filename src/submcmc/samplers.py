@@ -6,24 +6,31 @@ All acceptance computations happen in the log domain against a log-uniform
 draw.  Each kernel derives three child RNG streams from the seed (theta
 proposals, acceptance uniforms, subsampling), so kernels sharing a seed
 share their theta-proposal and acceptance streams exactly; identical seed
-and config give bitwise-identical traces.
+and config give bitwise-identical traces.  The theta-proposal and
+acceptance streams serve nothing else, so they are drawn in chunks; the
+subsampling stream is drawn call by call.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control_variates import SubsampleRows, differences, gather_rows
+from .control_variates import SubsampleRows, bind_differences, gather_rows
 from .errors import ConfigError, SamplerError
-from .estimators import (
+# difference_estimate and block_poisson_evaluate stay importable from here for
+# tools that wrap them by these names
+from .estimators import (  # noqa: F401
     BlockPoissonConfig,
     SubsampleState,
     block_poisson_evaluate,
+    block_poisson_value,
     difference_estimate,
     difference_total,
+    difference_value,
     draw_block_poisson,
     draw_bpm,
     draw_cpm,
@@ -158,9 +165,27 @@ def chain_seed(seed: int, chain_id: int):
     return [int(seed), int(chain_id)]
 
 
+# draws per call of a chunked stream; a chunk of d-vectors is 8 * d kB
+_CHUNK = 1024
+
+
+def _chunked_normals(rng: np.random.Generator, d: int):
+    """Standard-normal d-vectors, drawn _CHUNK at a time: the same values in
+    the same order as one rng.standard_normal(d) call each."""
+    while True:
+        yield from rng.standard_normal((_CHUNK, d))
+
+
+def _chunked_uniforms(rng: np.random.Generator):
+    """Uniforms on [0, 1) as floats, drawn _CHUNK at a time: the same values
+    in the same order as one rng.random() call each."""
+    while True:
+        yield from rng.random(_CHUNK).tolist()
+
+
 class _Proposer:
     def __init__(self, cfg: ProposalConfig, d: int, theta0: np.ndarray):
-        self.cfg = cfg
+        self.rwm = cfg.kind == "rwm"
         self.scale = cfg.step_scale if cfg.step_scale is not None else 2.38 / np.sqrt(d)
         shape = np.asarray(cfg.shape, dtype=float) if cfg.shape is not None else np.eye(d)
         self.chol = np.linalg.cholesky(shape)
@@ -168,10 +193,10 @@ class _Proposer:
         self.center = (np.asarray(cfg.center, dtype=float)
                        if cfg.center is not None else theta0.copy())
 
-    def __call__(self, theta: np.ndarray, rng: np.random.Generator):
-        """Return (proposal, log q(theta|theta') - log q(theta'|theta))."""
-        z = rng.standard_normal(theta.size)
-        if self.cfg.kind == "rwm":
+    def __call__(self, theta: np.ndarray, z: np.ndarray):
+        """Return (proposal, log q(theta|theta') - log q(theta'|theta)) from
+        the standard-normal vector z."""
+        if self.rwm:
             return theta + self.scale * (self.chol @ z), 0.0
         prop = self.center + self.scale * (self.chol @ z)
         corr = self._logq(theta) - self._logq(prop)
@@ -211,24 +236,27 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
     d = theta.size
     rng_prop, rng_accept, _ = _streams(seed)
     propose = _Proposer(proposal, d, theta)
+    loglik_sum = model.bind_loglik_sum(dataset)
+    log_prior = model.prior.bind()[0]
 
     def log_post(t):
-        return model.loglik_sum(t, dataset) + model.log_prior(t)
+        return loglik_sum(t) + log_prior(t)
 
     lp = log_post(theta)
     if not np.isfinite(lp):
         raise SamplerError("non-finite log-posterior at the initial point")
-    ll = lp - model.log_prior(theta)
+    ll = lp - log_prior(theta)
 
     trace = _empty_trace(n_iter, d)
+    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
-        prop, corr = propose(theta, rng_prop)
-        u = rng_accept.random()
+        prop, corr = propose(theta, next(normals))
+        u = next(uniforms)
         lp_prop = log_post(prop)
         if np.log(u) < log_accept_ratio(lp_prop, lp, corr):
             theta, lp = prop, lp_prop
-            ll = lp - model.log_prior(theta)
+            ll = lp - log_prior(theta)
             trace.accept[i] = True
         trace.draws[i] = theta
         trace.loglik_est[i] = ll
@@ -316,31 +344,36 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
     d = theta.size
     rng_prop, rng_accept, rng_sub = _streams(seed)
     propose = _Proposer(proposal, d, theta)
+    differ = bind_differences(model, cache, dataset)
+    log_prior = differ.log_prior
 
-    def evaluate(t, state):
-        """Returns (log target estimate, recorded log-lik value, sign)."""
-        if isinstance(est_cfg, DifferenceConfig):
-            est = difference_estimate(model, cache, dataset, t, state)
-            return est.value - est.sample_variance / 2.0, est.value, 1
-        log_abs, sign = block_poisson_evaluate(model, cache, dataset, t, est_cfg, state)
-        return log_abs, log_abs, sign
+    # evaluate(t, state) -> (log target estimate, recorded log-lik value, sign)
+    if isinstance(est_cfg, DifferenceConfig):
+        def evaluate(t, state):
+            value, sample_variance = difference_value(differ, t, state.indices)
+            return value - sample_variance / 2.0, value, 1
+    else:
+        def evaluate(t, state):
+            log_abs, sign = block_poisson_value(differ, t, est_cfg, state)
+            return log_abs, log_abs, sign
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
     log_est, record, sign = evaluate(theta, state)
-    log_target = log_est + model.log_prior(theta)
+    log_target = log_est + log_prior(theta)
     if sign == 0 or not np.isfinite(log_target):
         raise SamplerError("unusable likelihood estimate at the initial point")
 
     trace = _empty_trace(n_iter, d)
     invalid = 0
+    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
         state_prop = propose_u(state, dependence, rng_sub)
-        theta_prop, corr = propose(theta, rng_prop)
-        u = rng_accept.random()
+        theta_prop, corr = propose(theta, next(normals))
+        u = next(uniforms)
         log_est_p, record_p, sign_p = evaluate(theta_prop, state_prop)
-        log_target_p = log_est_p + model.log_prior(theta_prop)
-        if sign_p == 0 or not np.isfinite(log_target_p):
+        log_target_p = log_est_p + log_prior(theta_prop)
+        if sign_p == 0 or not math.isfinite(log_target_p):
             invalid += 1
             state.cursor = state_prop.cursor
         elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
@@ -409,13 +442,15 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
             n_iter: int, seed) -> ChainTrace:
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
+    loglik_sum = model.bind_loglik_sum(dataset)
+    log_prior, grad_log_prior = model.prior.bind()
 
     def grad_potential(t):
-        return -(np.sum(model.grad_theta(t, dataset), axis=0) + model.grad_log_prior(t))
+        return -(np.sum(model.grad_theta(t, dataset), axis=0) + grad_log_prior(t))
 
     def evaluate(t):
-        loglik = model.loglik_sum(t, dataset)
-        return -(loglik + model.log_prior(t)), grad_potential(t), loglik
+        loglik = loglik_sum(t)
+        return -(loglik + log_prior(t)), grad_potential(t), loglik
 
     trace, diverged = _hmc_loop(grad_potential, evaluate, cfg, theta, n_iter, seed, d)
     trace.meta = {
@@ -446,13 +481,14 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
     diverged = 0
+    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
         if u_step is not None:
             grad_potential, evaluate, trace.u_accept[i], U, g, loglik = u_step(
                 theta, U, g, loglik, rng_sub)
-        mom = chol_M @ rng_prop.standard_normal(d)
-        u = rng_accept.random()
+        mom = chol_M @ next(normals)
+        u = next(uniforms)
         K = 0.5 * float(mom @ (M_inv @ mom))
         # trajectories are allowed to blow up; the divergence guard below
         # is the designed response, so silence the intermediate overflow
@@ -490,16 +526,17 @@ def subsampled_potential(model: ModelSpec, cache, dataset: Dataset, theta,
     theta = np.asarray(theta, dtype=float)
     rows = (indices if isinstance(indices, SubsampleRows)
             else gather_rows(model, cache, dataset, indices))
+    differ = rows.differ
     n, m = dataset.n, rows.idx.size
-    d_vals, s = differences(model, cache, dataset, theta, rows, grad=True)
-    value, svar, centered = difference_total(cache, theta, d_vals, n)
+    d_vals, s, q_total, q_grad_total = differ.gradient_terms(theta, rows)
+    value, svar, centered = difference_total(q_total, d_vals, n)
     # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i
     weights = (n / m - n * n / (m * m) * centered if include_variance_grad
                else np.full(m, n / m))
-    grad_log_phat = cache.grad_sum(theta) + rows.weighted_grad(s, weights)
+    grad_log_phat = q_grad_total + rows.weighted_grad(s, weights)
     log_phat = value - svar / 2.0
-    potential = -(log_phat + model.log_prior(theta))
-    grad = -(grad_log_phat + model.grad_log_prior(theta))
+    potential = -(log_phat + differ.log_prior(theta))
+    grad = -(grad_log_phat + differ.grad_log_prior(theta))
     return potential, grad, log_phat
 
 
@@ -520,6 +557,7 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     dependence = dependence if dependence is not None else DependenceConfig()
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
+    differ = bind_differences(model, cache, dataset)
 
     def potential_at(rows):
         def evaluate(t):
@@ -529,14 +567,13 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
             return evaluate(t)[1]
         return grad_potential, evaluate
 
-    box = {"state": state, "fns": potential_at(gather_rows(model, cache, dataset,
-                                                          state.indices))}
+    box = {"state": state, "fns": potential_at(differ.gather(state.indices))}
 
     def u_step(theta, U_cur, g_cur, log_cur, rng_sub):
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
-        rows = gather_rows(model, cache, dataset, prop.indices)
+        rows = differ.gather(prop.indices)
         U_prop, g_prop, log_prop = subsampled_potential(model, cache, dataset, theta, rows,
                                                         include_variance_grad)
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:

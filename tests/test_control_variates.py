@@ -13,6 +13,7 @@ from submcmc import (
     ExactControlVariate,
     build_data_expanded,
     build_param_expanded,
+    difference_estimate,
     differences,
     kmeans_cluster,
     load_cache,
@@ -264,6 +265,31 @@ class TestDataExpanded:
         with pytest.raises(NotImplementedError):
             cache.grad_sum(example_center)
 
+    def test_difference_estimate_evaluates_the_centroids_once(
+            self, monkeypatch, poisson_model, poisson_example, example_center, cache):
+        # q_i at the subsample and sum_i q_i come from one centroid evaluation,
+        # with the bits of the two evaluations they replace
+        theta = example_center + np.array([0.03, -0.02])
+        idx = np.random.default_rng(8).integers(0, poisson_example.n, size=40)
+        n, m = poisson_example.n, idx.size
+        d = poisson_model.loglik(theta, poisson_example, idx) - cache.values_at(theta, idx)
+        total = float(d.sum())
+        centered = d - total / m
+        want_value = cache.sum_values(theta) + n / m * total
+        want_var = n * n / m * (float(centered @ centered) / m)
+
+        calls = []
+        real = poisson_model.loglik_at
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(poisson_model, "loglik_at", counting)
+        est = difference_estimate(poisson_model, cache, poisson_example, theta, idx)
+        assert len(calls) == 1
+        assert est.value == want_value and est.sample_variance == want_var
+
 
 class TestDifferences:
     def test_cubic_scaling_of_worst_difference(self, poisson_model, poisson_example,
@@ -318,6 +344,34 @@ class TestExactControlVariate:
         d = differences(poisson_model, cache, poisson_example, theta,
                         np.arange(poisson_example.n))
         np.testing.assert_array_equal(d, np.zeros_like(d))
+
+    def test_total_takes_log_factorials_once(self, monkeypatch, poisson_model,
+                                             poisson_example):
+        # log y! over all n responses is computed at construction only, and
+        # the total keeps the bits of loglik_sum
+        from submcmc import models
+        sizes = []
+        real = models._log_factorial
+
+        def counting(y):
+            sizes.append(np.size(y))
+            return real(y)
+
+        monkeypatch.setattr(models, "_log_factorial", counting)
+        cache = ExactControlVariate(poisson_model, poisson_example)
+        assert sizes == [poisson_example.n]
+        for theta in (np.array([0.4, 0.3]), np.array([1.0, 0.75])):
+            sizes.clear()
+            got = cache.sum_values(theta)
+            assert sizes == []
+            assert got == poisson_model.loglik_sum(theta, poisson_example)
+
+    def test_pickles_for_worker_processes(self, poisson_model, poisson_example):
+        import pickle
+        cache = ExactControlVariate(poisson_model, poisson_example)
+        back = pickle.loads(pickle.dumps(cache))
+        theta = np.array([0.9, 0.7])
+        assert back.sum_values(theta) == cache.sum_values(theta)
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ from submcmc import (
     CsvParseError,
     Dataset,
     DomainError,
+    GaussianPrior,
     LogisticRegression,
     NormalMeanModel,
     PoissonRegression,
@@ -85,6 +86,39 @@ class TestPoissonLoglik:
         total = model.loglik_sum(theta, ds)
         oracle = math.fsum(model.loglik(theta, ds))
         assert total == pytest.approx(oracle, rel=1e-9)
+
+
+class TestBoundEvaluation:
+    """The bound forms the samplers call per iteration keep the bits of the
+    public methods."""
+
+    @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
+                                           NormalMeanModel])
+    def test_bound_loglik_sum(self, model_cls):
+        ds = simulate_poisson(2_000, (1.0, 0.75), seed=9)
+        if model_cls is LogisticRegression:
+            ds = Dataset(y=(ds.y > 2).astype(float), X=ds.X)
+        model = model_cls()
+        bound = model.bind_loglik_sum(ds)
+        for theta in (np.array([0.9, 0.8]), np.array([-0.3, 1.2])):
+            theta = theta[:model.dim(ds)]
+            assert bound(theta) == model.loglik_sum(theta, ds)
+
+    def test_bound_loglik_sum_validates_responses_up_front(self):
+        ds = Dataset(y=np.array([1.0, 2.5]), X=np.zeros((2, 1)))
+        with pytest.raises(DomainError):
+            PoissonRegression().bind_loglik_sum(ds)
+
+    def test_bound_prior(self):
+        prior = GaussianPrior(mean=0.3, sd=2.5)
+        logpdf, grad = prior.bind()
+        log_norm = np.log(2.5 * np.sqrt(2.0 * np.pi))
+        for theta in (np.array([0.1, -0.4, 2.0]), np.array([7.0])):
+            z = (theta - 0.3) / 2.5
+            assert logpdf(theta) == float(-0.5 * (z * z).sum() - z.size * log_norm)
+            assert logpdf(theta) == prior.logpdf(list(theta))
+            np.testing.assert_array_equal(grad(theta), -(theta - 0.3) / 2.5**2)
+            np.testing.assert_array_equal(grad(theta), prior.grad(list(theta)))
 
 
 class TestPoissonDerivatives:

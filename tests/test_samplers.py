@@ -183,6 +183,28 @@ class TestMh:
 # ---------------------------------------------------------------------------
 
 
+def test_full_data_kernels_take_log_factorials_once_per_chain(
+        monkeypatch, poisson_model, poisson_example, example_center):
+    # log y! depends on the responses alone: one pass per chain, not one per
+    # log-likelihood evaluation
+    from submcmc import models
+    passes = []
+    real = models._log_factorial
+
+    def counting(y):
+        if np.size(y) == poisson_example.n:
+            passes.append(1)
+        return real(y)
+
+    monkeypatch.setattr(models, "_log_factorial", counting)
+    mh_run(poisson_model, poisson_example, ProposalConfig(step_scale=0.02), example_center,
+           30, seed=1)
+    assert len(passes) == 1
+    hmc_run(poisson_model, poisson_example, HmcConfig(step_size=0.005, n_steps=3),
+            example_center, 10, seed=2)
+    assert len(passes) == 2
+
+
 class TestProposeU:
     def test_cpm_with_zero_coefficient_matches_independent_frequencies(self):
         n, m, rounds = 20, 5, 20_000
