@@ -91,10 +91,9 @@ class ParamExpandedCache:
         """sum_i grad q_i at theta = expansion_point + delta."""
         if self.order == 0:
             return np.zeros(self.d)
-        out = self.sum_grad.copy()
-        if self.order >= 2:
-            out += self.sum_hess @ delta
-        return out
+        if self.order == 1:
+            return self.sum_grad.copy()
+        return self.sum_grad + self.sum_hess @ delta
 
 
 def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
@@ -211,6 +210,10 @@ class DataExpandedCache:
     n_clusters: int
     _model: ModelSpec = field(default=None, repr=False)
 
+    # values_at's last centroid evaluation and the bytes of its theta: an
+    # estimate asks for q_i and then sum_i q_i at one theta, and the sum reuses it
+    _last: tuple = field(default=(None, None), repr=False, compare=False)
+
     def _centroid_eval(self, theta):
         base = self._model.loglik_at(theta, self.centroids)
         g = self._model.grad_data(theta, self.centroids) if self.order >= 1 else None
@@ -218,15 +221,16 @@ class DataExpandedCache:
         return base, g, H
 
     def values_at(self, theta, idx) -> np.ndarray:
-        return self._values(self._centroid_eval(theta), check_indices(idx, self.n))
+        idx = check_indices(idx, self.n)
+        theta = np.asarray(theta, dtype=float)
+        at = self._centroid_eval(theta)
+        self._last = theta.tobytes(), at
+        return self._values(at, idx)
 
     def sum_values(self, theta) -> float:
-        return self._total(self._centroid_eval(theta))
-
-    def _values_and_sum(self, theta, idx):
-        """q_i at trusted indices and sum_i q_i, from one centroid evaluation."""
-        at = self._centroid_eval(theta)
-        return self._values(at, idx), self._total(at)
+        theta = np.asarray(theta, dtype=float)
+        key, at = self._last
+        return self._total(at if key == theta.tobytes() else self._centroid_eval(theta))
 
     def _values(self, at, idx) -> np.ndarray:
         base, g, H = at
@@ -310,7 +314,7 @@ class ExactControlVariate:
     def __init__(self, model: ModelSpec, dataset: Dataset):
         self._model = model
         self._dataset = dataset
-        self._loglik_sum = model.bind_loglik_sum(dataset)
+        self._loglik_sum, self._grad_sum = model.bind_sums(dataset)
         self.n = dataset.n
         self.d = model.dim(dataset)
         self.order = 2
@@ -325,7 +329,7 @@ class ExactControlVariate:
         return self._model.grad_theta(theta, self._dataset, check_indices(idx, self.n))
 
     def grad_sum(self, theta):
-        return np.sum(self._model.grad_theta(theta, self._dataset), axis=0)
+        return self._grad_sum(theta)
 
 
 @dataclass
@@ -345,18 +349,36 @@ class SubsampleRows:
     W: np.ndarray | None = None
     eta0: np.ndarray | None = None
 
-    def weighted_grad(self, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_i weights_i * grad d_i, from the `s` of differences(grad=True)."""
-        if self.W is None:
-            return weights @ s
-        return (weights * s) @ self.W
+
+def _centered_differences(d: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum_k d_k, d - mean d): the one summation the difference estimator,
+    its variance and the HMC-ECS gradient all read."""
+    total = float(np.add.reduce(d))
+    return total, d - total / d.size
+
+
+def difference_total(q_total: float, d: np.ndarray, n: int) -> tuple[float, float, np.ndarray]:
+    """Value sum q_i + (n/m) sum d_k, its estimated variance and the centered
+    differences, from sum_i q_i and the m sampled differences d.  The
+    difference estimator and the HMC-ECS potential both use it, so they
+    agree to the bit."""
+    m = d.size
+    total, centered = _centered_differences(d)
+    value = q_total + n / m * total
+    sample_variance = n * n / m * (float(centered @ centered) / m)
+    return value, sample_variance, centered
 
 
 class _Differences:
     """d_i(theta) = ell_i(theta) - q_i(theta) and the totals sum_i q_i of one
     (model, cache, dataset), with their constants and the model's prior
     bound once per chain.  Indices are trusted (in range) and theta is a
-    float array: the public functions check both before they get here."""
+    float array: the public functions check both before they get here.
+
+    A subclass supplies `_terms(theta, rows, need_d) -> (at, d, s)`, where
+    `at` is what `_total(at)` and `_grad_total(at)` take for sum_i q_i and
+    sum_i grad q_i, and `_weighted(weights, s, rows)`, the weighted sum of
+    the gradients of d_i."""
 
     def __init__(self, model: ModelSpec, cache, dataset: Dataset):
         self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
@@ -364,6 +386,32 @@ class _Differences:
 
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self)
+
+    def potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
+        """(U, grad U, log_phat) of the HMC-ECS potential at gathered rows:
+        U = -(log_phat + log prior) with log_phat the difference estimate
+        less half its sample variance."""
+        at, d, s = self._terms(theta, rows, True)
+        value, sample_variance, centered = difference_total(self._total(at), d, self.n)
+        log_phat = value - sample_variance / 2.0
+        grad = self._gradient(theta, rows, at, s, centered if include_variance_grad else None)
+        return -(log_phat + self.log_prior(theta)), grad, log_phat
+
+    def grad_potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
+        """grad U of `potential` to the bit, without sum_i q_i, the sample
+        variance or the prior density; the differences are computed only
+        for the variance term."""
+        at, d, s = self._terms(theta, rows, include_variance_grad)
+        return self._gradient(theta, rows, at, s,
+                              _centered_differences(d)[1] if include_variance_grad else None)
+
+    def _gradient(self, theta, rows, at, s, centered):
+        # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i;
+        # without the variance term (centered None) the weights are n/m
+        n, m = self.n, rows.idx.size
+        weights = np.full(m, n / m) if centered is None else n / m - n * n / (m * m) * centered
+        return -(self._grad_total(at) + self._weighted(weights, s, rows)
+                 + self.grad_log_prior(theta))
 
 
 class _GlmDifferences(_Differences):
@@ -392,35 +440,47 @@ class _GlmDifferences(_Differences):
         d = self._remainder(self._y[idx], self._eta0[idx], W @ delta, self._order)
         return d, self._total(delta)
 
-    def gradient_terms(self, theta, rows: SubsampleRows):
-        """(d_i, s_i, sum_i q_i, sum_i grad q_i) at gathered rows."""
+    def _terms(self, theta, rows, need_d):
+        # the remainder gives d with s; the totals are taken at theta - theta0
         delta = theta - self._theta0
         d, s = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order, True)
-        return d, s, self._total(delta), self._grad_total(delta)
+        return delta, d, s
+
+    @staticmethod
+    def _weighted(weights, s, rows):
+        return (weights * s) @ rows.W
 
 
 class _PlainDifferences(_Differences):
     """Any other cache: ell_i from the model less q_i from the cache."""
 
     def differences(self, theta, rows: SubsampleRows, grad: bool = False):
-        model, cache, dataset, idx = self.model, self.cache, self.dataset, rows.idx
-        d = model.loglik(theta, dataset, idx) - cache.values_at(theta, idx)
-        if not grad:
-            return d
-        return d, model.grad_theta(theta, dataset, idx) - cache.grads_at(theta, idx)
+        d = self._ell_less_q(theta, rows.idx)
+        return (d, self._grads(theta, rows.idx)) if grad else d
 
     def estimate_terms(self, theta, idx):
-        cache = self.cache
-        if isinstance(cache, DataExpandedCache):
-            # one evaluation of the centroids serves both
-            q, total = cache._values_and_sum(theta, idx)
-        else:
-            q, total = cache.values_at(theta, idx), cache.sum_values(theta)
-        return self.model.loglik(theta, self.dataset, idx) - q, total
+        return self._ell_less_q(theta, idx), self.cache.sum_values(theta)
 
-    def gradient_terms(self, theta, rows: SubsampleRows):
-        d, s = self.differences(theta, rows, grad=True)
-        return d, s, self.cache.sum_values(theta), self.cache.grad_sum(theta)
+    def _ell_less_q(self, theta, idx):
+        return self.model.loglik(theta, self.dataset, idx) - self.cache.values_at(theta, idx)
+
+    def _grads(self, theta, idx):
+        return self.model.grad_theta(theta, self.dataset, idx) - self.cache.grads_at(theta, idx)
+
+    def _terms(self, theta, rows, need_d):
+        d = self._ell_less_q(theta, rows.idx) if need_d else None
+        return theta, d, self._grads(theta, rows.idx)
+
+    # looked up per call: a cache without gradients still serves the estimators
+    def _total(self, theta):
+        return self.cache.sum_values(theta)
+
+    def _grad_total(self, theta):
+        return self.cache.grad_sum(theta)
+
+    @staticmethod
+    def _weighted(weights, s, rows):
+        return weights @ s
 
 
 def bind_differences(model: ModelSpec, cache, dataset: Dataset) -> _Differences:
@@ -444,7 +504,7 @@ def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: boo
     a_i = w_i'(theta - theta0), free of the cancellation in ell - q; other
     caches subtract q from ell.  With grad=True the result is (d, s): the
     theta-gradient of d_i is s_i * w_i for a parameter-expanded cache, and
-    row i of s otherwise (see SubsampleRows.weighted_grad).
+    row i of s otherwise.
     """
     rows = idx if isinstance(idx, SubsampleRows) else gather_rows(model, cache, dataset, idx)
     return rows.differ.differences(np.asarray(theta, dtype=float), rows, grad)

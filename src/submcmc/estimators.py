@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .control_variates import bind_differences, check_indices, differences
+from .control_variates import bind_differences, check_indices, difference_total, differences
 from .errors import DomainError
 from .models import Dataset, ModelSpec
 
@@ -139,19 +139,6 @@ def optimal_m_srs_wor(n: int, sigma2_pop: float, target: float = 3.3) -> int:
 def wor_sampling_fraction(n: int, sigma2_pop: float, target: float = 3.3) -> float:
     """Exact real-valued m/n from the without-replacement variance formula."""
     return n * sigma2_pop / (n * sigma2_pop + target)
-
-
-def difference_total(q_total: float, d: np.ndarray, n: int) -> tuple[float, float, np.ndarray]:
-    """Value sum q_i + (n/m) sum d_k, its estimated variance and the centered
-    differences, from sum_i q_i and the m sampled differences d.  The
-    difference estimator and the HMC-ECS potential both use it, so they
-    agree to the bit."""
-    m = d.size
-    total = float(np.add.reduce(d))
-    centered = d - total / m
-    value = q_total + n / m * total
-    sample_variance = n * n / m * (float(centered @ centered) / m)
-    return value, sample_variance, centered
 
 
 def difference_value(differ, theta: np.ndarray, idx: np.ndarray) -> tuple[float, float]:

@@ -80,7 +80,8 @@ class GaussianPrior:
             return float(-0.5 * np.add.reduce(z * z) - z.size * log_norm)
 
         def grad(theta):
-            return -(theta - mean) / var
+            # mean - theta is -(theta - mean) to the bit, one operation fewer
+            return (mean - theta) / var
         return logpdf, grad
 
     def logpdf(self, theta: np.ndarray) -> float:
@@ -136,9 +137,19 @@ class ModelSpec(ABC):
         return float(np.sum(self.loglik(theta, dataset)))
 
     def bind_loglik_sum(self, dataset: Dataset):
-        """theta -> loglik_sum(theta, dataset), for many calls on one dataset;
-        a family may compute terms that depend on the responses alone once."""
-        return functools.partial(self.loglik_sum, dataset=dataset)
+        """theta -> loglik_sum(theta, dataset), for many calls on one dataset."""
+        return self.bind_sums(dataset)[0]
+
+    def bind_sums(self, dataset: Dataset):
+        """(theta -> loglik_sum(theta, dataset), theta -> the gradient sum
+        np.sum(grad_theta(theta, dataset), axis=0)) to the bit, for many
+        calls on one dataset.  A family may validate the responses once for
+        both and compute terms that depend on them alone once."""
+        return (functools.partial(self.loglik_sum, dataset=dataset),
+                functools.partial(self._grad_sum, dataset))
+
+    def _grad_sum(self, dataset: Dataset, theta) -> np.ndarray:
+        return np.sum(self.grad_theta(theta, dataset), axis=0)
 
     def log_prior(self, theta) -> float:
         return self.prior.logpdf(np.asarray(theta, dtype=float))
@@ -196,6 +207,20 @@ class GlmModel(ModelSpec):
         W[:, 0] = 1.0
         W[:, 1:] = X
         return W
+
+    def bind_sums(self, dataset: Dataset):
+        """The responses are validated here, once, and the gradient sum
+        skips the check; the design rows are rebuilt per call, so nothing
+        per observation is held."""
+        self.check_response(dataset.y)
+        return (functools.partial(self.loglik_sum, dataset=dataset),
+                functools.partial(self._grad_sum_valid, dataset))
+
+    def _grad_sum_valid(self, dataset: Dataset, theta) -> np.ndarray:
+        """_grad_sum for responses already validated: grad_theta's terms."""
+        W = self.design(dataset)
+        eta = W @ np.asarray(theta, dtype=float).reshape(-1)
+        return np.sum(self.ell_d1(dataset.y, eta)[:, None] * W, axis=0)
 
     def _y_design_eta(self, theta, dataset, idx):
         y = _take(dataset.y, idx)
@@ -277,12 +302,13 @@ class PoissonRegression(GlmModel):
     def ell(self, y, eta):
         return _poisson_ell(y, eta, _log_factorial(y))
 
-    def bind_loglik_sum(self, dataset: Dataset):
-        """loglik_sum to the bit, with the responses validated and log y!
-        computed once, at the cost of holding it: 8n bytes.  The result
-        pickles, so a cache holding it can go to worker processes."""
-        self.check_response(dataset.y)
-        return functools.partial(self._loglik_sum_given, dataset, _log_factorial(dataset.y))
+    def bind_sums(self, dataset: Dataset):
+        """loglik_sum to the bit with log y! computed once, at the cost of
+        holding it: 8n bytes.  The results pickle, so a cache holding them
+        can go to worker processes."""
+        grad_sum = super().bind_sums(dataset)[1]
+        return (functools.partial(self._loglik_sum_given, dataset, _log_factorial(dataset.y)),
+                grad_sum)
 
     def _loglik_sum_given(self, dataset, log_y_factorial, theta) -> float:
         eta = self.design(dataset) @ np.asarray(theta, dtype=float).reshape(-1)
@@ -303,12 +329,13 @@ class PoissonRegression(GlmModel):
             d = y * a - mu0 * e
             s = y - mu0 * (e + 1.0)
         elif order == 1:
-            d = -mu0 * (e - a)
-            s = -mu0 * e
+            neg_mu0 = -mu0
+            d = neg_mu0 * (e - a)
+            s = neg_mu0 * e
         else:
-            r1 = e - a
-            d = -mu0 * (r1 - 0.5 * a * a)
-            s = -mu0 * r1
+            neg_mu0, r1 = -mu0, e - a
+            d = neg_mu0 * (r1 - 0.5 * a * a)
+            s = neg_mu0 * r1
         return (d, s) if grad else d
 
     def loglik_at(self, theta, Z):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .estimators import (  # noqa: F401
     block_poisson_evaluate,
     block_poisson_value,
     difference_estimate,
-    difference_total,
     difference_value,
     draw_block_poisson,
     draw_bpm,
@@ -442,11 +442,11 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
             n_iter: int, seed) -> ChainTrace:
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
-    loglik_sum = model.bind_loglik_sum(dataset)
+    loglik_sum, grad_sum = model.bind_sums(dataset)
     log_prior, grad_log_prior = model.prior.bind()
 
     def grad_potential(t):
-        return -(np.sum(model.grad_theta(t, dataset), axis=0) + grad_log_prior(t))
+        return -(grad_sum(t) + grad_log_prior(t))
 
     def evaluate(t):
         loglik = loglik_sum(t)
@@ -463,10 +463,12 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
 
 def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
               n_iter: int, seed, d: int, u_step=None) -> tuple[ChainTrace, int]:
-    """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood);
-    that triple at the current point is carried from one iteration to the
-    next, so a trajectory opens on the carried gradient and an iteration
-    makes n_steps potential evaluations.  u_step, when given, runs before
+    """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood)
+    and `grad_potential(theta)` grad U alone, to the same bits.  The triple
+    at the current point is carried from one iteration to the next, so a
+    trajectory opens on the carried gradient and an iteration makes
+    n_steps - 1 `grad_potential` calls inside the trajectory and one
+    `evaluate` call at its end.  u_step, when given, runs before
     each trajectory, may swap out the potential (the energy conserving
     subsampling pattern), and returns the functions in force with their
     (U, grad U, log-likelihood) at the current point.  The recorded
@@ -516,28 +518,17 @@ def subsampled_potential(model: ModelSpec, cache, dataset: Dataset, theta,
                          indices, include_variance_grad: bool = True):
     """Estimated potential and its exact theta-gradient at a fixed subsample.
 
-    `indices` is an index array or its SubsampleRows, gathered once and
-    reused by every evaluation of a trajectory.  The potential is
-    -(log-lik estimate - sample_variance/2 + log prior), the estimate and
-    variance being difference_estimate's; the gradient differentiates the
+    `indices` is an index array, range-checked and gathered here, or the
+    SubsampleRows of one.  The potential is -(log-lik estimate -
+    sample_variance/2 + log prior), the estimate and variance being
+    difference_estimate's; the gradient differentiates the
     variance-correction term as well unless include_variance_grad is False
-    (ablation flag).
+    (ablation flag).  The evaluation is the bound potential hmc_ecs_run
+    calls, so the two agree to the bit.
     """
-    theta = np.asarray(theta, dtype=float)
     rows = (indices if isinstance(indices, SubsampleRows)
             else gather_rows(model, cache, dataset, indices))
-    differ = rows.differ
-    n, m = dataset.n, rows.idx.size
-    d_vals, s, q_total, q_grad_total = differ.gradient_terms(theta, rows)
-    value, svar, centered = difference_total(q_total, d_vals, n)
-    # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i
-    weights = (n / m - n * n / (m * m) * centered if include_variance_grad
-               else np.full(m, n / m))
-    grad_log_phat = q_grad_total + rows.weighted_grad(s, weights)
-    log_phat = value - svar / 2.0
-    potential = -(log_phat + differ.log_prior(theta))
-    grad = -(grad_log_phat + differ.grad_log_prior(theta))
-    return potential, grad, log_phat
+    return rows.differ.potential(np.asarray(theta, dtype=float), rows, include_variance_grad)
 
 
 def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
@@ -548,36 +539,36 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     theta whose trajectory gradients and acceptance Hamiltonian come from
     the same estimated potential at the just-updated subsample.
 
-    Each proposed subsample's rows are gathered once; the current point's
-    potential, gradient and log-likelihood estimate are carried over from
-    the previous iteration, so an iteration makes n_steps + 1 potential
-    evaluations: the proposed subsample's, and the trajectory's n_steps."""
+    The potential is bound once per chain (control_variates.bind_differences)
+    and each proposed subsample's rows are gathered once.  The current
+    point's potential, gradient and log-likelihood estimate are carried over
+    from the previous iteration, so an iteration makes two full evaluations,
+    (U, grad U, log-likelihood) for the proposed subsample and at the
+    trajectory's end, and n_steps - 1 gradient-only ones inside the
+    trajectory."""
     theta_arr = np.asarray(theta0, dtype=float)
     d = theta_arr.size
     dependence = dependence if dependence is not None else DependenceConfig()
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
     differ = bind_differences(model, cache, dataset)
+    potential, grad_potential = differ.potential, differ.grad_potential
 
-    def potential_at(rows):
-        def evaluate(t):
-            return subsampled_potential(model, cache, dataset, t, rows, include_variance_grad)
+    def bound_to(rows):
+        """(grad U, (U, grad U, log-likelihood)) as functions of theta at `rows`."""
+        return (partial(grad_potential, rows=rows, include_variance_grad=include_variance_grad),
+                partial(potential, rows=rows, include_variance_grad=include_variance_grad))
 
-        def grad_potential(t):
-            return evaluate(t)[1]
-        return grad_potential, evaluate
-
-    box = {"state": state, "fns": potential_at(differ.gather(state.indices))}
+    box = {"state": state, "fns": bound_to(differ.gather(state.indices))}
 
     def u_step(theta, U_cur, g_cur, log_cur, rng_sub):
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
         rows = differ.gather(prop.indices)
-        U_prop, g_prop, log_prop = subsampled_potential(model, cache, dataset, theta, rows,
-                                                        include_variance_grad)
+        U_prop, g_prop, log_prop = potential(theta, rows, include_variance_grad)
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
-            box["state"], box["fns"] = prop, potential_at(rows)
+            box["state"], box["fns"] = prop, bound_to(rows)
             return *box["fns"], True, U_prop, g_prop, log_prop
         cur.cursor = prop.cursor
         return *box["fns"], False, U_cur, g_cur, log_cur

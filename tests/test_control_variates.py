@@ -290,6 +290,25 @@ class TestDataExpanded:
         assert len(calls) == 1
         assert est.value == want_value and est.sample_variance == want_var
 
+    def test_block_poisson_estimate_evaluates_the_centroids_once(
+            self, monkeypatch, poisson_model, poisson_example, example_center, cache):
+        from submcmc import BlockPoissonConfig, block_poisson_evaluate, draw_block_poisson
+
+        cfg = BlockPoissonConfig(n_products=4, batch_size=5, bound=-4.0)
+        state = draw_block_poisson(poisson_example.n, 4, 5, np.random.default_rng(9))
+        calls = []
+        real = poisson_model.loglik_at
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(poisson_model, "loglik_at", counting)
+        for k, step in enumerate(([0.03, -0.02], [0.03, -0.02], [-0.01, 0.04])):
+            block_poisson_evaluate(poisson_model, cache, poisson_example,
+                                   example_center + np.array(step), cfg, state)
+            assert len(calls) == k + 1
+
 
 class TestDifferences:
     def test_cubic_scaling_of_worst_difference(self, poisson_model, poisson_example,

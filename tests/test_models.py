@@ -104,10 +104,27 @@ class TestBoundEvaluation:
             theta = theta[:model.dim(ds)]
             assert bound(theta) == model.loglik_sum(theta, ds)
 
+    @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
+                                           NormalMeanModel])
+    def test_bound_grad_sum(self, model_cls):
+        ds = simulate_poisson(2_000, (1.0, 0.75), seed=9)
+        if model_cls is LogisticRegression:
+            ds = Dataset(y=(ds.y > 2).astype(float), X=ds.X)
+        model = model_cls()
+        loglik_sum, grad_sum = model.bind_sums(ds)
+        for theta in (np.array([0.9, 0.8]), np.array([-0.3, 1.2])):
+            theta = theta[:model.dim(ds)]
+            assert loglik_sum(theta) == model.loglik_sum(theta, ds)
+            want = np.sum(model.grad_theta(theta, ds), axis=0)
+            got = grad_sum(theta)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_bound_loglik_sum_validates_responses_up_front(self):
         ds = Dataset(y=np.array([1.0, 2.5]), X=np.zeros((2, 1)))
         with pytest.raises(DomainError):
             PoissonRegression().bind_loglik_sum(ds)
+        with pytest.raises(DomainError):
+            PoissonRegression().bind_sums(ds)
 
     def test_bound_prior(self):
         prior = GaussianPrior(mean=0.3, sd=2.5)

@@ -14,18 +14,23 @@ import pytest
 
 from submcmc import (
     BlockPoissonConfig,
+    Dataset,
     DependenceConfig,
     DifferenceConfig,
+    ExactControlVariate,
     HmcConfig,
+    LogisticRegression,
     ParamExpandedCache,
     ProposalConfig,
     build_data_expanded,
+    build_param_expanded,
     hmc_ecs_run,
     hmc_run,
     kmeans_cluster,
     mh_run,
     pmmh_run,
     propose_u,
+    select_expansion_point,
 )
 from submcmc import samplers
 from submcmc.samplers import DIVERGENCE_THRESHOLD, _empty_trace, _streams, initial_subsample
@@ -80,7 +85,10 @@ def ref_sum_values(cache, theta):
     return total
 
 
-def ref_grad_sum(cache, theta):
+def ref_grad_sum(model, dataset, cache, theta):
+    if not isinstance(cache, ParamExpandedCache):
+        # an exact cache: the full-data gradient sum
+        return np.sum(model.grad_theta(theta, dataset), axis=0)
     if cache.order == 0:
         return np.zeros(cache.d)
     out = cache.sum_grad.copy()
@@ -254,27 +262,32 @@ def ref_hmc(model, dataset, cfg, theta0, n_iter, seed):
     return ref_hmc_loop(grad_potential, evaluate, cfg, theta, n_iter, seed, theta.size)
 
 
-def ref_potential(model, cache, dataset, theta, idx):
+def ref_potential(model, cache, dataset, theta, idx, include_variance_grad):
     theta = np.asarray(theta, dtype=float)
     n, m = dataset.n, idx.size
     d_vals, s = ref_differences(model, cache, dataset, theta, idx, grad=True)
     value, svar, centered = ref_difference_total(cache, theta, d_vals, n)
-    weights = n / m - n * n / (m * m) * centered
-    W = model.design(dataset, idx)
-    grad_log_phat = ref_grad_sum(cache, theta) + (weights * s) @ W
+    weights = (n / m - n * n / (m * m) * centered if include_variance_grad
+               else np.full(m, n / m))
+    if isinstance(cache, ParamExpandedCache):
+        weighted = (weights * s) @ model.design(dataset, idx)
+    else:
+        weighted = weights @ s
+    grad_log_phat = ref_grad_sum(model, dataset, cache, theta) + weighted
     log_phat = value - svar / 2.0
     return (-(log_phat + ref_log_prior(model, theta)),
             -(grad_log_phat + ref_grad_log_prior(model, theta)), log_phat)
 
 
-def ref_hmc_ecs(model, dataset, cache, cfg, m, theta0, n_iter, seed, dependence):
+def ref_hmc_ecs(model, dataset, cache, cfg, m, theta0, n_iter, seed, dependence,
+                include_variance_grad=True):
     theta_arr = np.asarray(theta0, dtype=float)
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
 
     def potential_at(idx):
         def evaluate(t):
-            return ref_potential(model, cache, dataset, t, idx)
+            return ref_potential(model, cache, dataset, t, idx, include_variance_grad)
 
         def grad_potential(t):
             return evaluate(t)[1]
@@ -286,7 +299,8 @@ def ref_hmc_ecs(model, dataset, cache, cfg, m, theta0, n_iter, seed, dependence)
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
         u = rng_sub.random()
-        U_prop, g_prop, log_prop = ref_potential(model, cache, dataset, theta, prop.indices)
+        U_prop, g_prop, log_prop = ref_potential(model, cache, dataset, theta, prop.indices,
+                                                 include_variance_grad)
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
             box["state"], box["fns"] = prop, potential_at(prop.indices)
             return *box["fns"], True, U_prop, g_prop, log_prop
@@ -374,3 +388,51 @@ def test_hmc_ecs_bpm(poisson_model, poisson_example, example_center, param_cache
                        example_center, N_ITER, 46, dep)
     assert_same_trace(got, want)
     assert 0 < got.u_accept.sum() < got.n_iter
+
+
+@pytest.fixture(scope="module")
+def logistic_case(poisson_example):
+    """Binary responses on the example's covariate, with an order-2 cache at
+    the full-data mode; near the mode every |a_i| <= 1, the remainder's
+    cancellation-free branch."""
+    model = LogisticRegression()
+    data = Dataset(y=(poisson_example.y > 2).astype(float), X=poisson_example.X)
+    center = select_expansion_point(model, data, exact=True)
+    return model, data, build_param_expanded(model, data, center, order=2), center
+
+
+BPM4 = DependenceConfig(kind="bpm", n_blocks=4)
+# the cases test_hmc_ecs_bpm (order 2, variance gradient, BPM) leaves out:
+# (cache, include_variance_grad, dependence, step size)
+ECS_CASES = {
+    "order0": (0, True, BPM4, 0.005),
+    "order1": (1, True, BPM4, 0.005),
+    "no_variance_grad": (2, False, BPM4, 0.005),
+    "independent": (2, True, DependenceConfig(), 0.005),
+    "exact": ("exact", True, BPM4, 0.005),
+    "logistic": ("logistic", True, BPM4, 0.02),
+}
+
+
+@pytest.mark.parametrize("case", list(ECS_CASES))
+def test_hmc_ecs_variants(poisson_model, poisson_example, example_center, param_caches,
+                          logistic_case, case):
+    which, include_variance_grad, dependence, step = ECS_CASES[case]
+    model, data, center = poisson_model, poisson_example, example_center
+    if which == "exact":
+        cache = ExactControlVariate(model, data)
+    elif which == "logistic":
+        model, data, cache, center = logistic_case
+    else:
+        cache = param_caches[which]
+    cfg = HmcConfig(step_size=step, n_steps=3)
+    got = hmc_ecs_run(model, data, cache, cfg, 40, center, N_ITER, 46,
+                      dependence=dependence, include_variance_grad=include_variance_grad)
+    want = ref_hmc_ecs(model, data, cache, cfg, 40, center, N_ITER, 46, dependence,
+                       include_variance_grad)
+    assert_same_trace(got, want)
+    if which == "exact":
+        # the estimate has no error, so every subsample refresh is accepted
+        assert got.u_accept.all()
+    else:
+        assert 0 < got.u_accept.sum() < got.n_iter

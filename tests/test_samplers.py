@@ -12,6 +12,7 @@ from submcmc import (
     GaussianPrior,
     HmcConfig,
     NormalMeanModel,
+    PoissonRegression,
     ProposalConfig,
     SamplerError,
     difference_estimate,
@@ -488,6 +489,22 @@ class TestHmc:
         assert trace.meta["divergences"] > 0
         assert np.all(np.isfinite(trace.draws))
 
+    def test_responses_validated_once_per_chain(self, monkeypatch, poisson_example,
+                                                example_center):
+        # the full-data gradient of every leapfrog step skips the check
+        model = PoissonRegression()
+        calls = []
+        real = model.check_response
+
+        def counting(y):
+            calls.append(y.size)
+            return real(y)
+
+        monkeypatch.setattr(model, "check_response", counting)
+        hmc_run(model, poisson_example, HmcConfig(step_size=0.006, n_steps=4),
+                example_center, 20, seed=19)
+        assert calls == [poisson_example.n]
+
     def test_deterministic(self, normal_mean_setup):
         model, ds = normal_mean_setup
         cfg = HmcConfig(step_size=0.05, n_steps=5)
@@ -580,24 +597,31 @@ class TestHmcEcs:
     def test_potential_evaluations_per_iteration(self, monkeypatch, poisson_model,
                                                  poisson_example, example_center,
                                                  param_caches):
-        from submcmc import samplers
-        calls = []
-        real = samplers.subsampled_potential
+        from submcmc.control_variates import _Differences
+        full, grad_only = [], []
+        real_full, real_grad = _Differences.potential, _Differences.grad_potential
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting_full(*args, **kwargs):
+            full.append(1)
+            return real_full(*args, **kwargs)
 
-        monkeypatch.setattr(samplers, "subsampled_potential", counting)
+        def counting_grad(*args, **kwargs):
+            grad_only.append(1)
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(_Differences, "potential", counting_full)
+        monkeypatch.setattr(_Differences, "grad_potential", counting_grad)
         n_iter, n_steps = 10, 5
         hmc_ecs_run(poisson_model, poisson_example, param_caches[2],
                     HmcConfig(step_size=0.005, n_steps=n_steps), 50, example_center,
                     n_iter, seed=3)
         # the start-point check, then per iteration the proposed subsample's
-        # estimate and n_steps gradients, the last of which also gives the
-        # proposal's potential; the current point's estimate and gradient
-        # carry over
-        assert len(calls) == 1 + n_iter * (n_steps + 1)
+        # full evaluation, n_steps - 1 gradient-only steps inside the
+        # trajectory and a full evaluation at its end; the current point's
+        # estimate and gradient carry over
+        assert len(full) == 1 + 2 * n_iter
+        assert len(grad_only) == n_iter * (n_steps - 1)
+        assert len(full) + len(grad_only) == 1 + n_iter * (n_steps + 1)
 
     def test_potential_on_bare_indices_is_corrected_difference_estimate(
             self, poisson_model, poisson_example, example_center, param_caches):
