@@ -284,11 +284,16 @@ def build_data_expanded(model: ModelSpec, dataset: Dataset, clustering,
     bad = _first_bad_index(dev)
     if bad is not None:
         raise CacheBuildError(f"non-finite deviation at observation {bad}")
+    # bincount adds each cluster's terms in input order from 0, as np.add.at
+    # does, so the sums keep their bits; the outer products are symmetric
     counts = np.bincount(assignment, minlength=K).astype(float)
-    sum_dev = np.zeros((K, dz))
-    np.add.at(sum_dev, assignment, dev)
-    sum_outer = np.zeros((K, dz, dz))
-    np.add.at(sum_outer, assignment, dev[:, :, None] * dev[:, None, :])
+    sum_dev = np.empty((K, dz))
+    sum_outer = np.empty((K, dz, dz))
+    for i in range(dz):
+        sum_dev[:, i] = np.bincount(assignment, weights=dev[:, i], minlength=K)
+        for j in range(i, dz):
+            sum_outer[:, i, j] = sum_outer[:, j, i] = np.bincount(
+                assignment, weights=dev[:, i] * dev[:, j], minlength=K)
     return DataExpandedCache(
         centroids=centroids,
         assignment=assignment,
@@ -348,6 +353,13 @@ class SubsampleRows:
     y: np.ndarray | None = None
     W: np.ndarray | None = None
     eta0: np.ndarray | None = None
+
+    def span(self, lo: int, hi: int) -> SubsampleRows:
+        """Rows lo:hi of these, as views."""
+        if self.y is None:
+            return SubsampleRows(self.idx[lo:hi], self.differ)
+        return SubsampleRows(self.idx[lo:hi], self.differ, self.y[lo:hi], self.W[lo:hi],
+                             self.eta0[lo:hi])
 
 
 def _centered_differences(d: np.ndarray) -> tuple[float, np.ndarray]:
@@ -433,11 +445,10 @@ class _GlmDifferences(_Differences):
         return self._remainder(rows.y, rows.eta0, rows.W @ (theta - self._theta0),
                                self._order, grad)
 
-    def estimate_terms(self, theta, idx):
-        """(d_i, sum_i q_i) at `idx`, sharing theta - theta0 between them."""
+    def estimate_terms(self, theta, rows: SubsampleRows):
+        """(d_i, sum_i q_i) at gathered rows, sharing theta - theta0 between them."""
         delta = theta - self._theta0
-        W = self._design(self.dataset, idx)
-        d = self._remainder(self._y[idx], self._eta0[idx], W @ delta, self._order)
+        d = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order)
         return d, self._total(delta)
 
     def _terms(self, theta, rows, need_d):
@@ -458,8 +469,8 @@ class _PlainDifferences(_Differences):
         d = self._ell_less_q(theta, rows.idx)
         return (d, self._grads(theta, rows.idx)) if grad else d
 
-    def estimate_terms(self, theta, idx):
-        return self._ell_less_q(theta, idx), self.cache.sum_values(theta)
+    def estimate_terms(self, theta, rows: SubsampleRows):
+        return self._ell_less_q(theta, rows.idx), self.cache.sum_values(theta)
 
     def _ell_less_q(self, theta, idx):
         return self.model.loglik(theta, self.dataset, idx) - self.cache.values_at(theta, idx)
@@ -511,12 +522,16 @@ def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: boo
 
 
 def check_indices(idx, n: int) -> np.ndarray:
-    """`idx` as an index array, raising DomainError unless 0 <= idx < n.
+    """`idx` as an index array, raising DomainError unless it holds
+    integers with 0 <= idx < n; a boolean mask would select rows instead.
     Indices entering the package are checked here, once; indices the
     samplers draw themselves are trusted."""
     idx = np.atleast_1d(np.asarray(idx))
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise DomainError("index out of range")
+    if idx.size:
+        if idx.dtype.kind not in "iu":
+            raise DomainError(f"indices must be integers, got dtype {idx.dtype}")
+        if idx.min() < 0 or idx.max() >= n:
+            raise DomainError("index out of range")
     return idx
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .control_variates import bind_differences, check_indices, difference_total, differences
+from .control_variates import (SubsampleRows, bind_differences, check_indices,
+                               difference_total, differences)
 from .errors import DomainError
 from .models import Dataset, ModelSpec
 
@@ -141,12 +142,12 @@ def wor_sampling_fraction(n: int, sigma2_pop: float, target: float = 3.3) -> flo
     return n * sigma2_pop / (n * sigma2_pop + target)
 
 
-def difference_value(differ, theta: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+def difference_value(differ, theta: np.ndarray, rows: SubsampleRows) -> tuple[float, float]:
     """(value, sample variance) of the difference estimator from bound
-    differences (control_variates.bind_differences) at trusted indices.
+    differences (control_variates.bind_differences) at rows they gathered.
     The samplers call it once per iteration, and difference_estimate
     delegates to it, so the two agree to the bit."""
-    d, q_total = differ.estimate_terms(theta, idx)
+    d, q_total = differ.estimate_terms(theta, rows)
     value, sample_variance, _ = difference_total(q_total, d, differ.n)
     return value, sample_variance
 
@@ -163,8 +164,8 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
     if indices.size == 0:
         raise DomainError("empty index set")
     theta = np.asarray(theta, dtype=float)
-    value, sample_variance = difference_value(bind_differences(model, cache, dataset),
-                                              theta, indices)
+    differ = bind_differences(model, cache, dataset)
+    value, sample_variance = difference_value(differ, theta, differ.gather(indices))
     return LogLikEstimate(value=value, sample_variance=sample_variance, m=indices.size,
                           theta=theta)
 

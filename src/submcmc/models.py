@@ -209,24 +209,31 @@ class GlmModel(ModelSpec):
         return W
 
     def bind_sums(self, dataset: Dataset):
-        """The responses are validated here, once, and the gradient sum
-        skips the check; the design rows are rebuilt per call, so nothing
-        per observation is held."""
+        """The responses are validated here, once, and both sums skip the
+        check; the design rows are rebuilt per call, so nothing per
+        observation is held."""
         self.check_response(dataset.y)
-        return (functools.partial(self.loglik_sum, dataset=dataset),
+        return (functools.partial(self._loglik_sum_valid, dataset),
                 functools.partial(self._grad_sum_valid, dataset))
+
+    def _loglik_sum_valid(self, dataset: Dataset, theta) -> float:
+        """loglik_sum for responses already validated: loglik's terms."""
+        return float(np.sum(self.ell(dataset.y, self._design_eta(theta, dataset, None)[1])))
 
     def _grad_sum_valid(self, dataset: Dataset, theta) -> np.ndarray:
         """_grad_sum for responses already validated: grad_theta's terms."""
-        W = self.design(dataset)
-        eta = W @ np.asarray(theta, dtype=float).reshape(-1)
+        W, eta = self._design_eta(theta, dataset, None)
         return np.sum(self.ell_d1(dataset.y, eta)[:, None] * W, axis=0)
+
+    def _design_eta(self, theta, dataset, idx):
+        """(w_i, eta_i) of the selected observations."""
+        W = self.design(dataset, idx)
+        return W, W @ np.asarray(theta, dtype=float).reshape(-1)
 
     def _y_design_eta(self, theta, dataset, idx):
         y = _take(dataset.y, idx)
         self.check_response(y)
-        W = self.design(dataset, idx)
-        return y, W, W @ np.asarray(theta, dtype=float).reshape(-1)
+        return (y, *self._design_eta(theta, dataset, idx))
 
     def loglik(self, theta, dataset, idx=None):
         y, _, eta = self._y_design_eta(theta, dataset, idx)
@@ -481,10 +488,9 @@ class NormalMeanModel(GlmModel):
     def design(self, dataset, idx=None):
         return np.ones((_take(dataset.y, idx).shape[0], 1))
 
-    def _y_design_eta(self, theta, dataset, idx):
+    def _design_eta(self, theta, dataset, idx):
         # w_i = 1: eta_i is theta itself, which broadcasts without a product
-        y = _take(dataset.y, idx)
-        return y, np.ones((y.shape[0], 1)), float(np.asarray(theta).reshape(-1)[0])
+        return self.design(dataset, idx), float(np.asarray(theta).reshape(-1)[0])
 
     def grad_theta(self, theta, dataset, idx=None):
         y, _, eta = self._y_design_eta(theta, dataset, idx)

@@ -7,8 +7,17 @@ draw.  Each kernel derives three child RNG streams from the seed (theta
 proposals, acceptance uniforms, subsampling), so kernels sharing a seed
 share their theta-proposal and acceptance streams exactly; identical seed
 and config give bitwise-identical traces.  The theta-proposal and
-acceptance streams serve nothing else, so they are drawn in chunks; the
-subsampling stream is drawn call by call.
+acceptance streams serve nothing else, so they are drawn in chunks.
+
+The subsampling stream is drawn in chunks where it serves only bounded
+integers: pmmh with the difference estimator under independent or
+block-wise refresh.  Generator.integers(0, n) takes its words from PCG64
+without resetting a buffer between calls (32-bit halves, buffered by the
+bit generator itself, for n <= 2^32; whole 64-bit words above), so one call
+of size K k returns the same values as K calls of size k.  A stream that
+interleaves bounded integers with whole-word draws would be reordered by
+chunking, so it stays per call: the Pois(1) counts of the product
+estimator, the Gaussian codes of cpm and the u-step uniform of HMC-ECS.
 """
 
 from __future__ import annotations
@@ -183,6 +192,61 @@ def _chunked_uniforms(rng: np.random.Generator):
         yield from rng.random(_CHUNK).tolist()
 
 
+# indices per refill of a chunked subsampling stream; a chunk's gathered
+# rows take 8 (d + 3) bytes each, 4.5 MB at d = 6
+_INDEX_CHUNK = 1 << 16
+
+
+class _IndexChunks:
+    """A subsampling stream that serves only `integers(0, n, size=k)`,
+    drawn about `size` indices at a time: the same values in the same order
+    as one rng.integers(0, n, size=k) call per request (see the module
+    docstring).  A request may straddle two chunks.
+
+    With `views`, each chunk's rows are gathered once by `differ`, and
+    `rows(idx)` returns views of them when `idx` is the array the last
+    request returned and it lies within one chunk; any other array is
+    gathered when asked for.
+    """
+
+    def __init__(self, rng: np.random.Generator, differ, size: int, views: bool):
+        self._rng, self._differ, self._size, self._views = rng, differ, size, views
+        self.n = differ.n
+        self._idx = np.empty(0, dtype=np.int64)
+        self._pos = 0
+        self._chunk_rows = self._last = None
+
+    def integers(self, low, high, size):
+        if low != 0 or high != self.n:
+            raise SamplerError("a chunked subsampling stream serves integers(0, n) only")
+        lo, hi = self._pos, self._pos + size
+        if hi <= self._idx.size:
+            self._pos = hi
+            return self._serve(lo, hi)
+        tail = self._idx[lo:]
+        self._refill(max(self._size, size - tail.size))
+        self._pos = size - tail.size
+        if not tail.size:
+            return self._serve(0, self._pos)
+        return np.concatenate([tail, self._idx[:self._pos]])
+
+    def _serve(self, lo, hi):
+        if self._chunk_rows is None:
+            return self._idx[lo:hi]
+        self._last = self._chunk_rows.span(lo, hi)
+        return self._last.idx
+
+    def _refill(self, size):
+        self._chunk_rows = self._last = None
+        self._idx = self._rng.integers(0, self.n, size=size)
+        if self._views:
+            self._chunk_rows = self._differ.gather(self._idx)
+
+    def rows(self, idx):
+        last = self._last
+        return last if last is not None and last.idx is idx else self._differ.gather(idx)
+
+
 class _Proposer:
     def __init__(self, cfg: ProposalConfig, d: int, theta0: np.ndarray):
         self.rwm = cfg.kind == "rwm"
@@ -349,8 +413,17 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
 
     # evaluate(t, state) -> (log target estimate, recorded log-lik value, sign)
     if isinstance(est_cfg, DifferenceConfig):
+        rows_of = differ.gather
+        if dependence.kind != "cpm":
+            # the stream serves only integers(0, n, ·), so it is drawn in chunks;
+            # independent proposals are evaluated on views of each chunk's rows
+            m = est_cfg.m
+            rng_sub = _IndexChunks(rng_sub, differ, m * max(1, _INDEX_CHUNK // m),
+                                   views=dependence.kind == "independent")
+            rows_of = rng_sub.rows
+
         def evaluate(t, state):
-            value, sample_variance = difference_value(differ, t, state.indices)
+            value, sample_variance = difference_value(differ, t, rows_of(state.indices))
             return value - sample_variance / 2.0, value, 1
     else:
         def evaluate(t, state):

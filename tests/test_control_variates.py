@@ -244,6 +244,24 @@ class TestDataExpanded:
             np.testing.assert_allclose(cache.sum_outer[c],
                                        np.einsum("ki,kj->ij", dev, dev), atol=1e-9)
 
+    def test_moments_equal_add_at_bit_for_bit(self, poisson_model):
+        # np.add.at is the reference; cluster 3 of 6 has no members
+        rng = np.random.default_rng(8)
+        data = Dataset(y=rng.poisson(2.0, size=5_000).astype(float),
+                       X=rng.normal(size=(5_000, 2)))
+        assignment = rng.choice([0, 1, 2, 4, 5], size=data.n)
+        centroids = rng.normal(size=(6, 3))
+        cache = build_data_expanded(poisson_model, data, (centroids, assignment))
+        dev = data.points() - centroids[assignment]
+        sum_dev = np.zeros((6, 3))
+        np.add.at(sum_dev, assignment, dev)
+        sum_outer = np.zeros((6, 3, 3))
+        np.add.at(sum_outer, assignment, dev[:, :, None] * dev[:, None, :])
+        assert np.array_equal(cache.sum_dev, sum_dev)
+        assert np.array_equal(cache.sum_outer, sum_outer)
+        assert cache.counts[3] == 0 and not cache.sum_dev[3].any()
+        assert not cache.sum_outer[3].any()
+
     def test_dispersion_insensitive_to_distance_from_center(self, poisson_model,
                                                             poisson_example,
                                                             example_center, cache):

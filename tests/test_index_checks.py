@@ -1,4 +1,4 @@
-"""Indices entering the package are range-checked at its public boundary.
+"""Indices entering the package are checked at its public boundary.
 
 The samplers trust the indices they draw themselves, so the check lives in
 the public entry points only; each must still reject an index of -1 and
@@ -21,7 +21,7 @@ from submcmc import (
     kmeans_cluster,
     subsampled_potential,
 )
-from submcmc.control_variates import gather_rows
+from submcmc.control_variates import check_indices, gather_rows
 
 BAD = {"minus_one": -1, "n": None}
 
@@ -109,3 +109,30 @@ def test_in_range_edges_accepted(poisson_model, poisson_example, example_center,
     for cache in caches.values():
         est = difference_estimate(poisson_model, cache, poisson_example, example_center, idx)
         assert np.isfinite(est.value)
+
+
+@pytest.mark.parametrize("kind", ["param", "data", "exact"])
+def test_non_integer_indices_rejected(poisson_model, poisson_example, example_center, caches,
+                                      kind):
+    # a boolean mask would select 2 rows of 200 and report m = 200; a float
+    # array cannot index at all
+    mask = np.zeros(200, dtype=bool)
+    mask[[3, 150]] = True
+    args = (poisson_model, caches[kind], poisson_example)
+    for idx in (mask, np.array([1.0, 2.0]), [True, False]):
+        with pytest.raises(DomainError, match="indices must be integers"):
+            differences(*args, example_center, idx)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            difference_estimate(*args, example_center, idx)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            subsampled_potential(*args, example_center, idx)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            gather_rows(*args, idx)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            caches[kind].values_at(example_center, idx)
+
+
+def test_empty_indices_pass_the_check():
+    assert check_indices([], 10).size == 0
+    assert check_indices(np.empty(0, dtype=bool), 10).size == 0
+    assert check_indices(np.array([0, 9], dtype=np.uint32), 10).tolist() == [0, 9]

@@ -125,6 +125,8 @@ class TestBoundEvaluation:
             PoissonRegression().bind_loglik_sum(ds)
         with pytest.raises(DomainError):
             PoissonRegression().bind_sums(ds)
+        with pytest.raises(DomainError):
+            LogisticRegression().bind_sums(ds)
 
     def test_bound_prior(self):
         prior = GaussianPrior(mean=0.3, sd=2.5)

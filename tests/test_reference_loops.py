@@ -5,8 +5,9 @@ The reference below is the earlier, unbound form of each kernel: one
 estimate gathered and range-checked per call through the model and cache
 methods, and the prior evaluated per call.  The kernels now bind their
 constants once per chain and draw proposals, momenta and acceptance
-uniforms in chunks; every trace column must still come out equal, bit for
-bit, for runs that cross two chunk boundaries.
+uniforms in chunks, and pmmh with the difference estimator draws and
+gathers its subsamples in chunks; every trace column must still come out
+equal, bit for bit, for runs that cross two chunk boundaries.
 """
 
 import numpy as np
@@ -343,6 +344,27 @@ def test_pmmh_difference_estimator(poisson_model, poisson_example, example_cente
     args = (poisson_model, poisson_example, param_caches[2], DifferenceConfig(m=30),
             proposal_of(kind, example_center), DEPENDENCE[dep], example_center, N_ITER, 41)
     assert_same_trace(pmmh_run(*args), ref_pmmh(*args))
+
+
+@pytest.mark.parametrize("dep", ["srs", "bpm4"])
+def test_pmmh_subsample_chunk_refills(monkeypatch, poisson_model, poisson_example,
+                                      example_center, param_caches, dep):
+    # chunks of 510 indices: SRS proposals of 30 use one up in 17 iterations,
+    # BPM refreshes of 8, 8, 7 and 7 in 68
+    monkeypatch.setattr(samplers, "_INDEX_CHUNK", 512)
+    refills = []
+    real = samplers._IndexChunks._refill
+
+    def counting(self, size):
+        refills.append(size)
+        return real(self, size)
+
+    monkeypatch.setattr(samplers._IndexChunks, "_refill", counting)
+    dependence = DEPENDENCE["srs"] if dep == "srs" else DependenceConfig(kind="bpm", n_blocks=4)
+    args = (poisson_model, poisson_example, param_caches[2], DifferenceConfig(m=30),
+            ProposalConfig(step_scale=0.02), dependence, example_center, N_ITER, 47)
+    assert_same_trace(pmmh_run(*args), ref_pmmh(*args))
+    assert len(refills) >= 3 and set(refills) == {510}
 
 
 def test_pmmh_block_poisson_bpm(poisson_model, poisson_example, example_center, param_caches):

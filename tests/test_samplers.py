@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submcmc import (
     ConfigError,
@@ -11,6 +14,7 @@ from submcmc import (
     ExactControlVariate,
     GaussianPrior,
     HmcConfig,
+    LogisticRegression,
     NormalMeanModel,
     PoissonRegression,
     ProposalConfig,
@@ -28,8 +32,9 @@ from submcmc import (
     signed_expectation,
     subsampled_potential,
 )
+from submcmc.control_variates import bind_differences
 from submcmc.models import ModelSpec
-from submcmc.samplers import _streams
+from submcmc.samplers import _IndexChunks, _streams
 
 
 class FlatModel(ModelSpec):
@@ -204,6 +209,71 @@ def test_full_data_kernels_take_log_factorials_once_per_chain(
     hmc_run(poisson_model, poisson_example, HmcConfig(step_size=0.005, n_steps=3),
             example_center, 10, seed=2)
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("kernel", ["mh", "hmc"])
+def test_logistic_responses_validated_once_per_chain(monkeypatch, poisson_example, kernel):
+    # each log-likelihood and gradient sum over all n rows skips the check
+    model = LogisticRegression()
+    data = Dataset(y=(poisson_example.y > 2).astype(float), X=poisson_example.X)
+    calls = []
+    real = model.check_response
+
+    def counting(y):
+        calls.append(y.size)
+        return real(y)
+
+    monkeypatch.setattr(model, "check_response", counting)
+    theta0 = np.array([0.5, 1.0])
+    if kernel == "mh":
+        trace = mh_run(model, data, ProposalConfig(step_scale=0.1), theta0, 20, seed=3)
+    else:
+        trace = hmc_run(model, data, HmcConfig(step_size=0.01, n_steps=4), theta0, 20, seed=3)
+    assert trace.accept.any()
+    assert calls == [data.n]
+
+
+class TestChunkedIndexStream:
+    """integers(0, n, size=k) served from chunks equals one rng.integers
+    call per request, across refills and requests that straddle them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2, 2**32 - 1, 2**32, 2**32 + 1]),
+                       st.integers(1, 2**40)),
+           chunk=st.integers(1, 40),
+           requests=st.lists(st.integers(0, 60), min_size=1, max_size=25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_call_draws(self, n, chunk, requests, seed):
+        stream = _IndexChunks(np.random.Generator(np.random.PCG64(seed)),
+                              SimpleNamespace(n=n), chunk, views=False)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        for k in requests:
+            got, want = stream.integers(0, n, size=k), ref.integers(0, n, size=k)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["param", "exact"])
+    def test_rows_are_the_gathered_rows(self, poisson_model, poisson_example, param_caches,
+                                        kind):
+        cache = (param_caches[2] if kind == "param"
+                 else ExactControlVariate(poisson_model, poisson_example))
+        differ = bind_differences(poisson_model, cache, poisson_example)
+        stream = _IndexChunks(np.random.default_rng(4), differ, 50, views=True)
+        n = poisson_example.n
+        # four requests fit the first chunk of 50; the next two straddle refills
+        for k in (12, 12, 12, 12, 30, 25, 7):
+            idx = stream.integers(0, n, size=k)
+            got, want = stream.rows(idx), differ.gather(idx)
+            for name in ("idx", "y", "W", "eta0"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
+            # any other array with the same indices is gathered afresh
+            assert stream.rows(idx.copy()).idx is not idx
+
+    def test_serves_integers_from_zero_to_n_only(self):
+        stream = _IndexChunks(np.random.default_rng(0), SimpleNamespace(n=10), 8, views=False)
+        for low, high in ((1, 10), (0, 9)):
+            with pytest.raises(SamplerError):
+                stream.integers(low, high, size=3)
 
 
 class TestProposeU:
