@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 invalid configuration, 3 runtime sampler error.
+Exit codes: 0 success, 2 invalid configuration or input data (non-finite
+numbers and control-variate cache failures included), 3 runtime sampler error.
 Output directory defaults to $SUBMCMC_OUTPUT_DIR, then ./submcmc_runs.
 """
 
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from .diagnostics import IACT_METHODS, summarize, write_summary_csv
-from .errors import ConfigError, CsvParseError, DomainError, SamplerError
+from .errors import CacheBuildError, ConfigError, CsvParseError, DomainError, SamplerError
 from .experiments import (
     OUTPUT_DIR_ENV,
     apply_overrides,
@@ -22,6 +23,7 @@ from .experiments import (
     figure234_tables,
     figure5_study,
     parse_config_file,
+    parse_floats,
     plan_table,
     read_trace_csv,
     run_experiment,
@@ -43,13 +45,9 @@ def _write_rows(path, columns, rows, comment=None):
                               else str(row[c]) for c in columns) + "\n")
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def cmd_simulate(args) -> int:
-    dataset = simulate_poisson(args.n, _floats(args.theta), covariate_law=args.law,
-                               seed=args.seed)
+    dataset = simulate_poisson(args.n, parse_floats(args.theta, "theta"),
+                               covariate_law=args.law, seed=args.seed)
     save_dataset(dataset, args.out)
     print(f"wrote {args.out} (n={dataset.n}, p={dataset.p})")
     return 0
@@ -67,7 +65,7 @@ def cmd_run(args) -> int:
 def cmd_plan(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     cfg = apply_overrides(cfg, args.set)
-    rows = plan_table(cfg, targets=_floats(args.targets))
+    rows = plan_table(cfg, targets=parse_floats(args.targets, "targets"))
     out = args.out or os.path.join(_default_out(), "plan.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     _write_rows(out, ["target", "sigma2_d", "m", "wor_m", "degenerate"], rows,
@@ -95,7 +93,7 @@ def cmd_figure1(args) -> int:
                                        int(count)).astype(int))
     else:
         n_grid = None
-    rows = figure1_table(n_grid=n_grid, sigma2_values=_floats(args.sigma2),
+    rows = figure1_table(n_grid=n_grid, sigma2_values=parse_floats(args.sigma2, "sigma2"),
                          target=args.target)
     out = args.out or os.path.join(_default_out(), "figure1.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -108,7 +106,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure234(args) -> int:
     pairs, panels = figure234_tables(
-        cv_kind=args.cv, radius_list=_floats(args.radii),
+        cv_kind=args.cv, radius_list=parse_floats(args.radii, "radii"),
         order_list=[int(v) for v in args.orders.split(",")],
         K_list=[int(v) for v in args.centroids.split(",")], seed=args.seed)
     out_dir = args.out or _default_out()
@@ -126,8 +124,9 @@ def cmd_figure234(args) -> int:
 
 def cmd_figure5(args) -> int:
     out_dir = args.out or _default_out()
-    figure5_study(sigma2_targets=_floats(args.targets), n_iter=args.iterations,
-                  seed=args.seed, out_dir=out_dir, cv_order=args.cv_order)
+    figure5_study(sigma2_targets=parse_floats(args.targets, "targets"),
+                  n_iter=args.iterations, seed=args.seed, out_dir=out_dir,
+                  cv_order=args.cv_order)
     print(f"wrote figure5 tables to {out_dir}")
     return 0
 
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsvParseError, DomainError) as exc:
+    except (ConfigError, CsvParseError, DomainError, CacheBuildError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SamplerError, OSError) as exc:

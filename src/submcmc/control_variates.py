@@ -387,10 +387,10 @@ class _Differences:
     bound once per chain.  Indices are trusted (in range) and theta is a
     float array: the public functions check both before they get here.
 
-    A subclass supplies `_terms(theta, rows, need_d) -> (at, d, s)`, where
-    `at` is what `_total(at)` and `_grad_total(at)` take for sum_i q_i and
-    sum_i grad q_i, and `_weighted(weights, s, rows)`, the weighted sum of
-    the gradients of d_i."""
+    A subclass supplies `_terms(theta, rows, need_d, need_s) -> (at, d, s)`,
+    with d_i and their gradients s each None unless asked for and `at` what
+    `_total(at)` and `_grad_total(at)` take for sum_i q_i and sum_i grad q_i,
+    and `_weighted(weights, s, rows)`, the weighted sum of the gradients of d_i."""
 
     def __init__(self, model: ModelSpec, cache, dataset: Dataset):
         self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
@@ -399,11 +399,20 @@ class _Differences:
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self)
 
+    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
+        _, d, s = self._terms(theta, rows, True, grad)
+        return (d, s) if grad else d
+
+    def estimate_terms(self, theta, rows: SubsampleRows):
+        """(d_i, sum_i q_i) at gathered rows."""
+        at, d, _ = self._terms(theta, rows, True, False)
+        return d, self._total(at)
+
     def potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
         """(U, grad U, log_phat) of the HMC-ECS potential at gathered rows:
         U = -(log_phat + log prior) with log_phat the difference estimate
         less half its sample variance."""
-        at, d, s = self._terms(theta, rows, True)
+        at, d, s = self._terms(theta, rows, True, True)
         value, sample_variance, centered = difference_total(self._total(at), d, self.n)
         log_phat = value - sample_variance / 2.0
         grad = self._gradient(theta, rows, at, s, centered if include_variance_grad else None)
@@ -413,7 +422,7 @@ class _Differences:
         """grad U of `potential` to the bit, without sum_i q_i, the sample
         variance or the prior density; the differences are computed only
         for the variance term."""
-        at, d, s = self._terms(theta, rows, include_variance_grad)
+        at, d, s = self._terms(theta, rows, include_variance_grad, True)
         return self._gradient(theta, rows, at, s,
                               _centered_differences(d)[1] if include_variance_grad else None)
 
@@ -441,21 +450,11 @@ class _GlmDifferences(_Differences):
         return SubsampleRows(idx, self, self._y[idx], self._design(self.dataset, idx),
                              self._eta0[idx])
 
-    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
-        return self._remainder(rows.y, rows.eta0, rows.W @ (theta - self._theta0),
-                               self._order, grad)
-
-    def estimate_terms(self, theta, rows: SubsampleRows):
-        """(d_i, sum_i q_i) at gathered rows, sharing theta - theta0 between them."""
+    def _terms(self, theta, rows, need_d, need_s):
+        # the remainder gives d whether asked or not; the totals take theta - theta0
         delta = theta - self._theta0
-        d = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order)
-        return d, self._total(delta)
-
-    def _terms(self, theta, rows, need_d):
-        # the remainder gives d with s; the totals are taken at theta - theta0
-        delta = theta - self._theta0
-        d, s = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order, True)
-        return delta, d, s
+        out = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order, need_s)
+        return (delta, *out) if need_s else (delta, out, None)
 
     @staticmethod
     def _weighted(weights, s, rows):
@@ -465,22 +464,13 @@ class _GlmDifferences(_Differences):
 class _PlainDifferences(_Differences):
     """Any other cache: ell_i from the model less q_i from the cache."""
 
-    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
-        d = self._ell_less_q(theta, rows.idx)
-        return (d, self._grads(theta, rows.idx)) if grad else d
-
-    def estimate_terms(self, theta, rows: SubsampleRows):
-        return self._ell_less_q(theta, rows.idx), self.cache.sum_values(theta)
-
-    def _ell_less_q(self, theta, idx):
-        return self.model.loglik(theta, self.dataset, idx) - self.cache.values_at(theta, idx)
-
-    def _grads(self, theta, idx):
-        return self.model.grad_theta(theta, self.dataset, idx) - self.cache.grads_at(theta, idx)
-
-    def _terms(self, theta, rows, need_d):
-        d = self._ell_less_q(theta, rows.idx) if need_d else None
-        return theta, d, self._grads(theta, rows.idx)
+    def _terms(self, theta, rows, need_d, need_s):
+        idx = rows.idx
+        d = (self.model.loglik(theta, self.dataset, idx)
+             - self.cache.values_at(theta, idx)) if need_d else None
+        s = (self.model.grad_theta(theta, self.dataset, idx)
+             - self.cache.grads_at(theta, idx)) if need_s else None
+        return theta, d, s
 
     # looked up per call: a cache without gradients still serves the estimators
     def _total(self, theta):

@@ -112,45 +112,49 @@ def apply_overrides(cfg: dict, overrides) -> dict:
 # Config access helpers
 # ---------------------------------------------------------------------------
 
-def _get_int(cfg, key, default=None, required=False):
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def parse_floats(text: str, key: str = "value") -> np.ndarray:
+    """Comma-separated finite numbers, from a config value or a CLI option;
+    ConfigError naming `key` otherwise."""
+    try:
+        return np.array([_finite(v) for v in text.split(",") if v.strip() != ""])
+    except ValueError:
+        raise ConfigError(key, f"expected comma-separated numbers, got {text!r}") from None
+
+
+_EXPECTED = {int: "an integer", float: "a number", parse_floats: "comma-separated numbers"}
+
+
+def _get(cfg, key, parse=str, default=None, required=False, choices=None):
+    """cfg[key] parsed by `parse` (int, float, parse_floats or str) and
+    checked against `choices`; `default` when the key is absent.  Numbers
+    must be finite."""
     if key not in cfg:
         if required:
             raise ConfigError(key, "required field is missing")
         return default
+    raw = cfg[key]
     try:
-        return int(cfg[key])
+        value = _finite(raw) if parse is float else parse(raw)
     except ValueError:
-        raise ConfigError(key, f"expected an integer, got {cfg[key]!r}") from None
-
-
-def _get_float(cfg, key, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(key, "required field is missing")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {cfg[key]!r}") from None
-
-
-def _get_floats(cfg, key, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(key, "required field is missing")
-        return default
-    try:
-        return np.array([float(v) for v in cfg[key].split(",") if v.strip() != ""])
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated numbers, got {cfg[key]!r}") from None
-
-
-def _get_choice(cfg, key, choices, default=None, required=False):
-    value = cfg.get(key, default)
-    if value is None and required:
-        raise ConfigError(key, "required field is missing")
-    if value is not None and value not in choices:
+        raise ConfigError(key, f"expected {_EXPECTED[parse]}, got {raw!r}") from None
+    if choices is not None and value not in choices:
         raise ConfigError(key, f"expected one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def _take(cfg, resolved, key, parse=str, default=None, required=False, choices=None):
+    """`_get`, echoing the value into `resolved` unless it is None."""
+    value = _get(cfg, key, parse, default, required, choices)
+    if value is not None:
+        resolved[key] = _fmt(value)
     return value
 
 
@@ -180,22 +184,15 @@ class RunPlan:
 def build_dataset(cfg: dict) -> tuple[Dataset, dict]:
     resolved = {}
     if "data" in cfg:
-        dataset = load_dataset(cfg["data"])
-        resolved["data"] = cfg["data"]
-    elif "simulate_n" in cfg:
-        n = _get_int(cfg, "simulate_n", required=True)
-        theta = _get_floats(cfg, "simulate_theta", required=True)
-        sim_seed = _get_int(cfg, "simulate_seed", default=EXAMPLE_SEED)
-        law = _get_choice(cfg, "simulate_law", {"standard_normal", "uniform"},
-                          default="standard_normal")
-        dataset = simulate_poisson(n, theta, covariate_law=law, seed=sim_seed)
-        resolved.update({
-            "simulate_n": str(n), "simulate_theta": _fmt(theta),
-            "simulate_seed": str(sim_seed), "simulate_law": law,
-        })
-    else:
+        return load_dataset(_take(cfg, resolved, "data")), resolved
+    if "simulate_n" not in cfg:
         raise ConfigError("data", "provide a dataset path or simulate_n/simulate_theta")
-    return dataset, resolved
+    n = _take(cfg, resolved, "simulate_n", int)
+    theta = _take(cfg, resolved, "simulate_theta", parse_floats, required=True)
+    sim_seed = _take(cfg, resolved, "simulate_seed", int, default=EXAMPLE_SEED)
+    law = _take(cfg, resolved, "simulate_law", default="standard_normal",
+                choices={"standard_normal", "uniform"})
+    return simulate_poisson(n, theta, covariate_law=law, seed=sim_seed), resolved
 
 
 def _pilot_mode(model: ModelSpec, dataset: Dataset, seed):
@@ -212,7 +209,7 @@ def _resolve_expansion(cfg, model, dataset, pilot, resolved) -> np.ndarray:
     elif raw == "exact":
         point = select_expansion_point(model, dataset, exact=True)
     else:
-        point = _get_floats(cfg, "expansion", required=True)
+        point = _get(cfg, "expansion", parse_floats)
         if point.size != model.dim(dataset):
             raise ConfigError("expansion", "dimension mismatch with the model")
     resolved["expansion"] = _fmt(point)
@@ -220,21 +217,17 @@ def _resolve_expansion(cfg, model, dataset, pilot, resolved) -> np.ndarray:
 
 
 def _build_cache(cfg, model, dataset, seed, resolved, pilot):
-    kind = _get_choice(cfg, "cv", {"param", "data", "exact"}, default="param")
-    resolved["cv"] = kind
+    kind = _take(cfg, resolved, "cv", default="param", choices={"param", "data", "exact"})
     if kind == "exact":
         return ExactControlVariate(model, dataset)
-    order = _get_int(cfg, "order", default=2)
+    order = _take(cfg, resolved, "order", int, default=2)
     if order not in (0, 1, 2):
         raise ConfigError("order", "must be 0, 1 or 2")
-    resolved["order"] = str(order)
     if kind == "param":
         point = _resolve_expansion(cfg, model, dataset, pilot, resolved)
         return build_param_expanded(model, dataset, point, order=order)
-    K = _get_int(cfg, "centroids", default=75)
-    resolved["centroids"] = str(K)
-    cseed = _get_int(cfg, "cluster_seed", default=seed)
-    resolved["cluster_seed"] = str(cseed)
+    K = _take(cfg, resolved, "centroids", int, default=75)
+    cseed = _take(cfg, resolved, "cluster_seed", int, default=seed)
     clustering = kmeans_cluster(dataset, K, seed=cseed)
     if not clustering.converged:
         resolved["kmeans_converged"] = "0"
@@ -283,24 +276,22 @@ def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
 
 def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
     if "m" in cfg:
-        m = _get_int(cfg, "m", required=True)
+        m = _take(cfg, resolved, "m", int)
         if m < 1:
             raise ConfigError("m", "subsample size must be >= 1")
-        resolved["m"] = str(m)
-        # keep planning fields in the echo so rerunning an echoed config
-        # reproduces it byte-for-byte
+        _get(cfg, "sigma2_target", float)
+        # keep planning fields in the echo as written, so rerunning an
+        # echoed config reproduces it byte-for-byte
         for key in ("sigma2_target", "plan_degenerate", "plan_floored"):
-            if key in cfg:
-                resolved[key] = cfg[key]
+            _take(cfg, resolved, key)
         return m
-    target = _get_float(cfg, "sigma2_target")
+    target = _take(cfg, resolved, "sigma2_target", float)
     if target is None:
         raise ConfigError("m", "provide m or sigma2_target")
     if target <= 0:
         raise ConfigError("sigma2_target", "target variance must be positive")
     sigma2 = _pilot_sigma2(model, dataset, cache, expansion, seed)
     m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2, target))
-    resolved["sigma2_target"] = repr(target)
     if degenerate:
         resolved["plan_degenerate"] = "1"
     if m < _MIN_SUBSAMPLE:
@@ -318,35 +309,30 @@ def _check_blocks(dependence: DependenceConfig, m: int) -> None:
 def resolve(cfg: dict) -> tuple[RunPlan, dict]:
     """Validate against the sampler requirement matrix and resolve defaults."""
     resolved = {}
-    model_name = _get_choice(cfg, "model", set(MODELS), required=True)
-    resolved["model"] = model_name
-    model = MODELS[model_name]()
+    model = MODELS[_take(cfg, resolved, "model", required=True, choices=set(MODELS))]()
     dataset, ds_resolved = build_dataset(cfg)
     resolved.update(ds_resolved)
     model.check_response(dataset.y)
 
-    sampler = _get_choice(cfg, "sampler", {"mh", "pmmh", "hmc", "hmc_ecs"}, required=True)
-    resolved["sampler"] = sampler
-    n_iter = _get_int(cfg, "iterations", required=True)
+    sampler = _take(cfg, resolved, "sampler", required=True,
+                    choices={"mh", "pmmh", "hmc", "hmc_ecs"})
+    n_iter = _take(cfg, resolved, "iterations", int, required=True)
     if n_iter < 1:
         raise ConfigError("iterations", "must be >= 1")
-    burn_in = _get_int(cfg, "burn_in", default=0)
+    burn_in = _take(cfg, resolved, "burn_in", int, default=0)
     if not 0 <= burn_in < n_iter:
         raise ConfigError("burn_in", "must satisfy 0 <= burn_in < iterations")
-    seed = _get_int(cfg, "seed", default=0)
-    chains = _get_int(cfg, "chains", default=1)
+    seed = _take(cfg, resolved, "seed", int, default=0)
+    chains = _take(cfg, resolved, "chains", int, default=1)
     if chains < 1:
         raise ConfigError("chains", "must be >= 1")
-    resolved.update({"iterations": str(n_iter), "burn_in": str(burn_in),
-                     "seed": str(seed), "chains": str(chains)})
 
     d = model.dim(dataset)
     pilot = _pilot_mode(model, dataset, seed)
-    raw_theta0 = cfg.get("theta0", "pilot")
-    if raw_theta0 == "pilot":
+    if cfg.get("theta0", "pilot") == "pilot":
         theta0 = pilot()
     else:
-        theta0 = _get_floats(cfg, "theta0", required=True)
+        theta0 = _get(cfg, "theta0", parse_floats)
         if theta0.size != d:
             raise ConfigError("theta0", f"expected {d} coordinates")
     resolved["theta0"] = _fmt(theta0)
@@ -355,47 +341,36 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
                    n_iter=n_iter, burn_in=burn_in, seed=seed, chains=chains)
 
     if sampler == "pmmh":
-        est_name = _get_choice(cfg, "estimator", {"difference", "block_poisson"},
-                               required=True)
-        resolved["estimator"] = est_name
+        est_name = _take(cfg, resolved, "estimator", required=True,
+                         choices={"difference", "block_poisson"})
         # built before the proposal, whose Laplace shape at the expansion
         # point then reads the summed Hessian from the cache
         plan.cache = _build_cache(cfg, model, dataset, seed, resolved, pilot)
 
     if sampler in ("mh", "pmmh"):
-        kappa = _get_float(cfg, "kappa")
-        omega_kind = _get_choice(cfg, "omega", {"identity", "laplace"}, default="identity")
-        shape = None
-        if omega_kind == "laplace":
-            shape = laplace_covariance(model, dataset, theta0, plan.cache)
+        kappa = _take(cfg, resolved, "kappa", float, default=2.38 / math.sqrt(d))
+        omega_kind = _take(cfg, resolved, "omega", default="identity",
+                           choices={"identity", "laplace"})
         plan.proposal = ProposalConfig(
-            kind=_get_choice(cfg, "proposal_kind", {"rwm", "independence"}, default="rwm"),
-            step_scale=kappa, shape=shape)
-        resolved["proposal_kind"] = plan.proposal.kind
-        resolved["omega"] = omega_kind
-        resolved["kappa"] = repr(float(kappa) if kappa is not None else 2.38 / math.sqrt(d))
-        if kappa is None:
-            plan.proposal.step_scale = 2.38 / math.sqrt(d)
+            kind=_take(cfg, resolved, "proposal_kind", default="rwm",
+                       choices={"rwm", "independence"}),
+            step_scale=kappa, shape=laplace_covariance(model, dataset, theta0, plan.cache)
+            if omega_kind == "laplace" else None)
 
     if sampler in ("hmc", "hmc_ecs"):
-        eps = _get_float(cfg, "epsilon", required=True)
-        steps = _get_int(cfg, "leapfrog_steps", required=True)
-        plan.hmc = HmcConfig(step_size=eps, n_steps=steps)
-        resolved["epsilon"] = repr(eps)
-        resolved["leapfrog_steps"] = str(steps)
+        plan.hmc = HmcConfig(
+            step_size=_take(cfg, resolved, "epsilon", float, required=True),
+            n_steps=_take(cfg, resolved, "leapfrog_steps", int, required=True))
 
     if sampler in ("pmmh", "hmc_ecs"):
-        dep_kind = _get_choice(cfg, "dependence", {"independent", "cpm", "bpm"},
-                               default="independent")
-        resolved["dependence"] = dep_kind
+        dep_kind = _take(cfg, resolved, "dependence", default="independent",
+                         choices={"independent", "cpm", "bpm"})
         if dep_kind == "cpm":
-            phi = _get_float(cfg, "phi", required=True)
-            plan.dependence = DependenceConfig(kind="cpm", ar_coef=phi)
-            resolved["phi"] = repr(phi)
+            plan.dependence = DependenceConfig(
+                kind="cpm", ar_coef=_take(cfg, resolved, "phi", float, required=True))
         elif dep_kind == "bpm":
-            blocks = _get_int(cfg, "blocks", required=True)
-            plan.dependence = DependenceConfig(kind="bpm", n_blocks=blocks)
-            resolved["blocks"] = str(blocks)
+            plan.dependence = DependenceConfig(
+                kind="bpm", n_blocks=_take(cfg, resolved, "blocks", int, required=True))
         else:
             plan.dependence = DependenceConfig()
 
@@ -408,29 +383,30 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         else:
             if plan.dependence.kind == "cpm":
                 raise ConfigError("dependence", "cpm does not apply to the product estimator")
-            lam = _get_int(cfg, "lambda", required=True)
-            m_b = _get_int(cfg, "m_b", required=True)
+            lam = _take(cfg, resolved, "lambda", int, required=True)
+            m_b = _take(cfg, resolved, "m_b", int, required=True)
             if lam < 1 or m_b < 1:
                 raise ConfigError("lambda", "lambda and m_b must be >= 1")
             if plan.dependence.kind == "bpm" and lam % plan.dependence.n_blocks != 0:
                 raise ConfigError("blocks", "block count must divide lambda")
-            bound = _get_float(cfg, "a")
+            bound = _take(cfg, resolved, "a", float)
             if bound is None:
                 rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence(chain_seed(seed, _TAG_BOUND))))
                 pilot_m = min(dataset.n, max(_MIN_SUBSAMPLE, 10 * m_b))
                 bound = default_soft_bound(model, plan.cache, dataset, expansion,
                                            lam, pilot_m, rng)
+                resolved["a"] = _fmt(bound)
             plan.estimator = BlockPoissonConfig(n_products=lam, batch_size=m_b, bound=bound)
-            resolved.update({"lambda": str(lam), "m_b": str(m_b), "a": repr(float(bound))})
 
     if sampler == "hmc_ecs":
-        kind = _get_choice(cfg, "cv", {"param", "exact"}, default="param")
+        kind = _get(cfg, "cv", default="param", choices={"param", "exact"})
         plan.cache = _build_cache({**cfg, "cv": kind}, model, dataset, seed, resolved, pilot)
         expansion = getattr(plan.cache, "expansion_point", theta0)
         plan.m = _resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion)
         _check_blocks(plan.dependence, plan.m)
-        plan.include_variance_grad = cfg.get("variance_grad", "1") not in ("0", "false")
+        plan.include_variance_grad = _get(cfg, "variance_grad", default="1",
+                                          choices={"0", "1", "false", "true"}) in ("1", "true")
         resolved["variance_grad"] = "1" if plan.include_variance_grad else "0"
 
     return plan, resolved
@@ -684,10 +660,9 @@ def figure5_study(sigma2_targets=(0.0, 1.0, 10.0, 50.0), n_iter: int = 20000,
 
 def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     """Planning rows (target variance -> subsample size) for a model/CV config."""
-    model_name = _get_choice(cfg, "model", set(MODELS), required=True)
-    model = MODELS[model_name]()
+    model = MODELS[_get(cfg, "model", required=True, choices=set(MODELS))]()
     dataset, _ = build_dataset(cfg)
-    seed = _get_int(cfg, "seed", default=0)
+    seed = _get(cfg, "seed", int, default=0)
     pilot = _pilot_mode(model, dataset, seed)
     cache = _build_cache(cfg, model, dataset, seed, {}, pilot)
     center = getattr(cache, "expansion_point", None)

@@ -27,6 +27,38 @@ BASE_RUN = dict(model="poisson", simulate_n="60", simulate_theta="0.5,0.5",
                 theta0="0.4,0.4")
 
 
+ECHO_BASE = dict(model="poisson", simulate_n="200", simulate_theta="0.6,0.4",
+                 iterations="150", seed="4")
+
+# one config per way `resolve` can echo a choice: the echo of each must
+# re-run to the same bytes, every per-chain file included
+ECHO_MATRIX = {
+    "mh-laplace": dict(sampler="mh", omega="laplace"),
+    "mh-independence": dict(sampler="mh", proposal_kind="independence", omega="laplace",
+                            simulate_law="uniform", kappa="1.2"),
+    "hmc": dict(sampler="hmc", epsilon="0.05", leapfrog_steps="4"),
+    "pmmh-given-m": dict(simulate_n="80", sampler="pmmh", estimator="difference", m="8",
+                         cv="param", order="2"),
+    "pmmh-planned-m": dict(sampler="pmmh", estimator="difference", sigma2_target="1.0",
+                           order="1"),
+    "pmmh-cpm-exact": dict(sampler="pmmh", estimator="difference", m="20",
+                           dependence="cpm", phi="0.9", expansion="exact"),
+    "pmmh-bpm-exact-cv": dict(sampler="pmmh", estimator="difference", m="20",
+                              dependence="bpm", blocks="4", cv="exact"),
+    "pmmh-data-cv": dict(sampler="pmmh", estimator="difference", m="20", cv="data",
+                         centroids="20"),
+    "bp-default-a": dict(sampler="pmmh", estimator="block_poisson", m_b="10",
+                         **{"lambda": "4"}),
+    "bp-given-a-bpm": dict(sampler="pmmh", estimator="block_poisson", m_b="10",
+                           a="-6.5", dependence="bpm", blocks="2", **{"lambda": "4"}),
+    "ecs-bpm": dict(sampler="hmc_ecs", epsilon="0.05", leapfrog_steps="4", m="30",
+                    dependence="bpm", blocks="3"),
+    "ecs-exact-vg0": dict(sampler="hmc_ecs", epsilon="0.05", leapfrog_steps="4", m="30",
+                          cv="exact", variance_grad="0"),
+    "mh-chains": dict(sampler="mh", chains="2", iterations="100"),
+}
+
+
 def r_squared(ell, q):
     resid = np.sum((ell - q) ** 2)
     total = np.sum((ell - ell.mean()) ** 2)
@@ -57,16 +89,18 @@ class TestRunCommand:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
-    def test_rerun_from_echoed_config_reproduces_outputs(self, tmp_path):
-        cfg = write_config(tmp_path / "run.cfg", model="poisson", simulate_n="80",
-                           simulate_theta="0.6,0.4", sampler="pmmh",
-                           estimator="difference", m="8", cv="param", order="2",
-                           iterations="150", seed="4")
+    @pytest.mark.parametrize("settings", ECHO_MATRIX.values(), ids=ECHO_MATRIX.keys())
+    def test_rerun_from_echoed_config_reproduces_outputs(self, tmp_path, settings):
+        cfg = write_config(tmp_path / "run.cfg", **{**ECHO_BASE, **settings})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
         echo = out1 / "config_resolved.cfg"
         assert main(["run", "--config", str(echo), "--out", str(out2)]) == 0
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+        written = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert written == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        assert len(written) == 1 + 2 * int(settings.get("chains", "1"))
+        for name in written:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_missing_cpm_coefficient_names_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN, sampler2="ignored")
@@ -99,6 +133,38 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "run.cfg",
                            **{**BASE_RUN, "theta0": "1e300,1e300"})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("field, settings", [
+        ("kappa", {"kappa": "nan"}),
+        ("theta0", {"theta0": "0.4,inf"}),
+        ("simulate_theta", {"simulate_theta": "1.0,nan"}),
+        ("epsilon", {"sampler": "hmc", "epsilon": "nan", "leapfrog_steps": "4"}),
+        ("sigma2_target", {"sampler": "pmmh", "estimator": "difference",
+                           "sigma2_target": "nan"}),
+        ("sigma2_target", {"sampler": "pmmh", "estimator": "difference", "m": "10",
+                           "sigma2_target": "inf"}),
+        ("a", {"sampler": "pmmh", "estimator": "block_poisson", "lambda": "4",
+               "m_b": "5", "a": "-inf"}),
+        # variance_grad takes exactly 0, 1, false or true
+        ("variance_grad", {"sampler": "hmc_ecs", "epsilon": "0.05",
+                           "leapfrog_steps": "4", "m": "12", "variance_grad": "no"}),
+    ])
+    def test_non_finite_or_unlisted_values_rejected_before_any_output(
+            self, tmp_path, capsys, field, settings):
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, **settings})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cache_build_failure_exits_two(self, tmp_path, capsys):
+        # exp(800) overflows, so the cache's totals are not finite
+        cfg = write_config(tmp_path / "run.cfg",
+                           **{**BASE_RUN, "sampler": "pmmh", "estimator": "difference",
+                              "m": "10", "expansion": "800,0"})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_multi_chain_files(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, "chains": "2",
@@ -202,6 +268,15 @@ class TestResolve:
         full_pass = laplace_covariance(plan.model, plan.dataset, plan.theta0)
         assert plan.proposal.shape.tobytes() == full_pass.tobytes()
 
+    @pytest.mark.parametrize("raw, flag", [("0", False), ("false", False),
+                                           ("1", True), ("true", True)])
+    def test_variance_grad_echoes_one_or_zero(self, raw, flag):
+        cfg = {**BASE_RUN, "simulate_n": "100", "sampler": "hmc_ecs", "epsilon": "0.05",
+               "leapfrog_steps": "4", "m": "12", "variance_grad": raw}
+        plan, resolved = resolve(cfg)
+        assert plan.include_variance_grad is flag
+        assert resolved["variance_grad"] == ("1" if flag else "0")
+
     def test_pilot_mode_is_computed_once(self, monkeypatch):
         from submcmc import experiments
 
@@ -230,6 +305,12 @@ class TestSimulateAndDiagnose:
                      "--out", str(out)]) == 0
         ds = load_dataset(out)
         assert ds.n == 40 and ds.p == 1
+
+    def test_simulate_rejects_non_finite_theta(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--n", "40", "--theta", "1,nan", "--out", str(out)]) == 2
+        assert "config error: theta:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnose_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
