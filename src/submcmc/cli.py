@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 invalid configuration or input data (non-finite
-numbers and control-variate cache failures included), 3 runtime sampler error.
+numbers, unreadable data files and control-variate cache failures
+included), 3 runtime sampler error.
 Output directory defaults to $SUBMCMC_OUTPUT_DIR, then ./submcmc_runs.
 """
 
@@ -24,6 +25,7 @@ from .experiments import (
     figure5_study,
     parse_config_file,
     parse_floats,
+    parse_ints,
     plan_table,
     read_trace_csv,
     run_experiment,
@@ -86,13 +88,20 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _log_grid(text: str) -> np.ndarray:
+    """The integers of a LO:HI:COUNT log grid; LO, HI and COUNT positive."""
+    fields = text.split(":")
+    try:
+        (lo, hi), (count,) = parse_floats(",".join(fields[:2])), parse_ints(fields[2])
+        if len(fields) != 3 or min(lo, hi, count) <= 0:
+            raise ValueError(text)
+    except (IndexError, ValueError):
+        raise ConfigError("n-grid", f"expected positive LO:HI:COUNT, got {text!r}") from None
+    return np.unique(np.logspace(np.log10(lo), np.log10(hi), count).astype(int))
+
+
 def cmd_figure1(args) -> int:
-    if args.n_grid:
-        lo, hi, count = args.n_grid.split(":")
-        n_grid = np.unique(np.logspace(np.log10(float(lo)), np.log10(float(hi)),
-                                       int(count)).astype(int))
-    else:
-        n_grid = None
+    n_grid = _log_grid(args.n_grid) if args.n_grid else None
     rows = figure1_table(n_grid=n_grid, sigma2_values=parse_floats(args.sigma2, "sigma2"),
                          target=args.target)
     out = args.out or os.path.join(_default_out(), "figure1.csv")
@@ -107,8 +116,8 @@ def cmd_figure1(args) -> int:
 def cmd_figure234(args) -> int:
     pairs, panels = figure234_tables(
         cv_kind=args.cv, radius_list=parse_floats(args.radii, "radii"),
-        order_list=[int(v) for v in args.orders.split(",")],
-        K_list=[int(v) for v in args.centroids.split(",")], seed=args.seed)
+        order_list=parse_ints(args.orders, "orders"),
+        K_list=parse_ints(args.centroids, "centroids"), seed=args.seed)
     out_dir = args.out or _default_out()
     os.makedirs(out_dir, exist_ok=True)
     comment = config_comment({"cv": args.cv, "radii": args.radii, "orders": args.orders,

@@ -129,6 +129,15 @@ def parse_floats(text: str, key: str = "value") -> np.ndarray:
         raise ConfigError(key, f"expected comma-separated numbers, got {text!r}") from None
 
 
+def parse_ints(text: str, key: str = "value") -> list[int]:
+    """Comma-separated integers, from a config value or a CLI option;
+    ConfigError naming `key` otherwise."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
+
+
 _EXPECTED = {int: "an integer", float: "a number", parse_floats: "comma-separated numbers"}
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import warnings
+import os
+import subprocess
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NoReturn
@@ -20,6 +22,7 @@ from typing import NoReturn
 import numpy as np
 from scipy import special
 
+from ._csvpart import CSV_FORMAT, SHAPE, parse
 from .errors import CacheBuildError, CsvParseError, DomainError
 
 
@@ -556,38 +559,216 @@ MODELS = {
 # Dataset IO and simulation
 # ---------------------------------------------------------------------------
 
-# the accepted CSV dialect, shared by the bulk parse and the error scan
-_CSV_FORMAT = dict(delimiter=",", quotechar='"', comments=None, dtype=float)
+# below this many bytes a part is not worth a worker process
+_MIN_PART_BYTES = 16 << 20
+# the first part, parsed in this process, is longer than each worker's by
+# about what this process parses while a worker starts Python and numpy
+# (0.3 s) and skips the lines before its part; on a 103 MB file on a 2-core
+# host, load times for 0 to 16 MB were within noise of each other
+_FIRST_PART_EXTRA_BYTES = 8 << 20
+_WORKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_csvpart.py")
 
 
 def load_dataset(path) -> Dataset:
     """Read a `y,x1,...,xp` CSV: UTF-8, a header row, ',' delimiter,
-    optional '"' quotes, blank lines skipped, '.' decimal point."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+    optional '"' quotes, blank lines skipped, '.' decimal point.
+
+    A large file is cut at line ends into one part per usable core.  This
+    process parses the first part while worker processes (`_csvpart.py`)
+    parse the others, and their rows are read straight into place.  Each
+    part is parsed by `np.loadtxt` from the file path, told the lines
+    before it and the rows in it, so the values are those of one pass over
+    the file, to the bit.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+        with open(path, "rb") as raw:
+            parts = _parts(raw)
+    except OSError as exc:
+        raise CsvParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if header is None:
         raise CsvParseError(f"{path}: empty file")
     width = len(header)
     if width < 1:
         raise CsvParseError(f"{path}: header has no columns")
+    workers = []
     try:
-        with warnings.catch_warnings():
-            # a header-only file is reported below as `no data rows`
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            data = np.loadtxt(path, skiprows=1, ndmin=2, encoding="utf-8", **_CSV_FORMAT)
+        for skip, rows in parts[1:]:
+            workers.append(_start_worker(path, skip, rows) if rows != 0 else None)
+        # each part as parsed rows, or as the (rows, cols) its worker announced
+        results = [_parse_or_raise(path, width, *parts[0])]
+        for proc, part in zip(workers, parts[1:]):
+            shape = _worker_shape(proc)
+            results.append(_parse_or_raise(path, width, *part) if shape is None else shape)
+        shapes = [r.shape if isinstance(r, np.ndarray) else r for r in results]
+        n_rows = sum(rows for rows, _ in shapes)
+        if n_rows == 0:
+            raise CsvParseError(f"{path}: no data rows")
+        for rows, cols in shapes:
+            if rows and cols != width:
+                _raise_first_bad_row(path, width, f"expected {width} columns, got {cols}")
+        # loadtxt grows its results outside numpy's allocator, so on Linux
+        # they get no huge pages.  This buffer, which every later full pass
+        # and subsample gather reads, gets them: a numpy-made copy of the
+        # whole parse made set-up 0.6 s shorter and sampling 3.7% faster at
+        # n = 1e6, d = 6 on a 2-core host.  Worker rows are read into it
+        # with no other copy.
+        data = np.empty((n_rows, width))
+        at = 0
+        for result, (rows, _), proc, part in zip(results, shapes, [None] + workers, parts):
+            block = data[at:at + rows]
+            at += rows
+            if isinstance(result, np.ndarray):
+                block[...] = result
+            elif not _fill(proc.stdout, block.reshape(-1).view(np.uint8)):
+                block[...] = _parse_or_raise(path, width, *part)
+    finally:
+        for proc in workers:
+            if proc is not None:
+                proc.kill()
+                proc.wait()
+                proc.stdout.close()
+    return Dataset(y=data[:, 0], X=data[:, 1:])
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(raw, start: int, stop: int, size: int = 1 << 20):
+    """The bytes [start, stop) of the binary file `raw`, `size` at a time."""
+    raw.seek(start)
+    while start < stop:
+        block = raw.read(min(size, stop - start))
+        if not block:
+            return
+        start += len(block)
+        yield block
+
+
+def _after_newline(raw, pos: int, size: int) -> int:
+    """The offset just after the first '\\n' at or after `pos`; `size` if none."""
+    for block in _blocks(raw, pos, size, 1 << 16):
+        at = block.find(b"\n")
+        if at != -1:
+            return pos + at + 1
+        pos += len(block)
+    return size
+
+
+def _parts(raw) -> list[tuple[int, int | None]]:
+    """(skip, rows) of each part of the binary file `raw`: the lines before
+    the part and the data rows in it, None in the last part.
+
+    There is one part per usable core, none under _MIN_PART_BYTES, each
+    ending at a '\\n' or at the end of the file, and the first part is
+    _FIRST_PART_EXTRA_BYTES longer than the others.  Lines end at '\\n' or
+    '\\r\\n', and only lines of no characters are not rows.  A file is
+    one part if a lone '\\r' ends a line before its last part, or if a '"'
+    follows its first line, since a quoted cell may hold a line break.
+    """
+    size = os.fstat(raw.fileno()).st_size
+    k = _usable_cores()
+    if _MIN_PART_BYTES:
+        k = min(k, size // _MIN_PART_BYTES)
+    first_line = _after_newline(raw, 0, size) if k > 1 else size
+    if (first_line == size or any(b"\r" in block for block in _blocks(raw, 0, first_line - 2))
+            or any(b'"' in block for block in _blocks(raw, first_line, size))):
+        return [(1, None)]
+    starts = _part_starts(raw, first_line, size, k)
+    parts, skip = [], 1
+    for start, stop in zip(starts, starts[1:]):
+        counts = _count_lines(raw, start, stop)
+        if counts is None:
+            return [(1, None)]
+        parts.append((skip, counts[0] - counts[1]))
+        skip += counts[0]
+    return parts + [(skip, None)]
+
+
+def _part_starts(raw, first_line: int, size: int, k: int) -> list[int]:
+    """Where the data of each of up to k parts starts: first_line, then
+    offsets just after a '\\n', the first part _FIRST_PART_EXTRA_BYTES
+    longer than the others."""
+    share = max(size - _FIRST_PART_EXTRA_BYTES, 0) // k
+    starts = [first_line]
+    for j in range(1, k):
+        cut = _after_newline(raw, max(size - (k - j) * share, starts[-1] + 1) - 1, size)
+        if cut == size:
+            break
+        starts.append(cut)
+    return starts
+
+
+def _count_lines(raw, start: int, stop: int) -> tuple[int, int] | None:
+    """(lines, empty lines) in bytes [start, stop) of the binary file `raw`,
+    whole lines after a '\\n'; None if a lone '\\r' ends one of them."""
+    lines = empty = 0
+    tail = b"\n\n"  # as if after an empty line: only the last byte matters
+    for block in _blocks(raw, start, stop):
+        window = tail + block
+        codes = np.frombuffer(window, np.uint8)
+        newline = codes == ord("\n")
+        ends = newline[2:]
+        after_end = newline[1:-1]
+        if b"\r" in window:
+            cr = codes == ord("\r")
+            if np.any(cr[1:-1] & ~newline[2:]):
+                return None
+            after_end = after_end | (cr[1:-1] & newline[:-2])
+        lines += int(np.count_nonzero(ends))
+        empty += int(np.count_nonzero(ends & after_end))
+        tail = window[-2:]
+    return lines, empty
+
+
+def _start_worker(path, skip: int, rows: int | None):
+    """A worker process parsing `rows` rows (None: all the rest) after the
+    first `skip` lines, or None if none starts."""
+    if not sys.executable:
+        return None
+    try:
+        return subprocess.Popen(
+            [sys.executable, _WORKER, os.fspath(path), str(skip),
+             str(-1 if rows is None else rows)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            bufsize=0)
+    except OSError:
+        return None
+
+
+def _worker_shape(proc):
+    """The (rows, cols) a worker announces once it has parsed its part;
+    None if it failed or never started."""
+    if proc is None:
+        return None
+    head = bytearray(SHAPE.size)
+    return SHAPE.unpack(head) if _fill(proc.stdout, head) else None
+
+
+def _fill(stream, buf) -> bool:
+    """Read `stream` into all of the bytes `buf`; False if it ends first."""
+    view = memoryview(buf)
+    while view:
+        n = stream.readinto(view)
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _parse_or_raise(path, width: int, skip: int, rows: int | None) -> np.ndarray:
+    """The part of `rows` rows after `skip` lines; a parse error is raised
+    naming its file line."""
+    if rows == 0:
+        return np.empty((0, width))
+    try:
+        return parse(path, skip, rows)
     except ValueError as exc:
         _raise_first_bad_row(path, width, str(exc))
-    if data.shape[0] == 0:
-        raise CsvParseError(f"{path}: no data rows")
-    if data.shape[1] != width:
-        _raise_first_bad_row(path, width, f"expected {width} columns, got {data.shape[1]}")
-    # loadtxt grows its result outside numpy's allocator, so on Linux the
-    # buffer gets no huge pages; every later full pass and subsample gather
-    # reads it.  A numpy-made copy gets them: at n = 1e6, d = 6 on a 2-core
-    # host it made set-up 0.6 s shorter and sampling 3.7% faster.
-    data = np.array(data)
-    return Dataset(y=data[:, 0], X=data[:, 1:])
 
 
 def _raise_first_bad_row(path, width: int, reason: str) -> NoReturn:
@@ -609,7 +790,7 @@ def _raise_first_bad_row(path, width: int, reason: str) -> NoReturn:
                     f"{path}: row {lineno}: expected {width} columns, got {len(cells)}"
                 )
             try:
-                np.loadtxt([line], **_CSV_FORMAT)
+                np.loadtxt([line], **CSV_FORMAT)
             except ValueError as exc:
                 # the single-line parse always reports its own row 0
                 detail = str(exc).replace(" at row 0,", " at")

@@ -484,9 +484,9 @@ def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: float,
-             n_steps: int, mass_inv: np.ndarray, evaluate=None, grad0=None):
+             n_steps: int, mass_inv: np.ndarray | None, evaluate=None, grad0=None):
     """Half momentum step, n_steps position steps with interleaved momentum
-    steps, closing half momentum step.
+    steps, closing half momentum step.  A mass_inv of None is the identity.
 
     `grad0`, when given, is the gradient at the start point, which is then
     not evaluated again.  Given `evaluate(theta) -> (U, grad U,
@@ -497,18 +497,26 @@ def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: floa
     theta = theta.copy()
     mom = mom - 0.5 * step_size * (grad_potential(theta) if grad0 is None else grad0)
     for step in range(1, n_steps):
-        theta = theta + step_size * (mass_inv @ mom)
+        theta = theta + step_size * (mom if mass_inv is None else mass_inv @ mom)
         mom = mom - step_size * grad_potential(theta)
-    theta = theta + step_size * (mass_inv @ mom)
+    theta = theta + step_size * (mom if mass_inv is None else mass_inv @ mom)
     if evaluate is None:
         return theta, mom - 0.5 * step_size * grad_potential(theta)
     U, g, loglik = evaluate(theta)
     return theta, mom - 0.5 * step_size * g, (U, g, loglik)
 
 
-def _hmc_machinery(cfg: HmcConfig, d: int):
-    M = np.asarray(cfg.mass, dtype=float) if cfg.mass is not None else np.eye(d)
+def _hmc_machinery(cfg: HmcConfig):
+    """(Cholesky factor of M, M^-1), or (None, None) for the identity mass,
+    whose products are skipped: they would return the same values."""
+    if cfg.mass is None:
+        return None, None
+    M = np.asarray(cfg.mass, dtype=float)
     return np.linalg.cholesky(M), np.linalg.inv(M)
+
+
+def _kinetic(mom: np.ndarray, M_inv: np.ndarray | None) -> float:
+    return 0.5 * float(mom @ (mom if M_inv is None else M_inv @ mom))
 
 
 def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
@@ -549,7 +557,7 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = _streams(seed)
-    chol_M, M_inv = _hmc_machinery(cfg, d)
+    chol_M, M_inv = _hmc_machinery(cfg)
     theta = theta0.copy()
     U, g, loglik = evaluate(theta)
     if not np.isfinite(U):
@@ -562,15 +570,15 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
         if u_step is not None:
             grad_potential, evaluate, trace.u_accept[i], U, g, loglik = u_step(
                 theta, U, g, loglik, rng_sub)
-        mom = chol_M @ next(normals)
+        mom = next(normals) if chol_M is None else chol_M @ next(normals)
         u = next(uniforms)
-        K = 0.5 * float(mom @ (M_inv @ mom))
+        K = _kinetic(mom, M_inv)
         # trajectories are allowed to blow up; the divergence guard below
         # is the designed response, so silence the intermediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
             theta_prop, mom_prop, (U_prop, g_prop, loglik_prop) = leapfrog(
                 grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate, g)
-            K_prop = 0.5 * float(mom_prop @ (M_inv @ mom_prop))
+            K_prop = _kinetic(mom_prop, M_inv)
         dH = (U_prop + K_prop) - (U + K)
         if not np.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
             diverged += 1

@@ -134,6 +134,15 @@ class TestRunCommand:
                            **{**BASE_RUN, "theta0": "1e300,1e300"})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_data_file_exits_two(self, tmp_path, capsys, name):
+        data = tmp_path / name
+        cfg = write_config(tmp_path / "run.cfg", **BASE_RUN, data=str(data))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {data}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, settings", [
         ("kappa", {"kappa": "nan"}),
         ("theta0", {"theta0": "0.4,inf"}),
@@ -350,6 +359,15 @@ class TestFigure1:
                              target=3.3)
         assert rows[0]["fraction"] == pytest.approx(1e8 / 1003.3 / 1e5, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", ["1:x:3", "10:1000", "10:1000:3:4", "0:1000:3",
+                                      "10:1000:2.5"])
+    def test_malformed_n_grid_exits_two(self, tmp_path, capsys, grid):
+        out = tmp_path / "figure1.csv"
+        assert main(["figure1", "--n-grid", grid, "--out", str(out)]) == 2
+        assert f"config error: n-grid: expected positive LO:HI:COUNT, got '{grid}'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_cli_writes_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUBMCMC_OUTPUT_DIR", str(tmp_path))
         assert main(["figure1", "--sigma2", "0.01"]) == 0
@@ -385,6 +403,13 @@ class TestFigure234:
         for p in pairs:
             assert p["q"] == pytest.approx(p["ell"], abs=1e-9)
         assert all(panel["m_opt"] == 1 for panel in panels)
+
+    @pytest.mark.parametrize("flag, value", [("--orders", "1,x"), ("--centroids", "7,x")])
+    def test_malformed_integer_list_exits_two(self, tmp_path, capsys, flag, value):
+        assert main(["figure234", flag, value, "--out", str(tmp_path)]) == 2
+        assert (f"config error: {flag[2:]}: expected comma-separated integers, got '{value}'"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_cli_writes_both_tables(self, tmp_path):
         assert main(["figure234", "--cv", "param", "--radii", "0.025",

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from submcmc import (
     save_dataset,
     simulate_poisson,
 )
+from submcmc import models
 
 # ---------------------------------------------------------------------------
 # finite-difference oracles
@@ -326,13 +329,27 @@ class TestNormalMean:
 # ---------------------------------------------------------------------------
 
 
-class TestDatasetIO:
-    def test_simulation_is_deterministic(self):
-        a = simulate_poisson(1000, (1.0, 0.75), seed=123)
-        b = simulate_poisson(1000, (1.0, 0.75), seed=123)
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
-        c = simulate_poisson(1000, (1.0, 0.75), seed=124)
-        assert not np.array_equal(a.y, c.y)
+TABLES = st.integers(0, 3).flatmap(lambda p: arrays(
+    np.float64, st.tuples(st.integers(1, 6), st.just(p + 1)),
+    elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+def check_round_trip_is_bit_exact(table):
+    ds = Dataset(y=table[:, 0], X=table[:, 1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "round.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+    assert back.X.shape == ds.X.shape
+    assert back.y.tobytes() == ds.y.tobytes()
+    assert np.ascontiguousarray(back.X).tobytes() == np.ascontiguousarray(ds.X).tobytes()
+
+
+class CsvCases:
+    """load_dataset cases run on one part (TestDatasetIO) and on a forced
+    split into three parts, two of them parsed by worker processes
+    (TestDatasetIOSplit).  Each class also runs the round trip of
+    check_round_trip_is_bit_exact under hypothesis."""
 
     def test_csv_round_trip(self, tmp_path):
         ds = Dataset(y=np.array([0.0, 3.0, 1.0]),
@@ -351,26 +368,16 @@ class TestDatasetIO:
         with pytest.raises(CsvParseError, match="row 3"):
             load_dataset(path)
 
-    @settings(max_examples=50, deadline=None)
-    @given(table=st.integers(0, 3).flatmap(lambda p: arrays(
-        np.float64, st.tuples(st.integers(1, 6), st.just(p + 1)),
-        elements=st.floats(allow_nan=False, allow_infinity=False))))
-    def test_csv_round_trip_is_bit_exact(self, table):
-        ds = Dataset(y=table[:, 0], X=table[:, 1:])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "round.csv"
-            save_dataset(ds, path)
-            back = load_dataset(path)
-        assert back.X.shape == ds.X.shape
-        assert back.y.tobytes() == ds.y.tobytes()
-        assert np.ascontiguousarray(back.X).tobytes() == np.ascontiguousarray(ds.X).tobytes()
-
     @pytest.mark.parametrize("text", [
         'y,x1\n"1","0.5"\n2,"-1e-3"\n',
         "y,x1\r\n1,0.5\r\n\r\n2,-1e-3\r\n",
         "\ufeffy,x1\n1,0.5\n2,-1e-3\n",
         "y,x1\n\n1,0.5\n\n2,-1e-3\n\n",
-    ], ids=["quoted", "crlf", "bom", "blank-lines"])
+        "y,x1\r1,0.5\r\r2,-1e-3\r",
+        "y,x1\n1,0.5\r\r\n2,-1e-3",
+        'y,x1\n"1\n",0.5\n"2\n\n",-1e-3\n',
+    ], ids=["quoted", "crlf", "bom", "blank-lines", "cr", "mixed-newlines",
+            "quoted-line-break"])
     def test_accepted_dialect(self, tmp_path, text):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -404,6 +411,167 @@ class TestDatasetIO:
         path.write_text(text)
         with pytest.raises(CsvParseError, match=row):
             load_dataset(path)
+
+    @pytest.mark.parametrize("make", [lambda d: d / "missing.csv", lambda d: d],
+                             ids=["missing", "directory"])
+    def test_unreadable_path_names_the_file(self, tmp_path, make):
+        path = make(tmp_path)
+        with pytest.raises(CsvParseError, match=f"{path}: cannot read"):
+            load_dataset(path)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The worker processes load_dataset starts; after the test, each must
+    have been reaped."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    yield started
+    assert all(proc.returncode is not None for proc in started)
+
+
+@pytest.fixture
+def split(monkeypatch, workers):
+    """Cut every file into up to three parts: two for workers, one for this process."""
+    monkeypatch.setattr(models, "_MIN_PART_BYTES", 0)
+    monkeypatch.setattr(models, "_FIRST_PART_EXTRA_BYTES", 0)
+    monkeypatch.setattr(models, "_usable_cores", lambda: 3)
+    return workers
+
+
+class TestDatasetIOSplit(CsvCases):
+    @pytest.fixture(autouse=True)
+    def _split(self, split):
+        return split
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=TABLES)
+    def test_csv_round_trip_is_bit_exact(self, table):
+        check_round_trip_is_bit_exact(table)
+
+    def test_parts_run_in_workers(self, tmp_path, split):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n" + "".join(f"{i},0.5\n" for i in range(30)))
+        assert np.array_equal(load_dataset(path).y, np.arange(30.0))
+        assert len(split) == 2
+
+
+CUT_CASES = {
+    "blank-lines": "y,x1\n\n1,0.5\n\n\n2,-1e-3\n\n",
+    "no-final-newline": "y,x1\n1,0.5\n\n2,-1e-3\n3,4",
+    "crlf": "y,x1\r\n1,0.5\r\n\r\n2,-1e-3\r\n3,4\r\n\r\n",
+    "lf-and-crlf": "y,x1\n1,0.5\r\n\n2,-1e-3\n\r\n3,4\r\n",
+    "quoted-header": '"y","x1"\n1,0.5\n\n2,3\n',
+    "whitespace-line": "y,x1\n1,0.5\n   \n2,0.5\n",
+    "bad-cell": "y,x1\n1,0.5\n2,0.5\n3,x\n4,0\n",
+    "ragged": "y,x1\n1,0.5\n\n2\n3,1\n",
+}
+
+
+@pytest.mark.parametrize("text", list(CUT_CASES.values()), ids=list(CUT_CASES))
+def test_every_cut_gives_the_one_part_result(tmp_path, monkeypatch, split, text):
+    """This process parses the lines before a cut and a worker the rest,
+    for every cut just after a '\\n': the rows, or the error and the file
+    line it names, are those of the file parsed in one part.  A worker's
+    part of blank lines has no rows, and no worker starts for it."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(models, "_MIN_PART_BYTES", 1 << 30)
+    try:
+        want = load_dataset(path)
+    except CsvParseError as exc:
+        want = str(exc)
+    monkeypatch.setattr(models, "_MIN_PART_BYTES", 0)
+    first_line = text.index("\n") + 1
+    for cut in range(first_line + 1, len(text)):
+        if text[cut - 1] != "\n":
+            continue
+        monkeypatch.setattr(models, "_part_starts",
+                            lambda raw, first_line, size, k, cut=cut: [first_line, cut])
+        try:
+            got = load_dataset(path)
+        except CsvParseError as exc:
+            assert str(exc) == want, cut
+        else:
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.X, want.X), cut
+    assert split
+
+
+@pytest.mark.parametrize("text", [
+    "y,x1\n1,0.5\r2,-1e-3\n" + "3,4\n" * 8,
+    "y,x1\r\r\n1,0.5\n2,-1e-3\n" + "3,4\n" * 8,
+    'y,x1\n1,0.5\n2,"-1e-3"\n' + "3,4\n" * 8,
+], ids=["lone-cr", "lone-cr-in-header", "quoted-cell"])
+def test_lone_carriage_return_or_quote_keeps_one_part(tmp_path, monkeypatch, split, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    got = load_dataset(path)
+    assert not split
+    monkeypatch.setattr(models, "_MIN_PART_BYTES", 1 << 30)
+    want = load_dataset(path)
+    assert np.array_equal(got.y, want.y) and np.array_equal(got.X, want.X)
+
+
+def test_blank_line_across_read_blocks(tmp_path, monkeypatch, split):
+    """The rows of this process's part are counted 1 MB at a time; a blank
+    line whose '\\n's fall in two blocks is one blank line."""
+    head = b"y\n" + b"2\n" * 300_000 + b"7."
+    text = head + b"0" * (2 + 2**20 - 1 - len(head)) + b"\n\n5\n6\n"
+    assert text[2 + 2**20 - 1:2 + 2**20 + 1] == b"\n\n"
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    monkeypatch.setattr(models, "_part_starts",
+                        lambda raw, first_line, size, k: [first_line, len(text) - 2])
+    ds = load_dataset(path)
+    assert len(split) == 1 and ds.n == 300_003
+    assert np.array_equal(ds.y[-4:], [2.0, 7.0, 5.0, 6.0])
+
+
+@pytest.mark.parametrize("how", ["no-interpreter", "script-missing", "output-cut-short"])
+def test_failed_worker_part_is_parsed_here(tmp_path, monkeypatch, split, how):
+    # values no other test writes, so a buffer left unfilled cannot match
+    table = np.random.default_rng([41, len(how)]).normal(size=(30, 2))
+    path = tmp_path / "d.csv"
+    save_dataset(Dataset(y=table[:, 0], X=table[:, 1:]), path)
+    if how == "no-interpreter":
+        monkeypatch.setattr(sys, "executable", "")
+    elif how == "script-missing":
+        monkeypatch.setattr(models, "_WORKER", str(tmp_path / "absent.py"))
+    else:
+        # announces its rows, then sends 8 bytes of them
+        script = tmp_path / "short.py"
+        script.write_text(
+            "import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('part', {models._WORKER!r})\n"
+            "part = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(part)\n"
+            "skip, rows = int(sys.argv[2]), int(sys.argv[3])\n"
+            "rows = part.parse(sys.argv[1], skip, None if rows < 0 else rows)\n"
+            "sys.stdout.buffer.write(part.SHAPE.pack(*rows.shape) + rows.tobytes()[:8])\n")
+        monkeypatch.setattr(models, "_WORKER", str(script))
+    back = load_dataset(path)
+    assert np.array_equal(back.y, table[:, 0]) and np.array_equal(back.X, table[:, 1:])
+    assert len(split) == (0 if how == "no-interpreter" else 2)
+
+
+class TestDatasetIO(CsvCases):
+    @settings(max_examples=50, deadline=None)
+    @given(table=TABLES)
+    def test_csv_round_trip_is_bit_exact(self, table):
+        check_round_trip_is_bit_exact(table)
+
+    def test_simulation_is_deterministic(self):
+        a = simulate_poisson(1000, (1.0, 0.75), seed=123)
+        b = simulate_poisson(1000, (1.0, 0.75), seed=123)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
+        c = simulate_poisson(1000, (1.0, 0.75), seed=124)
+        assert not np.array_equal(a.y, c.y)
 
     def test_sample_mean_approaches_lognormal_moment(self):
         # E[exp(t0 + t1 X)] = exp(t0 + t1^2/2) for X ~ N(0,1)

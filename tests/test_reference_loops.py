@@ -393,8 +393,9 @@ def test_mh(poisson_model, poisson_example, example_center, kind):
     assert_same_trace(mh_run(*args), ref_mh(*args))
 
 
-@pytest.mark.parametrize("mass", [None, np.array([[1.6, 0.3], [0.3, 0.7]])],
-                         ids=["identity", "dense"])
+@pytest.mark.parametrize("mass", [None, np.diag([2.5, 0.4]),
+                                  np.array([[1.6, 0.3], [0.3, 0.7]])],
+                         ids=["identity", "diagonal", "dense"])
 def test_hmc(poisson_model, poisson_example, example_center, mass):
     args = (poisson_model, poisson_example, HmcConfig(step_size=0.006, n_steps=3, mass=mass),
             example_center, N_ITER, 45)
