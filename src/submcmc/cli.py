@@ -30,21 +30,11 @@ from .experiments import (
     read_trace_csv,
     run_experiment,
 )
-from .models import save_dataset, simulate_poisson
+from .models import save_dataset, simulate_poisson, write_csv
 
 
 def _default_out():
     return os.environ.get(OUTPUT_DIR_ENV, "submcmc_runs")
-
-
-def _write_rows(path, columns, rows, comment=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(row[c])) if isinstance(row[c], float)
-                              else str(row[c]) for c in columns) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -70,8 +60,9 @@ def cmd_plan(args) -> int:
     rows = plan_table(cfg, targets=parse_floats(args.targets, "targets"))
     out = args.out or os.path.join(_default_out(), "plan.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    _write_rows(out, ["target", "sigma2_d", "m", "wor_m", "degenerate"], rows,
-                comment=config_comment({k: cfg[k] for k in sorted(cfg)}))
+    header = ["target", "sigma2_d", "m", "wor_m", "degenerate"]
+    write_csv(out, header, [[row[c] for row in rows] for c in header],
+              config_comment({k: cfg[k] for k in sorted(cfg)}))
     print(f"wrote {out}")
     return 0
 
@@ -106,9 +97,10 @@ def cmd_figure1(args) -> int:
                          target=args.target)
     out = args.out or os.path.join(_default_out(), "figure1.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    _write_rows(out, ["sigma2_pop", "n", "fraction", "m"], rows,
-                comment=config_comment({"sigma2": args.sigma2, "target": args.target,
-                                        "n_grid": args.n_grid or "default"}))
+    header = ["sigma2_pop", "n", "fraction", "m"]
+    write_csv(out, header, [[row[c] for row in rows] for c in header],
+              config_comment({"sigma2": args.sigma2, "target": args.target,
+                              "n_grid": args.n_grid or "default"}))
     print(f"wrote {out}")
     return 0
 
@@ -122,11 +114,11 @@ def cmd_figure234(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     comment = config_comment({"cv": args.cv, "radii": args.radii, "orders": args.orders,
                               "centroids": args.centroids, "seed": args.seed})
-    _write_rows(os.path.join(out_dir, f"figure234_{args.cv}_pairs.csv"),
-                ["cv", "order", "centroids", "radius", "i", "ell", "q"], pairs, comment)
-    _write_rows(os.path.join(out_dir, f"figure234_{args.cv}_panels.csv"),
-                ["cv", "order", "centroids", "radius", "m_opt", "sigma2_d"], panels,
-                comment)
+    for name, rows, header in [
+            ("pairs", pairs, ["cv", "order", "centroids", "radius", "i", "ell", "q"]),
+            ("panels", panels, ["cv", "order", "centroids", "radius", "m_opt", "sigma2_d"])]:
+        write_csv(os.path.join(out_dir, f"figure234_{args.cv}_{name}.csv"), header,
+                  [[row[c] for row in rows] for c in header], comment)
     print(f"wrote figure234 tables to {out_dir}")
     return 0
 

@@ -48,16 +48,18 @@ class ParamExpandedCache:
     _dataset: Dataset = field(default=None, repr=False)
 
     def _expansion_terms(self, theta, idx):
-        """(ell', ell'') at eta0 (None above the order), a and the design rows."""
-        rows = gather_rows(self._model, self, self._dataset, idx)
-        a = rows.W @ (np.asarray(theta, dtype=float) - self.expansion_point)
-        d1 = self._model.ell_d1(rows.y, rows.eta0) if self.order >= 1 else None
-        d2 = self._model.ell_d2(rows.y, rows.eta0) if self.order >= 2 else None
-        return rows, a, d1, d2
+        """y, eta0, the design rows, a and (ell', ell'') at eta0 (None above
+        the order) at the range-checked indices, gathered here alone."""
+        idx = check_indices(idx, self.n)
+        y, eta0, W = self._dataset.y[idx], self.eta0[idx], self._model.design(self._dataset, idx)
+        a = W @ (np.asarray(theta, dtype=float) - self.expansion_point)
+        d1 = self._model.ell_d1(y, eta0) if self.order >= 1 else None
+        d2 = self._model.ell_d2(y, eta0) if self.order >= 2 else None
+        return y, eta0, W, a, d1, d2
 
     def values_at(self, theta, idx) -> np.ndarray:
-        rows, a, d1, d2 = self._expansion_terms(theta, idx)
-        q = self._model.ell(rows.y, rows.eta0)
+        y, eta0, _, a, d1, d2 = self._expansion_terms(theta, idx)
+        q = self._model.ell(y, eta0)
         if self.order >= 1:
             q = q + d1 * a
             if self.order >= 2:
@@ -78,11 +80,11 @@ class ParamExpandedCache:
 
     # theta-gradients of the q_i
     def grads_at(self, theta, idx) -> np.ndarray:
-        rows, a, d1, d2 = self._expansion_terms(theta, idx)
+        y, _, W, a, d1, d2 = self._expansion_terms(theta, idx)
         if self.order == 0:
-            return np.zeros((rows.idx.size, self.d))
+            return np.zeros((y.size, self.d))
         slope = d1 + d2 * a if self.order >= 2 else d1
-        return slope[:, None] * rows.W
+        return slope[:, None] * W
 
     def grad_sum(self, theta) -> np.ndarray:
         return self._grad_total(np.asarray(theta, dtype=float) - self.expansion_point)

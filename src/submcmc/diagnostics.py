@@ -4,12 +4,12 @@ tuning subsample sizes."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .models import write_csv
 
 IACT_METHODS = ("geyer_initial_positive", "batch_means", "bartlett_spectral")
 
@@ -162,11 +162,5 @@ def summarize(trace, burn_in: int = 0, method: str = "geyer_initial_positive") -
 
 
 def write_summary_csv(rows: list[dict], path, header_comment: str | None = None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(row[c])) if isinstance(row[c], (float, np.floating))
-                             else row[c] for c in SUMMARY_COLUMNS])
+    write_csv(path, SUMMARY_COLUMNS, [[row[c] for row in rows] for c in SUMMARY_COLUMNS],
+              header_comment)

@@ -40,7 +40,8 @@ from .estimators import (
     plan_subsample_size,
     wor_sampling_fraction,
 )
-from .models import MODELS, Dataset, GlmModel, ModelSpec, load_dataset, simulate_poisson
+from .models import (MODELS, Dataset, GlmModel, ModelSpec, load_dataset, simulate_poisson,
+                     write_csv)
 from .samplers import (
     ChainTrace,
     DependenceConfig,
@@ -443,41 +444,33 @@ def run_chain(plan: RunPlan, chain_id: int) -> ChainTrace:
 
 def write_trace_csv(trace: ChainTrace, path, comment: str | None = None):
     d = trace.draws.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        cols = ["iter"] + [f"theta_{j}" for j in range(1, d + 1)] + \
-            ["accept", "loglik_est", "sign"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(trace.n_iter):
-            row = [str(i + 1)]
-            row += [repr(float(v)) for v in trace.draws[i]]
-            row += [str(int(trace.accept[i])), repr(float(trace.loglik_est[i])),
-                    str(int(trace.sign[i]))]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, ["iter", *(f"theta_{j}" for j in range(1, d + 1)),
+                     "accept", "loglik_est", "sign"],
+              [range(1, trace.n_iter + 1), *trace.draws.T, trace.accept,
+               trace.loglik_est, trace.sign], comment)
 
 
 def read_trace_csv(path) -> ChainTrace:
-    rows = []
+    """A trace written by write_trace_csv, its columns found by header
+    name: theta_1, theta_2, ..., accept, loglik_est and sign.  Other
+    columns, and their order, do not matter."""
     with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    if len(lines) < 2:
         raise DomainError(f"{path}: no trace rows")
-    data = np.asarray(rows)
-    d = len(header) - 4
+    at = {name: j for j, name in enumerate(lines[0].split(","))}
+    thetas = []
+    while f"theta_{len(thetas) + 1}" in at:
+        thetas.append(at[f"theta_{len(thetas) + 1}"])
+    missing = [name for name in ("theta_1", "accept", "loglik_est", "sign") if name not in at]
+    if missing:
+        raise DomainError(f"{path}: trace has no {', '.join(missing)} column")
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return ChainTrace(
-        draws=data[:, 1:1 + d],
-        accept=data[:, 1 + d].astype(bool),
-        loglik_est=data[:, 2 + d],
-        sign=data[:, 3 + d].astype(np.int8),
+        draws=data[:, thetas],
+        accept=data[:, at["accept"]].astype(bool),
+        loglik_est=data[:, at["loglik_est"]],
+        sign=data[:, at["sign"]].astype(np.int8),
         u_accept=np.zeros(data.shape[0], dtype=bool),
         meta={"source": str(path)},
     )
@@ -651,19 +644,12 @@ def figure5_study(sigma2_targets=(0.0, 1.0, 10.0, 50.0), n_iter: int = 20000,
             tag = ("%g" % res["target"]).replace(".", "p")
             write_trace_csv(res["trace"], os.path.join(out_dir, f"trace_var{tag}.csv"),
                             comment)
-            with open(os.path.join(out_dir, f"acf_var{tag}.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(f"# {comment}\n")
-                fh.write("lag,acf\n")
-                for lag, val in enumerate(res["acf"]):
-                    fh.write(f"{lag},{repr(float(val))}\n")
-        with open(os.path.join(out_dir, "iact_table.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"# {comment}\n")
-            fh.write("target,m,iact,accept_rate,ct\n")
-            for res in results:
-                fh.write(f"{res['target']},{res['m']},{repr(res['iact'])},"
-                         f"{repr(res['accept_rate'])},"
-                         f"{repr(res['iact'] * res['m'])}\n")
+            write_csv(os.path.join(out_dir, f"acf_var{tag}.csv"), ["lag", "acf"],
+                      [range(res["acf"].size), res["acf"]], comment)
+        keys = ("target", "m", "iact", "accept_rate")
+        write_csv(os.path.join(out_dir, "iact_table.csv"), [*keys, "ct"],
+                  [[res[key] for res in results] for key in keys]
+                  + [[res["iact"] * res["m"] for res in results]], comment)
     return results
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from submcmc import PoissonRegression, load_dataset
+from submcmc import DomainError, PoissonRegression, load_dataset
 from submcmc.cli import main
 from submcmc.experiments import (
     example_dataset,
@@ -330,6 +330,36 @@ class TestSimulateAndDiagnose:
         table = np.genfromtxt(tmp_path / "diag.csv", delimiter=",", names=True,
                               skip_header=1)
         assert table["coordinate"].shape == (2,)
+
+    def test_diagnose_reproduces_the_run_summary(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        assert main(["diagnose", "--trace", str(out / "trace.csv"),
+                     "--out", str(tmp_path / "diag.csv")]) == 0
+        rows = [[line for line in path.read_text().splitlines() if not line.startswith("#")]
+                for path in (out / "summary.csv", tmp_path / "diag.csv")]
+        assert rows[0] == rows[1]
+
+    def test_trace_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# x = 1\n"
+                        "sign,loglik_var,theta_2,iter,loglik_est,accept,theta_1\n"
+                        "1,0.5,0.25,1,-10.5,1,2.0\n"
+                        "-1,0.75,0.125,2,-11.5,0,3.0\n")
+        trace = read_trace_csv(path)
+        np.testing.assert_array_equal(trace.draws, [[2.0, 0.25], [3.0, 0.125]])
+        np.testing.assert_array_equal(trace.accept, [True, False])
+        np.testing.assert_array_equal(trace.loglik_est, [-10.5, -11.5])
+        np.testing.assert_array_equal(trace.sign, [1, -1])
+
+    def test_trace_without_a_needed_column_is_named(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,theta_1,accept,sign\n1,2.0,1,1\n")
+        with pytest.raises(DomainError, match="loglik_est"):
+            read_trace_csv(path)
+        assert main(["diagnose", "--trace", str(path), "--out", str(tmp_path / "d.csv")]) == 2
+        assert "loglik_est" in capsys.readouterr().err
 
     def test_plan_command(self, tmp_path):
         cfg = write_config(tmp_path / "plan.cfg", model="poisson", simulate_n="200",

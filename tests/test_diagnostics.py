@@ -143,6 +143,13 @@ class TestSummaries:
         parsed = [float(v) for v in lines[2].split(",")]
         assert parsed[1] == pytest.approx(rows[0]["mean"])
 
+    def test_summary_csv_lines_end_in_newline_only(self, toy_trace, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summarize(toy_trace), path, header_comment="x=1")
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 2 + 2 and data.endswith(b"\n")
+
     def test_ct_report_uses_trace_cost(self, toy_trace):
         report = make_ct_report(toy_trace, coord=0)
         assert report.cost_proxy == 30

@@ -345,6 +345,32 @@ def check_round_trip_is_bit_exact(table):
     assert np.ascontiguousarray(back.X).tobytes() == np.ascontiguousarray(ds.X).tobytes()
 
 
+class TestWriteCsv:
+    def test_save_dataset_lines_end_in_newline_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_dataset(Dataset(y=[0.0, 3.0], X=[[0.1, -1e-300], [2.0, 1.0 / 3.0]]), path)
+        assert path.read_bytes() == (b"y,x1,x2\n0.0,0.1,-1e-300\n"
+                                     b"3.0,2.0,0.3333333333333333\n")
+
+    def test_cells_formatted_by_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        models.write_csv(path, ["f", "b", "i", "s", "n"],
+                         [np.array([0.1, np.nan]), np.array([True, False]),
+                          np.array([1, -1], dtype=np.int8), ["param", "data"], [2, 75]],
+                         comment="k = v")
+        assert path.read_bytes() == (b"# k = v\nf,b,i,s,n\n0.1,1,1,param,2\n"
+                                     b"nan,0,-1,data,75\n")
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    def test_rows_written_a_block_at_a_time(self, tmp_path, monkeypatch, n):
+        columns = [np.arange(n), np.linspace(-1.0, 1.0, n)]
+        expected = "a,b\n" + "".join(f"{i},{x!r}\n" for i, x in zip(*(c.tolist()
+                                                                        for c in columns)))
+        monkeypatch.setattr(models, "_WRITE_ROWS", 3)
+        models.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
 class CsvCases:
     """load_dataset cases run on one part (TestDatasetIO) and on a forced
     split into three parts, two of them parsed by worker processes

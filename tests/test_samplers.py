@@ -753,7 +753,9 @@ class TestHmcEcs:
 
 class TestBenchmarkHookPoints:
     """Kernels mark each iteration with exactly one module-level
-    `samplers.propose_u` call, which outside timing tools rely on."""
+    `samplers.propose_u` call, and block-Poisson each estimate with one
+    module-level `estimators.differences` call, which outside timing tools
+    rely on."""
 
     @staticmethod
     def _count_propose_u(monkeypatch):
@@ -782,6 +784,26 @@ class TestBenchmarkHookPoints:
                  DependenceConfig(kind="bpm", n_blocks=2), example_center, 15, seed=29)
         assert len(calls) == 25 + 15
 
+    @pytest.mark.parametrize("dependence", [DependenceConfig(),
+                                            DependenceConfig(kind="bpm", n_blocks=2)],
+                             ids=["independent", "bpm"])
+    def test_one_differences_call_per_block_poisson_estimate(
+            self, monkeypatch, poisson_model, poisson_example, example_center,
+            param_caches, dependence):
+        from submcmc import BlockPoissonConfig, estimators
+        calls = []
+        real = estimators.differences
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "differences", counting)
+        cfg = BlockPoissonConfig(n_products=4, batch_size=5, bound=-4.0)
+        pmmh_run(poisson_model, poisson_example, param_caches[2], cfg,
+                 ProposalConfig(step_scale=0.02), dependence, example_center, 15, seed=29)
+        assert len(calls) == 1 + 15
+
     def test_propose_u_once_per_hmc_ecs_iteration(self, monkeypatch, poisson_model,
                                                   poisson_example, example_center,
                                                   param_caches):
@@ -790,6 +812,38 @@ class TestBenchmarkHookPoints:
                     HmcConfig(step_size=0.005, n_steps=3), 40, example_center, 12, seed=30,
                     dependence=DependenceConfig(kind="bpm", n_blocks=4))
         assert len(calls) == 12
+
+
+@pytest.mark.parametrize("kernel", ["mh", "pmmh", "hmc", "hmc_ecs"])
+def test_trace_columns_mean_the_same_in_every_kernel(tmp_path, poisson_model,
+                                                     poisson_example, example_center,
+                                                     kernel):
+    # loglik_est is the full-data log-likelihood at the recorded draw when
+    # the control variates are exact, accept is a 0/1 flag, and sign is 1
+    from submcmc.experiments import read_trace_csv, write_trace_csv
+    cache = ExactControlVariate(poisson_model, poisson_example)
+    proposal, hmc = ProposalConfig(step_scale=0.02), HmcConfig(step_size=0.02, n_steps=5)
+    args = (poisson_model, poisson_example)
+    trace = {
+        "mh": lambda: mh_run(*args, proposal, example_center, 200, seed=31),
+        "pmmh": lambda: pmmh_run(*args, cache, DifferenceConfig(m=20), proposal,
+                                 DependenceConfig(), example_center, 200, seed=31),
+        "hmc": lambda: hmc_run(*args, hmc, example_center, 200, seed=31),
+        "hmc_ecs": lambda: hmc_ecs_run(*args, cache, hmc, 20, example_center, 200, seed=31),
+    }[kernel]()
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    back = read_trace_csv(tmp_path / "trace.csv")
+    exact = np.array([poisson_model.loglik_sum(theta, poisson_example)
+                      for theta in back.draws])
+    if kernel == "mh":
+        # mh records log posterior less log prior
+        np.testing.assert_allclose(back.loglik_est, exact, rtol=1e-12)
+    else:
+        np.testing.assert_array_equal(back.loglik_est, exact)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    at = lines[0].split(",").index("accept")
+    assert {line.split(",")[at] for line in lines[1:]} == {"0", "1"}
+    assert np.all(back.sign == 1)
 
 
 def test_stream_split_is_stable():
