@@ -40,8 +40,9 @@ from .estimators import (
     plan_subsample_size,
     wor_sampling_fraction,
 )
-from .models import (MODELS, Dataset, GlmModel, ModelSpec, load_dataset, simulate_poisson,
-                     write_csv)
+from ._csvpart import parse
+from .models import (MODELS, Dataset, GlmModel, ModelSpec, _raise_first_bad_row, load_dataset,
+                     simulate_poisson, write_csv)
 from .samplers import (
     ChainTrace,
     DependenceConfig,
@@ -453,19 +454,33 @@ def write_trace_csv(trace: ChainTrace, path, comment: str | None = None):
 def read_trace_csv(path) -> ChainTrace:
     """A trace written by write_trace_csv, its columns found by header
     name: theta_1, theta_2, ..., accept, loglik_est and sign.  Other
-    columns, and their order, do not matter."""
+    columns, and their order, do not matter.  The rows are read in the
+    dataset dialect of `load_dataset`, and a malformed one raises
+    CsvParseError naming its file line."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
-    if len(lines) < 2:
-        raise DomainError(f"{path}: no trace rows")
-    at = {name: j for j, name in enumerate(lines[0].split(","))}
+        # the header is the first line that is neither blank nor a '#' comment
+        for head, header in enumerate(fh, start=1):
+            if header.strip() and not header.startswith("#"):
+                break
+        else:
+            raise DomainError(f"{path}: no trace rows")
+    names = header.strip().split(",")
+    at = {name: j for j, name in enumerate(names)}
     thetas = []
     while f"theta_{len(thetas) + 1}" in at:
         thetas.append(at[f"theta_{len(thetas) + 1}"])
     missing = [name for name in ("theta_1", "accept", "loglik_est", "sign") if name not in at]
     if missing:
         raise DomainError(f"{path}: trace has no {', '.join(missing)} column")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    try:
+        data = parse(path, head)
+    except ValueError as exc:
+        _raise_first_bad_row(path, len(names), str(exc), head)
+    if data.shape[0] == 0:
+        raise DomainError(f"{path}: no trace rows")
+    if data.shape[1] != len(names):
+        _raise_first_bad_row(path, len(names),
+                             f"expected {len(names)} columns, got {data.shape[1]}", head)
     return ChainTrace(
         draws=data[:, thetas],
         accept=data[:, at["accept"]].astype(bool),

@@ -3,9 +3,10 @@
 Every model exposes the same evaluation surface: log-likelihood
 contributions with gradients/Hessians in parameter space, plus
 gradients/Hessians in data space evaluated at arbitrary points (needed by
-the data-expanded control variates).  All evaluations are pure functions
-of their inputs, so callers may evaluate disjoint index ranges
-concurrently.
+the data-expanded control variates).  A GLM family states its own terms
+only, and `GlmModel` derives both surfaces and the full-data sums from
+them.  All evaluations are pure functions of their inputs, so callers may
+evaluate disjoint index ranges concurrently.
 """
 
 from __future__ import annotations
@@ -139,10 +140,6 @@ class ModelSpec(ABC):
     def loglik_sum(self, theta, dataset: Dataset) -> float:
         return float(np.sum(self.loglik(theta, dataset)))
 
-    def bind_loglik_sum(self, dataset: Dataset):
-        """theta -> loglik_sum(theta, dataset), for many calls on one dataset."""
-        return self.bind_sums(dataset)[0]
-
     def bind_sums(self, dataset: Dataset):
         """(theta -> loglik_sum(theta, dataset), theta -> the gradient sum
         np.sum(grad_theta(theta, dataset), axis=0)) to the bit, for many
@@ -172,13 +169,25 @@ _BLOCK = 1 << 16
 class GlmModel(ModelSpec):
     """A log-likelihood that sees theta only through eta_i = w_i'theta.
 
-    Subclasses supply the design rows w_i and the family: ell(y, eta), its
-    first two eta-derivatives, and the Taylor remainder
+    A family states what is its own: the support of its responses,
+    ell(y, eta), its first two eta-derivatives, and the Taylor remainder
     d(y, eta0, a, order) = ell(eta0 + a) - Taylor_order(a) of ell around
     eta0, computed without the cancellation of ell - q.  That remainder is
     the difference d_i of parameter-expanded control variates, with
-    a = w_i'(theta - theta0).  `idx` may be an index array, a list or a
-    slice.
+    a = w_i'(theta - theta0).  Everything else is derived here from the
+    design rows w_i = (1, x_i): the per-observation terms in theta, the
+    full-data sums, and the terms in data space.
+
+    The data-space terms assume a canonical link, ell = y eta - b(eta) + c(y)
+    with eta = theta_0 + x'theta_1:, so in z = (y, x)
+
+        d ell/dy = eta + c'(y),         d ell/dx_j = ell'(eta) theta_j,
+        d2 ell/dy2 = c''(y),            d2 ell/dy dx_j = theta_j,
+        d2 ell/dx_j dx_k = ell''(eta) theta_j theta_k.
+
+    A family whose c(y) is not constant states c' and c'' (`c_d1`, `c_d2`)
+    and may bind the terms of ell that depend on y alone once per dataset
+    (`bind_ell`).  `idx` may be an index array, a list or a slice.
     """
 
     @abstractmethod
@@ -203,6 +212,20 @@ class GlmModel(ModelSpec):
         with grad=True also s = dd/da, so the theta-gradient of d_i is
         s_i * w_i."""
 
+    def c_d1(self, y):
+        """c'(y); None where c is constant."""
+        return None
+
+    def c_d2(self, y):
+        """c''(y); None where c is constant."""
+        return None
+
+    def bind_ell(self, y):
+        """eta -> ell(y, eta) to the bit, for many calls at these responses.
+        A family may compute the terms that depend on y alone here, once.
+        The result pickles, so a cache holding it can go to worker processes."""
+        return functools.partial(self.ell, y)
+
     def design(self, dataset: Dataset, idx=None) -> np.ndarray:
         """Rows w_i = (1, x_i)."""
         X = _take(dataset.X, idx)
@@ -213,15 +236,15 @@ class GlmModel(ModelSpec):
 
     def bind_sums(self, dataset: Dataset):
         """The responses are validated here, once, and both sums skip the
-        check; the design rows are rebuilt per call, so nothing per
-        observation is held."""
+        check; ell is bound to them once (`bind_ell`), and the design rows
+        are rebuilt per call."""
         self.check_response(dataset.y)
-        return (functools.partial(self._loglik_sum_valid, dataset),
+        return (functools.partial(self._loglik_sum_valid, dataset, self.bind_ell(dataset.y)),
                 functools.partial(self._grad_sum_valid, dataset))
 
-    def _loglik_sum_valid(self, dataset: Dataset, theta) -> float:
+    def _loglik_sum_valid(self, dataset: Dataset, ell, theta) -> float:
         """loglik_sum for responses already validated: loglik's terms."""
-        return float(np.sum(self.ell(dataset.y, self._design_eta(theta, dataset, None)[1])))
+        return float(np.sum(ell(self._design_eta(theta, dataset, None)[1])))
 
     def _grad_sum_valid(self, dataset: Dataset, theta) -> np.ndarray:
         """_grad_sum for responses already validated: grad_theta's terms."""
@@ -251,6 +274,37 @@ class GlmModel(ModelSpec):
         # in place: one (k, d, d) array instead of two at full-data size
         H = W[:, :, None] * W[:, None, :]
         H *= self.ell_d2(y, eta)[:, None, None]
+        return H
+
+    def _data_eta(self, theta, Z):
+        """(Z, y, theta_1:, eta) at the rows z = (y, x) of Z."""
+        theta = np.asarray(theta, dtype=float)
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        y, x = Z[:, 0], Z[:, 1:]
+        beta = theta[1:]
+        return Z, y, beta, theta[0] + x @ beta
+
+    def loglik_at(self, theta, Z):
+        _, y, _, eta = self._data_eta(theta, Z)
+        return self.ell(y, eta)
+
+    def grad_data(self, theta, Z):
+        Z, y, beta, eta = self._data_eta(theta, Z)
+        c1 = self.c_d1(y)
+        g = np.empty_like(Z)
+        g[:, 0] = eta if c1 is None else eta + c1
+        g[:, 1:] = self.ell_d1(y, eta)[:, None] * beta
+        return g
+
+    def hess_data(self, theta, Z):
+        Z, y, beta, eta = self._data_eta(theta, Z)
+        c2 = self.c_d2(y)
+        k, dz = Z.shape
+        H = np.empty((k, dz, dz))
+        H[:, 0, 0] = 0.0 if c2 is None else c2
+        H[:, 0, 1:] = beta
+        H[:, 1:, 0] = beta
+        H[:, 1:, 1:] = self.ell_d2(y, eta)[:, None, None] * np.outer(beta, beta)
         return H
 
     def taylor_sums(self, theta, dataset: Dataset, order: int = 2):
@@ -291,11 +345,16 @@ class GlmModel(ModelSpec):
         return eta, sum_ell, sum_grad, sum_hess
 
 
+def _y_plus_one(y):
+    """y + 1, the argument of log y! and its derivatives, for real y > -1."""
+    if np.any(y <= -1.0):
+        raise DomainError("log y! and its y-derivatives require y > -1")
+    return y + 1.0
+
+
 def _log_factorial(y):
     """log(y!) = log Gamma(y + 1), overflow-free for large counts, for real y > -1."""
-    if np.any(y <= -1.0):
-        raise DomainError("log y! requires y > -1")
-    return special.gammaln(y + 1.0)
+    return special.gammaln(_y_plus_one(y))
 
 
 def _poisson_ell(y, eta, log_y_factorial):
@@ -312,17 +371,16 @@ class PoissonRegression(GlmModel):
     def ell(self, y, eta):
         return _poisson_ell(y, eta, _log_factorial(y))
 
-    def bind_sums(self, dataset: Dataset):
-        """loglik_sum to the bit with log y! computed once, at the cost of
-        holding it: 8n bytes.  The results pickle, so a cache holding them
-        can go to worker processes."""
-        grad_sum = super().bind_sums(dataset)[1]
-        return (functools.partial(self._loglik_sum_given, dataset, _log_factorial(dataset.y)),
-                grad_sum)
+    def bind_ell(self, y):
+        """log y! computed once, at the cost of holding it: 8 bytes a response."""
+        return functools.partial(_poisson_ell, y, log_y_factorial=_log_factorial(y))
 
-    def _loglik_sum_given(self, dataset, log_y_factorial, theta) -> float:
-        eta = self.design(dataset) @ np.asarray(theta, dtype=float).reshape(-1)
-        return float(np.sum(_poisson_ell(dataset.y, eta, log_y_factorial)))
+    # c(y) = -log y!
+    def c_d1(self, y):
+        return -special.digamma(_y_plus_one(y))
+
+    def c_d2(self, y):
+        return -special.polygamma(1, _y_plus_one(y))
 
     def ell_d1(self, y, eta):
         return y - np.exp(eta)
@@ -347,42 +405,6 @@ class PoissonRegression(GlmModel):
             d = neg_mu0 * (r1 - 0.5 * a * a)
             s = neg_mu0 * r1
         return (d, s) if grad else d
-
-    def loglik_at(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        mu = theta[0] + x @ theta[1:]
-        return y * mu - np.exp(mu) - _log_factorial(y)
-
-    def grad_data(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        if np.any(y + 1.0 <= 0.0):
-            raise DomainError("data-space derivatives need y + 1 > 0")
-        beta = theta[1:]
-        mu = theta[0] + x @ beta
-        g = np.empty_like(Z)
-        g[:, 0] = mu - special.digamma(y + 1.0)
-        g[:, 1:] = (y - np.exp(mu))[:, None] * beta
-        return g
-
-    def hess_data(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        if np.any(y + 1.0 <= 0.0):
-            raise DomainError("data-space derivatives need y + 1 > 0")
-        beta = theta[1:]
-        mu = theta[0] + x @ beta
-        k, dz = Z.shape
-        H = np.empty((k, dz, dz))
-        H[:, 0, 0] = -special.polygamma(1, y + 1.0)
-        H[:, 0, 1:] = beta
-        H[:, 1:, 0] = beta
-        H[:, 1:, 1:] = -np.exp(mu)[:, None, None] * np.outer(beta, beta)
-        return H
 
 
 class LogisticRegression(GlmModel):
@@ -427,39 +449,6 @@ class LogisticRegression(GlmModel):
             d, s = (p0 + 0.5 * c0 * a) * a - dsp, c0 * a - dp
         return (d, s) if grad else d
 
-    def loglik_at(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        eta = theta[0] + x @ theta[1:]
-        return y * eta - self._softplus(eta)
-
-    def grad_data(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        beta = theta[1:]
-        eta = theta[0] + x @ beta
-        g = np.empty_like(Z)
-        g[:, 0] = eta
-        g[:, 1:] = (y - _sigmoid(eta))[:, None] * beta
-        return g
-
-    def hess_data(self, theta, Z):
-        theta = np.asarray(theta, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y, x = Z[:, 0], Z[:, 1:]
-        beta = theta[1:]
-        eta = theta[0] + x @ beta
-        p = _sigmoid(eta)
-        k, dz = Z.shape
-        H = np.empty((k, dz, dz))
-        H[:, 0, 0] = 0.0
-        H[:, 0, 1:] = beta
-        H[:, 1:, 0] = beta
-        H[:, 1:, 1:] = -(p * (1.0 - p))[:, None, None] * np.outer(beta, beta)
-        return H
-
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     out = np.empty_like(eta)
@@ -475,7 +464,8 @@ class NormalMeanModel(GlmModel):
 
     The posterior is available in closed form, which makes this model the
     validation oracle for the exact samplers.  In GLM form w_i = 1, so
-    eta_i = theta for every observation.
+    eta_i = theta for every observation.  It ignores the covariates, so it
+    states its own terms in data space, where only y counts.
     """
 
     def __init__(self, mu0: float = 0.0, tau0: float = 10.0):
@@ -490,14 +480,6 @@ class NormalMeanModel(GlmModel):
 
     def design(self, dataset, idx=None):
         return np.ones((_take(dataset.y, idx).shape[0], 1))
-
-    def _design_eta(self, theta, dataset, idx):
-        # w_i = 1: eta_i is theta itself, which broadcasts without a product
-        return self.design(dataset, idx), float(np.asarray(theta).reshape(-1)[0])
-
-    def grad_theta(self, theta, dataset, idx=None):
-        y, _, eta = self._y_design_eta(theta, dataset, idx)
-        return self.ell_d1(y, eta)[:, None]
 
     def check_response(self, y):
         pass
@@ -525,8 +507,7 @@ class NormalMeanModel(GlmModel):
 
     def loglik_at(self, theta, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        r = Z[:, 0] - float(np.asarray(theta).reshape(-1)[0])
-        return -0.5 * r * r - self._HALF_LOG_2PI
+        return self.ell(Z[:, 0], float(np.asarray(theta).reshape(-1)[0]))
 
     def grad_data(self, theta, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -772,8 +753,9 @@ def _parse_or_raise(path, width: int, skip: int, rows: int | None) -> np.ndarray
         _raise_first_bad_row(path, width, str(exc))
 
 
-def _raise_first_bad_row(path, width: int, reason: str) -> NoReturn:
-    """Name the first file line that the bulk parse rejects.
+def _raise_first_bad_row(path, width: int, reason: str, head: int = 1) -> NoReturn:
+    """Name the first file line after the `head` lines before the data
+    (the header, and any comment above it) that the bulk parse rejects.
 
     Runs only after np.loadtxt has failed, whose messages count data rows
     rather than file lines; it raises and never returns data.  Each line is
@@ -781,8 +763,9 @@ def _raise_first_bad_row(path, width: int, reason: str) -> NoReturn:
     loadtxt does not (`1_0`) is still found.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
+        for _ in range(head):
+            fh.readline()
+        for lineno, line in enumerate(fh, start=head + 1):
             cells = next(csv.reader([line]), [])
             if not cells:
                 continue

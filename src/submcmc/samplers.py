@@ -300,7 +300,7 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
     d = theta.size
     rng_prop, rng_accept, _ = _streams(seed)
     propose = _Proposer(proposal, d, theta)
-    loglik_sum = model.bind_loglik_sum(dataset)
+    loglik_sum = model.bind_sums(dataset)[0]
     log_prior = model.prior.bind()[0]
 
     def log_post(t):

@@ -361,6 +361,18 @@ class TestSimulateAndDiagnose:
         assert main(["diagnose", "--trace", str(path), "--out", str(tmp_path / "d.csv")]) == 2
         assert "loglik_est" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, reason", [("1,abc,1,-2.0,1", "non-numeric cell"),
+                                             ("1,0.5,1,-2.0", "expected 5 columns, got 4")],
+                             ids=["non-numeric", "short"])
+    def test_malformed_trace_row_is_named(self, tmp_path, capsys, row, reason):
+        # the '# comment' line and the header come first, so the row is file line 4
+        path = tmp_path / "trace.csv"
+        path.write_text("# x = 1\niter,theta_1,accept,loglik_est,sign\n"
+                        f"1,0.5,1,-2.0,1\n{row}\n")
+        assert main(["diagnose", "--trace", str(path), "--out", str(tmp_path / "d.csv")]) == 2
+        assert f"{path}: row 4: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_plan_command(self, tmp_path):
         cfg = write_config(tmp_path / "plan.cfg", model="poisson", simulate_n="200",
                            simulate_theta="0.8,0.5", cv="param", order="0", seed="2")

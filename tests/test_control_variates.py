@@ -11,6 +11,7 @@ from submcmc import (
     Dataset,
     DomainError,
     ExactControlVariate,
+    LogisticRegression,
     build_data_expanded,
     build_param_expanded,
     difference_estimate,
@@ -231,8 +232,20 @@ class TestDataExpanded:
 
     def test_cached_total_matches_brute_force(self, poisson_example, example_center, cache):
         theta = example_center + np.array([0.08, -0.05])
-        brute = math.fsum(cache.values_at(theta, np.arange(poisson_example.n)))
+        idx = np.arange(poisson_example.n)
+        brute = math.fsum(cache.values_at(theta, idx))
         assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
+        # logistic, at every order: 0/1 responses and a fixed assignment to
+        # centroids drawn from the data, so no k-means run is needed
+        rng = np.random.default_rng(33)
+        data = Dataset(y=(poisson_example.y > 2).astype(float), X=poisson_example.X)
+        assignment = rng.integers(0, 12, size=data.n)
+        centroids = data.points()[rng.choice(data.n, size=12, replace=False)]
+        for order in (0, 1, 2):
+            logit = build_data_expanded(LogisticRegression(), data, (centroids, assignment),
+                                        order=order)
+            brute = math.fsum(logit.values_at(theta, idx))
+            assert logit.sum_values(theta) == pytest.approx(brute, rel=1e-9)
 
     def test_aggregated_moments_match_direct_sums(self, poisson_example, cache):
         Z = poisson_example.points()

@@ -97,18 +97,6 @@ class TestBoundEvaluation:
 
     @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
                                            NormalMeanModel])
-    def test_bound_loglik_sum(self, model_cls):
-        ds = simulate_poisson(2_000, (1.0, 0.75), seed=9)
-        if model_cls is LogisticRegression:
-            ds = Dataset(y=(ds.y > 2).astype(float), X=ds.X)
-        model = model_cls()
-        bound = model.bind_loglik_sum(ds)
-        for theta in (np.array([0.9, 0.8]), np.array([-0.3, 1.2])):
-            theta = theta[:model.dim(ds)]
-            assert bound(theta) == model.loglik_sum(theta, ds)
-
-    @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
-                                           NormalMeanModel])
     def test_bound_grad_sum(self, model_cls):
         ds = simulate_poisson(2_000, (1.0, 0.75), seed=9)
         if model_cls is LogisticRegression:
@@ -124,8 +112,6 @@ class TestBoundEvaluation:
 
     def test_bound_loglik_sum_validates_responses_up_front(self):
         ds = Dataset(y=np.array([1.0, 2.5]), X=np.zeros((2, 1)))
-        with pytest.raises(DomainError):
-            PoissonRegression().bind_loglik_sum(ds)
         with pytest.raises(DomainError):
             PoissonRegression().bind_sums(ds)
         with pytest.raises(DomainError):
@@ -296,6 +282,21 @@ class TestLogistic:
 
 
 class TestNormalMean:
+    def test_data_space_derivatives_match_finite_differences(self):
+        # only y counts: the covariate entries of the gradient and Hessian are 0
+        model = NormalMeanModel()
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            theta = rng.normal(size=1)
+            z = rng.normal(scale=2.0, size=3)
+            g = model.grad_data(theta, z[None])[0]
+            fd = fd_gradient(lambda zz: model.loglik_at(theta, zz[None])[0], z)
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
+            H = model.hess_data(theta, z[None])[0]
+            fdH = fd_jacobian(lambda zz: model.grad_data(theta, zz[None])[0], z)
+            np.testing.assert_allclose(H, fdH, rtol=1e-5, atol=1e-6)
+            assert H[0, 0] == -1.0 and not g[1:].any() and not H[1:].any()
+
     def test_exact_posterior_formula(self):
         rng = np.random.default_rng(9)
         y = rng.normal(0.4, 1.0, size=50)
