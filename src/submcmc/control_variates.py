@@ -131,6 +131,11 @@ class ClusteringResult:
     converged: bool
 
 
+# rows per block of the k-means assignment step, whose (rows, K, dz)
+# temporary then takes 8 K dz kB per 1024 rows: 14.7 MB at K = 75, dz = 6
+_KMEANS_BLOCK = 4096
+
+
 def kmeans_cluster(dataset: Dataset, n_clusters: int, seed: int = 0,
                    max_iter: int = 100) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ seeding on standardized (y, x) rows.
@@ -163,18 +168,22 @@ def kmeans_cluster(dataset: Dataset, n_clusters: int, seed: int = 0,
         centers[j] = S[pick]
         d2 = np.minimum(d2, np.sum((S - centers[j]) ** 2, axis=1))
 
-    assignment = np.full(n, -1, dtype=int)
+    assignment = np.full(n, -1, dtype=np.intp)
+    new_assignment, point_d2 = np.empty(n, dtype=np.intp), np.empty(n)
     objective_path: list[float] = []
     converged = False
     for _ in range(max_iter):
-        dist2 = np.sum((S[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assignment = np.argmin(dist2, axis=1)
-        point_d2 = dist2[np.arange(n), new_assignment]
+        # each row's distances sum as they would over all rows at once
+        for lo in range(0, n, _KMEANS_BLOCK):
+            rows = slice(lo, lo + _KMEANS_BLOCK)
+            dist2 = np.sum((S[rows, None, :] - centers[None, :, :]) ** 2, axis=2)
+            nearest = new_assignment[rows] = np.argmin(dist2, axis=1)
+            point_d2[rows] = dist2[np.arange(nearest.size), nearest]
         objective_path.append(float(point_d2.sum()))
         if np.array_equal(new_assignment, assignment):
             converged = True
             break
-        assignment = new_assignment
+        assignment, new_assignment = new_assignment, assignment
         for j in range(n_clusters):
             member = assignment == j
             if member.any():
@@ -254,17 +263,14 @@ class DataExpandedCache:
                 total += 0.5 * float(np.einsum("cij,cij->", self.sum_outer, H))
         return total
 
+    _NO_GRADIENTS = ("theta-gradients of data-expanded control variates need mixed "
+                     "theta/data derivatives; use a parameter-expanded or exact cache")
+
     def grads_at(self, theta, idx):
-        raise NotImplementedError(
-            "theta-gradients of data-expanded control variates need mixed "
-            "theta/data derivatives; use a parameter-expanded or exact cache"
-        )
+        raise NotImplementedError(self._NO_GRADIENTS)
 
     def grad_sum(self, theta):
-        raise NotImplementedError(
-            "theta-gradients of data-expanded control variates need mixed "
-            "theta/data derivatives; use a parameter-expanded or exact cache"
-        )
+        raise NotImplementedError(self._NO_GRADIENTS)
 
 
 def build_data_expanded(model: ModelSpec, dataset: Dataset, clustering,
@@ -488,7 +494,11 @@ class _PlainDifferences(_Differences):
 
 def bind_differences(model: ModelSpec, cache, dataset: Dataset) -> _Differences:
     """The differences of one (model, cache, dataset), bound once: the GLM
-    remainder path for a parameter-expanded cache, ell - q otherwise."""
+    remainder path for a parameter-expanded cache, ell - q otherwise.  A
+    cache built on other rows would mix their q_i with this dataset's ell_i."""
+    if getattr(cache, "n", None) != dataset.n:
+        raise DomainError(f"cache built on {getattr(cache, 'n', 'an unknown number of')} "
+                          f"observations, dataset has {dataset.n}")
     if isinstance(cache, ParamExpandedCache):
         return _GlmDifferences(model, cache, dataset)
     return _PlainDifferences(model, cache, dataset)
@@ -631,6 +641,11 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
         if dataset.n != n:
             raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
         point, sum_ell, sum_grad, sum_hess, eta0 = arrays
+        if order >= 2:
+            # the layout taylor_sums builds, columns of one (d, 1 + d) array:
+            # products on a contiguous copy round differently
+            moments = np.column_stack([sum_grad, sum_hess])
+            sum_grad, sum_hess = moments[:, 0], moments[:, 1:]
         return ParamExpandedCache(
             expansion_point=point, order=int(order), sum_ell=float(sum_ell),
             sum_grad=sum_grad, sum_hess=sum_hess, eta0=eta0, n=int(n), d=int(dim),

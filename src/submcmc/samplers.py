@@ -289,50 +289,6 @@ def _empty_trace(n_iter: int, d: int) -> ChainTrace:
 
 
 # ---------------------------------------------------------------------------
-# Metropolis-Hastings on the full-data posterior
-# ---------------------------------------------------------------------------
-
-def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
-           theta0, n_iter: int, seed) -> ChainTrace:
-    if n_iter < 1:
-        raise SamplerError("need n_iter >= 1")
-    theta = np.asarray(theta0, dtype=float).copy()
-    d = theta.size
-    rng_prop, rng_accept, _ = _streams(seed)
-    propose = _Proposer(proposal, d, theta)
-    loglik_sum = model.bind_sums(dataset)[0]
-    log_prior = model.prior.bind()[0]
-
-    def log_post(t):
-        return loglik_sum(t) + log_prior(t)
-
-    lp = log_post(theta)
-    if not np.isfinite(lp):
-        raise SamplerError("non-finite log-posterior at the initial point")
-    ll = lp - log_prior(theta)
-
-    trace = _empty_trace(n_iter, d)
-    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
-    t_start = time.perf_counter()
-    for i in range(n_iter):
-        prop, corr = propose(theta, next(normals))
-        u = next(uniforms)
-        lp_prop = log_post(prop)
-        if np.log(u) < log_accept_ratio(lp_prop, lp, corr):
-            theta, lp = prop, lp_prop
-            ll = lp - log_prior(theta)
-            trace.accept[i] = True
-        trace.draws[i] = theta
-        trace.loglik_est[i] = ll
-    trace.meta = {
-        "kernel": "mh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "proposal": proposal, "wall_time": time.perf_counter() - t_start,
-        "cost_proxy": dataset.n,
-    }
-    return trace
-
-
-# ---------------------------------------------------------------------------
 # Subsample proposals
 # ---------------------------------------------------------------------------
 
@@ -389,7 +345,7 @@ def initial_subsample(est_cfg, dependence: DependenceConfig, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-marginal Metropolis-Hastings
+# Pseudo-marginal Metropolis-Hastings, and full-data MH as its exact case
 # ---------------------------------------------------------------------------
 
 def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
@@ -402,16 +358,9 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
     product estimator the acceptance uses |estimate| and the running sign
     is recorded for the importance-weighted correction afterwards.
     """
-    if n_iter < 1:
-        raise SamplerError("need n_iter >= 1")
-    theta = np.asarray(theta0, dtype=float).copy()
-    d = theta.size
     rng_prop, rng_accept, rng_sub = _streams(seed)
-    propose = _Proposer(proposal, d, theta)
     differ = bind_differences(model, cache, dataset)
-    log_prior = differ.log_prior
 
-    # evaluate(t, state) -> (log target estimate, recorded log-lik value, sign)
     if isinstance(est_cfg, DifferenceConfig):
         rows_of = differ.gather
         if dependence.kind != "cpm":
@@ -431,6 +380,51 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
             return log_abs, log_abs, sign
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
+    trace, invalid = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
+                              (rng_prop, rng_accept, rng_sub), state, dependence)
+    trace.meta = {
+        "kernel": "pmmh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
+        "proposal": proposal, "dependence": dependence, "estimator": est_cfg,
+        "invalid_proposals": invalid, "wall_time": trace.meta["wall_time"],
+        "cost_proxy": (est_cfg.m if isinstance(est_cfg, DifferenceConfig)
+                       else est_cfg.n_products * est_cfg.batch_size),
+    }
+    return trace
+
+
+def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
+           theta0, n_iter: int, seed) -> ChainTrace:
+    """Metropolis-Hastings on the full-data posterior: the pseudo-marginal
+    loop with the exact log-likelihood as its estimate and no subsample."""
+    loglik_sum = model.bind_sums(dataset)[0]
+
+    def evaluate(t, _):
+        loglik = loglik_sum(t)
+        return loglik, loglik, 1
+
+    trace, invalid = _mh_loop(evaluate, model.prior.bind()[0], proposal, theta0, n_iter,
+                              _streams(seed))
+    trace.meta = {
+        "kernel": "mh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
+        "proposal": proposal, "invalid_proposals": invalid,
+        "wall_time": trace.meta["wall_time"], "cost_proxy": dataset.n,
+    }
+    return trace
+
+
+def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int, streams,
+             state=None, dependence: DependenceConfig | None = None) -> tuple[ChainTrace, int]:
+    """Shared MH loop on the extended state (theta, u).  `evaluate(theta,
+    state)` returns (log-likelihood estimate, value to record, sign).  Each
+    iteration moves u by `propose_u` on the third of `streams`, unless `state`
+    is None (full-data MH).  A proposal with sign 0 or a non-finite log
+    target is rejected and counted; returns the trace and that count."""
+    if n_iter < 1:
+        raise SamplerError("need n_iter >= 1")
+    rng_prop, rng_accept, rng_sub = streams
+    theta = np.asarray(theta0, dtype=float).copy()
+    d = theta.size
+    propose = _Proposer(proposal, d, theta)
     log_est, record, sign = evaluate(theta, state)
     log_target = log_est + log_prior(theta)
     if sign == 0 or not np.isfinite(log_target):
@@ -441,32 +435,25 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
     normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
-        state_prop = propose_u(state, dependence, rng_sub)
+        state_prop = state if state is None else propose_u(state, dependence, rng_sub)
         theta_prop, corr = propose(theta, next(normals))
         u = next(uniforms)
         log_est_p, record_p, sign_p = evaluate(theta_prop, state_prop)
         log_target_p = log_est_p + log_prior(theta_prop)
         if sign_p == 0 or not math.isfinite(log_target_p):
             invalid += 1
-            state.cursor = state_prop.cursor
         elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
             theta, state = theta_prop, state_prop
             log_target, record, sign = log_target_p, record_p, sign_p
             trace.accept[i] = True
-        else:
-            # carry the cursor forward so the refresh cycle keeps rotating
+        if state is not state_prop:
+            # rejected: carry the cursor forward so the refresh cycle keeps rotating
             state.cursor = state_prop.cursor
         trace.draws[i] = theta
         trace.loglik_est[i] = record
         trace.sign[i] = sign
-    trace.meta = {
-        "kernel": "pmmh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "proposal": proposal, "dependence": dependence, "estimator": est_cfg,
-        "invalid_proposals": invalid, "wall_time": time.perf_counter() - t_start,
-        "cost_proxy": (est_cfg.m if isinstance(est_cfg, DifferenceConfig)
-                       else est_cfg.n_products * est_cfg.batch_size),
-    }
-    return trace
+    trace.meta["wall_time"] = time.perf_counter() - t_start
+    return trace, invalid
 
 
 def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
@@ -521,8 +508,6 @@ def _kinetic(mom: np.ndarray, M_inv: np.ndarray | None) -> float:
 
 def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
             n_iter: int, seed) -> ChainTrace:
-    theta = np.asarray(theta0, dtype=float).copy()
-    d = theta.size
     loglik_sum, grad_sum = model.bind_sums(dataset)
     log_prior, grad_log_prior = model.prior.bind()
 
@@ -533,7 +518,7 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
         loglik = loglik_sum(t)
         return -(loglik + log_prior(t)), grad_potential(t), loglik
 
-    trace, diverged = _hmc_loop(grad_potential, evaluate, cfg, theta, n_iter, seed, d)
+    trace, diverged = _hmc_loop(grad_potential, evaluate, cfg, theta0, n_iter, seed)
     trace.meta = {
         "kernel": "hmc", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "divergences": diverged,
@@ -542,8 +527,8 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     return trace
 
 
-def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
-              n_iter: int, seed, d: int, u_step=None) -> tuple[ChainTrace, int]:
+def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0, n_iter: int, seed,
+              u_step=None) -> tuple[ChainTrace, int]:
     """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood)
     and `grad_potential(theta)` grad U alone, to the same bits.  The triple
     at the current point is carried from one iteration to the next, so a
@@ -558,7 +543,8 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0: np.ndarray,
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = _streams(seed)
     chol_M, M_inv = _hmc_machinery(cfg)
-    theta = theta0.copy()
+    theta = np.asarray(theta0, dtype=float).copy()
+    d = theta.size
     U, g, loglik = evaluate(theta)
     if not np.isfinite(U):
         raise SamplerError("non-finite potential at the initial point")
@@ -627,8 +613,6 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     (U, grad U, log-likelihood) for the proposed subsample and at the
     trajectory's end, and n_steps - 1 gradient-only ones inside the
     trajectory."""
-    theta_arr = np.asarray(theta0, dtype=float)
-    d = theta_arr.size
     dependence = dependence if dependence is not None else DependenceConfig()
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
@@ -654,7 +638,7 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
         cur.cursor = prop.cursor
         return *box["fns"], False, U_cur, g_cur, log_cur
 
-    trace, diverged = _hmc_loop(*box["fns"], cfg, theta_arr, n_iter, seed, d, u_step=u_step)
+    trace, diverged = _hmc_loop(*box["fns"], cfg, theta0, n_iter, seed, u_step=u_step)
     trace.meta = {
         "kernel": "hmc_ecs", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "dependence": dependence, "m": m, "divergences": diverged,

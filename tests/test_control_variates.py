@@ -191,6 +191,22 @@ class TestKMeans:
         stopped = kmeans_cluster(poisson_example, n_clusters=10, seed=7, max_iter=1)
         assert not stopped.converged and len(stopped.objective_path) == 1
 
+    def test_row_blocks_change_no_bit(self, monkeypatch, poisson_example):
+        # 7-row blocks, the last one short, give what one block of all rows
+        # gives, whether or not the assignment settles
+        from submcmc import control_variates
+        runs = {}
+        for block in (poisson_example.n, 7):
+            monkeypatch.setattr(control_variates, "_KMEANS_BLOCK", block)
+            runs[block] = [kmeans_cluster(poisson_example, n_clusters=30, seed=2, max_iter=it)
+                           for it in (100, 3)]
+        for whole, blocked in zip(runs[poisson_example.n], runs[7]):
+            assert blocked.converged == whole.converged
+            assert blocked.objective_path == whole.objective_path
+            np.testing.assert_array_equal(blocked.centroids, whole.centroids)
+            np.testing.assert_array_equal(blocked.assignment, whole.assignment)
+        assert [run.converged for run in runs[7]] == [True, False]
+
     def test_k_larger_than_n_rejected(self, poisson_example):
         with pytest.raises(DomainError):
             kmeans_cluster(poisson_example, n_clusters=poisson_example.n + 1)
@@ -466,6 +482,61 @@ class TestSerialization:
         small = Dataset(y=poisson_example.y[:10], X=poisson_example.X[:10])
         with pytest.raises(DomainError, match="1000 observations"):
             load_cache(path, model=poisson_model, dataset=small)
+
+    @pytest.mark.parametrize("entry", ["difference_estimate", "differences",
+                                       "block_poisson_evaluate", "pmmh_run", "hmc_ecs_run"])
+    def test_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
+                                                example_center, tmp_path, entry):
+        # a data-expanded cache of 300 rows loaded beside 100 of them: an
+        # estimate would mix ell_i of 100 rows with q_i and sum q_i of 300
+        from submcmc import (BlockPoissonConfig, DependenceConfig, DifferenceConfig,
+                             HmcConfig, ProposalConfig, block_poisson_evaluate,
+                             draw_block_poisson, hmc_ecs_run, pmmh_run)
+        big = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
+        small = Dataset(y=poisson_example.y[:100], X=poisson_example.X[:100])
+        path = tmp_path / "data.cvc"
+        save_cache(build_data_expanded(poisson_model, big, kmeans_cluster(big, 10, seed=3)),
+                   path)
+        cache = load_cache(path, model=poisson_model, dataset=small)
+        idx, theta = np.arange(20), example_center
+        run = {
+            "difference_estimate": lambda: difference_estimate(
+                poisson_model, cache, small, theta, idx),
+            "differences": lambda: differences(poisson_model, cache, small, theta, idx),
+            "block_poisson_evaluate": lambda: block_poisson_evaluate(
+                poisson_model, cache, small, theta, BlockPoissonConfig(2, 5, bound=-2.0),
+                draw_block_poisson(small.n, 2, 5, np.random.default_rng(0))),
+            "pmmh_run": lambda: pmmh_run(
+                poisson_model, small, cache, DifferenceConfig(m=20),
+                ProposalConfig(step_scale=0.02), DependenceConfig(), theta, 10, seed=1),
+            "hmc_ecs_run": lambda: hmc_ecs_run(
+                poisson_model, small, ExactControlVariate(poisson_model, big),
+                HmcConfig(step_size=0.01, n_steps=2), 20, theta, 10, seed=1),
+        }[entry]
+        with pytest.raises(DomainError, match="300 observations, dataset has 100"):
+            run()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 60), d=st.integers(1, 4), order=st.integers(0, 2),
+           kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, n, d, order, kind, seed):
+        from submcmc import PoissonRegression
+        model = PoissonRegression()
+        rng = np.random.default_rng(seed)
+        data = simulate_poisson(n, rng.normal(0.0, 0.4, size=d), seed=seed)
+        if kind == "param":
+            cache = build_param_expanded(model, data, rng.normal(0.0, 0.4, size=d), order)
+        else:
+            clusters = kmeans_cluster(data, int(rng.integers(1, n + 1)), seed=seed)
+            cache = build_data_expanded(model, data, clusters, order)
+        path = tmp_path_factory.mktemp("cache") / "cache.cvc"
+        save_cache(cache, path)
+        back = load_cache(path, model=model, dataset=data)
+        theta, idx = rng.normal(0.0, 0.4, size=d), np.arange(n)
+        assert back.sum_values(theta) == cache.sum_values(theta)
+        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
+        if kind == "param":
+            np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
 
     def test_version_1_file_rejected(self, param_caches, tmp_path):
         # version 1 stored per-observation value, gradient and Hessian arrays

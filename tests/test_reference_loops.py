@@ -157,7 +157,6 @@ def ref_mh(model, dataset, proposal, theta0, n_iter, seed):
         return model.loglik_sum(t, dataset) + ref_log_prior(model, t)
 
     lp = log_post(theta)
-    ll = lp - ref_log_prior(model, theta)
     trace = _empty_trace(n_iter, d)
     for i in range(n_iter):
         prop, corr = propose(theta, rng_prop)
@@ -165,10 +164,10 @@ def ref_mh(model, dataset, proposal, theta0, n_iter, seed):
         lp_prop = log_post(prop)
         if np.log(u) < lp_prop - lp + corr:
             theta, lp = prop, lp_prop
-            ll = lp - ref_log_prior(model, theta)
             trace.accept[i] = True
         trace.draws[i] = theta
-        trace.loglik_est[i] = ll
+        # the full-data log-likelihood at the current draw, as every kernel records
+        trace.loglik_est[i] = model.loglik_sum(theta, dataset)
     return trace
 
 

@@ -164,6 +164,13 @@ class TestMh:
         ds = Dataset(y=np.zeros(1), X=np.empty((1, 0)))
         trace = mh_run(model, ds, ProposalConfig(step_scale=1.0), np.array([2.5]),
                        120_000, seed=3)
+        # proposals outside [0, 5) have log-likelihood -inf: replaying the
+        # proposal stream finds each one rejected and counted as invalid
+        start = np.concatenate([[2.5], trace.draws[:-1, 0]])
+        proposals = start + _streams(3)[0].standard_normal(trace.n_iter)
+        outside = (proposals < 0.0) | (proposals >= 5.0)
+        assert trace.meta["invalid_proposals"] == np.count_nonzero(outside) > 0
+        assert not trace.accept[outside].any()
         bins = np.clip(trace.draws[5000:, 0].astype(int), 0, 4)
         flows = np.zeros((5, 5))
         np.add.at(flows, (bins[:-1], bins[1:]), 1.0)
@@ -372,6 +379,9 @@ class TestPmmh:
                       proposal, DependenceConfig(), example_center, 1500, seed=11)
         assert np.array_equal(mh.accept, pm.accept)
         assert np.array_equal(mh.draws, pm.draws)
+        # one loop: the exact log-likelihood is recorded to the bit by both
+        assert np.array_equal(mh.loglik_est, pm.loglik_est)
+        assert np.array_equal(mh.sign, pm.sign)
 
     def test_trace_is_deterministic(self, poisson_model, poisson_example,
                                     example_center, param_caches):
@@ -835,11 +845,7 @@ def test_trace_columns_mean_the_same_in_every_kernel(tmp_path, poisson_model,
     back = read_trace_csv(tmp_path / "trace.csv")
     exact = np.array([poisson_model.loglik_sum(theta, poisson_example)
                       for theta in back.draws])
-    if kernel == "mh":
-        # mh records log posterior less log prior
-        np.testing.assert_allclose(back.loglik_est, exact, rtol=1e-12)
-    else:
-        np.testing.assert_array_equal(back.loglik_est, exact)
+    np.testing.assert_array_equal(back.loglik_est, exact)
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     at = lines[0].split(",").index("accept")
     assert {line.split(",")[at] for line in lines[1:]} == {"0", "1"}
