@@ -47,6 +47,18 @@ class ParamExpandedCache:
     _model: GlmModel = field(default=None, repr=False)
     _dataset: Dataset = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.order >= 2:
+            # the layout taylor_sums builds, whatever came in: products on
+            # contiguous copies round differently
+            moments = np.column_stack([self.sum_grad, self.sum_hess])
+            self.sum_grad, self.sum_hess = moments[:, 0], moments[:, 1:]
+
+    def __setstate__(self, state):
+        # unpickling makes each moment array contiguous on its own
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def _expansion_terms(self, theta, idx):
         """y, eta0, the design rows, a and (ell', ell'') at eta0 (None above
         the order) at the range-checked indices, gathered here alone."""
@@ -641,11 +653,6 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
         if dataset.n != n:
             raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
         point, sum_ell, sum_grad, sum_hess, eta0 = arrays
-        if order >= 2:
-            # the layout taylor_sums builds, columns of one (d, 1 + d) array:
-            # products on a contiguous copy round differently
-            moments = np.column_stack([sum_grad, sum_hess])
-            sum_grad, sum_hess = moments[:, 0], moments[:, 1:]
         return ParamExpandedCache(
             expansion_point=point, order=int(order), sum_ell=float(sum_ell),
             sum_grad=sum_grad, sum_hess=sum_hess, eta0=eta0, n=int(n), d=int(dim),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .control_variates import (
     ExactControlVariate,
     ParamExpandedCache,
@@ -37,6 +37,7 @@ from .estimators import (
     PlanningInputs,
     default_soft_bound,
     estimate_sigma2_pilot,
+    optimal_m_srs_wor,
     plan_subsample_size,
     wor_sampling_fraction,
 )
@@ -524,7 +525,9 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     if plan.chains == 1:
         traces = [run_chain(plan, 0)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=plan.chains) as pool:
+        # a forked pool starts all its workers at once; map keeps chain order
+        workers = min(plan.chains, models._usable_cores())
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(run_chain, [plan] * plan.chains, range(plan.chains)))
 
     paths = {"out_dir": out_dir}
@@ -607,7 +610,7 @@ def figure234_tables(cv_kind: str = "param", radius_list=(0.025, 0.1, 0.25),
             q = cache.values_at(theta, all_idx)
             d_i = ell - q
             sigma2_d = float(np.mean((d_i - d_i.mean()) ** 2))
-            m_opt = int(np.ceil(dataset.n**2 * sigma2_d / 3.3)) if sigma2_d > 0 else 1
+            m_opt = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, 3.3))[0]
             panels.append({"cv": cv_kind, "order": order, "centroids": K,
                            "radius": float(radius), "m_opt": m_opt,
                            "sigma2_d": sigma2_d})
@@ -684,6 +687,5 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
         m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))
         rows.append({"target": float(target), "sigma2_d": sigma2_d, "m": m,
                      "degenerate": int(degenerate),
-                     "wor_m": int(np.ceil(wor_sampling_fraction(dataset.n, sigma2_d, target)
-                                          * dataset.n))})
+                     "wor_m": optimal_m_srs_wor(dataset.n, sigma2_d, target)})
     return rows

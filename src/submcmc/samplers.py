@@ -17,7 +17,7 @@ bit generator itself, for n <= 2^32; whole 64-bit words above), so one call
 of size K k returns the same values as K calls of size k.  A stream that
 interleaves bounded integers with whole-word draws would be reordered by
 chunking, so it stays per call: the Pois(1) counts of the product
-estimator, the Gaussian codes of cpm and the u-step uniform of HMC-ECS.
+estimator, the Gaussian codes of cpm and the u-move uniform of HMC-ECS.
 """
 
 from __future__ import annotations
@@ -56,6 +56,17 @@ DIVERGENCE_THRESHOLD = 1000.0
 # Configuration containers
 # ---------------------------------------------------------------------------
 
+def _check_spd(matrix, key: str, what: str):
+    """Raise ConfigError under `key` unless `matrix` is symmetric positive definite."""
+    S = np.asarray(matrix, dtype=float)
+    if not np.allclose(S, S.T):
+        raise ConfigError(key, f"{what} must be symmetric")
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise ConfigError(key, f"{what} must be positive definite") from None
+
+
 @dataclass
 class ProposalConfig:
     """Random-walk (default) or independence proposal N(center, scale^2 * shape).
@@ -74,13 +85,7 @@ class ProposalConfig:
         if self.step_scale is not None and self.step_scale <= 0:
             raise ConfigError("kappa", "step scale must be positive")
         if self.shape is not None:
-            S = np.asarray(self.shape, dtype=float)
-            if not np.allclose(S, S.T):
-                raise ConfigError("omega", "proposal shape must be symmetric")
-            try:
-                np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                raise ConfigError("omega", "proposal shape must be positive definite") from None
+            _check_spd(self.shape, "omega", "proposal shape")
 
 
 @dataclass
@@ -95,13 +100,7 @@ class HmcConfig:
         if self.n_steps < 1:
             raise ConfigError("leapfrog_steps", "need at least one leapfrog step")
         if self.mass is not None:
-            M = np.asarray(self.mass, dtype=float)
-            if not np.allclose(M, M.T):
-                raise ConfigError("mass", "mass matrix must be symmetric")
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                raise ConfigError("mass", "mass matrix must be positive definite") from None
+            _check_spd(self.mass, "mass", "mass matrix")
 
 
 @dataclass
@@ -164,8 +163,9 @@ class DifferenceConfig:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _streams(seed) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(3)
+def _streams(seed, count: int = 3) -> tuple[np.random.Generator, ...]:
+    """The seed's first `count` child streams (see the module docstring)."""
+    children = np.random.SeedSequence(seed).spawn(count)
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
@@ -508,17 +508,18 @@ def _kinetic(mom: np.ndarray, M_inv: np.ndarray | None) -> float:
 
 def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
             n_iter: int, seed) -> ChainTrace:
+    """HMC on the full-data posterior: the shared HMC loop with no subsample."""
     loglik_sum, grad_sum = model.bind_sums(dataset)
     log_prior, grad_log_prior = model.prior.bind()
 
-    def grad_potential(t):
+    def grad_potential(t, rows):
         return -(grad_sum(t) + grad_log_prior(t))
 
-    def evaluate(t):
+    def evaluate(t, rows):
         loglik = loglik_sum(t)
-        return -(loglik + log_prior(t)), grad_potential(t), loglik
+        return -(loglik + log_prior(t)), grad_potential(t, rows), loglik
 
-    trace, diverged = _hmc_loop(grad_potential, evaluate, cfg, theta0, n_iter, seed)
+    trace, diverged = _hmc_loop(evaluate, grad_potential, cfg, theta0, n_iter, _streams(seed))
     trace.meta = {
         "kernel": "hmc", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "divergences": diverged,
@@ -527,25 +528,28 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     return trace
 
 
-def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0, n_iter: int, seed,
-              u_step=None) -> tuple[ChainTrace, int]:
-    """Shared HMC loop.  `evaluate(theta)` returns (U, grad U, log-likelihood)
-    and `grad_potential(theta)` grad U alone, to the same bits.  The triple
-    at the current point is carried from one iteration to the next, so a
-    trajectory opens on the carried gradient and an iteration makes
-    n_steps - 1 `grad_potential` calls inside the trajectory and one
-    `evaluate` call at its end.  u_step, when given, runs before
-    each trajectory, may swap out the potential (the energy conserving
-    subsampling pattern), and returns the functions in force with their
-    (U, grad U, log-likelihood) at the current point.  The recorded
-    log-likelihood is the one the draw was accepted or kept under."""
+def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, streams,
+              state=None, dependence: DependenceConfig | None = None,
+              gather=None) -> tuple[ChainTrace, int]:
+    """Shared HMC loop on the extended state (theta, u).  `evaluate(theta,
+    rows)` returns (U, grad U, log-likelihood) and `grad_potential(theta,
+    rows)` grad U alone, to the same bits, where rows = gather(state.indices),
+    or None when `state` is None (full-data HMC).  With a subsample, each
+    iteration first moves u given theta (the energy conserving subsampling
+    Gibbs block): `propose_u` and one uniform on the third of `streams`, and
+    acceptance on the ratio of the likelihood estimates.  The triple at the
+    current point is carried, so a trajectory opens on the carried gradient
+    and makes n_steps - 1 `grad_potential` calls and one `evaluate` call at
+    its end.  The recorded log-likelihood is the one the draw was accepted
+    or kept under."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
-    rng_prop, rng_accept, rng_sub = _streams(seed)
+    rng_prop, rng_accept, rng_sub = streams
     chol_M, M_inv = _hmc_machinery(cfg)
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
-    U, g, loglik = evaluate(theta)
+    rows = None if state is None else gather(state.indices)
+    U, g, loglik = evaluate(theta, rows)
     if not np.isfinite(U):
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
@@ -553,9 +557,16 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0, n_iter: int, see
     normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
-        if u_step is not None:
-            grad_potential, evaluate, trace.u_accept[i], U, g, loglik = u_step(
-                theta, U, g, loglik, rng_sub)
+        if state is not None:
+            state_prop = propose_u(state, dependence, rng_sub)
+            u = rng_sub.random()
+            rows_prop = gather(state_prop.indices)
+            U_prop, g_prop, loglik_prop = evaluate(theta, rows_prop)
+            if np.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
+                state, rows, U, g, loglik = state_prop, rows_prop, U_prop, g_prop, loglik_prop
+                trace.u_accept[i] = True
+            else:
+                state.cursor = state_prop.cursor
         mom = next(normals) if chol_M is None else chol_M @ next(normals)
         u = next(uniforms)
         K = _kinetic(mom, M_inv)
@@ -563,7 +574,8 @@ def _hmc_loop(grad_potential, evaluate, cfg: HmcConfig, theta0, n_iter: int, see
         # is the designed response, so silence the intermediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
             theta_prop, mom_prop, (U_prop, g_prop, loglik_prop) = leapfrog(
-                grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate, g)
+                partial(grad_potential, rows=rows), theta, mom, cfg.step_size, cfg.n_steps,
+                M_inv, partial(evaluate, rows=rows), g)
             K_prop = _kinetic(mom_prop, M_inv)
         dH = (U_prop + K_prop) - (U + K)
         if not np.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
@@ -614,31 +626,13 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     trajectory's end, and n_steps - 1 gradient-only ones inside the
     trajectory."""
     dependence = dependence if dependence is not None else DependenceConfig()
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
-    state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
+    *streams, rng_init = _streams(seed, 4)
+    state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, rng_init)
     differ = bind_differences(model, cache, dataset)
-    potential, grad_potential = differ.potential, differ.grad_potential
-
-    def bound_to(rows):
-        """(grad U, (U, grad U, log-likelihood)) as functions of theta at `rows`."""
-        return (partial(grad_potential, rows=rows, include_variance_grad=include_variance_grad),
-                partial(potential, rows=rows, include_variance_grad=include_variance_grad))
-
-    box = {"state": state, "fns": bound_to(differ.gather(state.indices))}
-
-    def u_step(theta, U_cur, g_cur, log_cur, rng_sub):
-        cur = box["state"]
-        prop = propose_u(cur, dependence, rng_sub)
-        u = rng_sub.random()
-        rows = differ.gather(prop.indices)
-        U_prop, g_prop, log_prop = potential(theta, rows, include_variance_grad)
-        if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
-            box["state"], box["fns"] = prop, bound_to(rows)
-            return *box["fns"], True, U_prop, g_prop, log_prop
-        cur.cursor = prop.cursor
-        return *box["fns"], False, U_cur, g_cur, log_cur
-
-    trace, diverged = _hmc_loop(*box["fns"], cfg, theta0, n_iter, seed, u_step=u_step)
+    trace, diverged = _hmc_loop(
+        partial(differ.potential, include_variance_grad=include_variance_grad),
+        partial(differ.grad_potential, include_variance_grad=include_variance_grad),
+        cfg, theta0, n_iter, streams, state, dependence, differ.gather)
     trace.meta = {
         "kernel": "hmc_ecs", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "hmc": cfg, "dependence": dependence, "m": m, "divergences": diverged,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from submcmc import DomainError, PoissonRegression, load_dataset
+from submcmc import DomainError, PoissonRegression, experiments, load_dataset, models
 from submcmc.cli import main
 from submcmc.experiments import (
     example_dataset,
@@ -10,8 +10,11 @@ from submcmc.experiments import (
     figure5_study,
     laplace_covariance,
     parse_config_file,
+    plan_table,
     read_trace_csv,
     resolve,
+    run_chain,
+    write_trace_csv,
 )
 
 
@@ -63,6 +66,21 @@ def r_squared(ell, q):
     resid = np.sum((ell - q) ** 2)
     total = np.sum((ell - ell.mean()) ** 2)
     return 1.0 - resid / total
+
+
+def trace_rows(path):
+    """The lines of a CSV below its '#' comment header."""
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh if not line.startswith("#")]
+
+
+def assert_chains_run_alone(cfg, out, tmp_path):
+    """Each chain's trace rows in `out` are those of the chain run in-process."""
+    plan, _ = resolve(parse_config_file(cfg))
+    for k in range(plan.chains):
+        alone = tmp_path / f"alone{k}.csv"
+        write_trace_csv(run_chain(plan, k), alone)
+        assert trace_rows(out / f"trace_chain{k}.csv") == trace_rows(alone), k
 
 
 class TestRunCommand:
@@ -185,6 +203,48 @@ class TestRunCommand:
         a = read_trace_csv(out / "trace_chain0.csv")
         b = read_trace_csv(out / "trace_chain1.csv")
         assert not np.array_equal(a.draws, b.draws)
+
+    def test_chain_workers_capped_at_usable_cores(self, tmp_path, monkeypatch):
+        # a forked pool starts every worker at once, so chains = k must not
+        # fork k processes; this executor runs the chains in-process
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        monkeypatch.setattr(models, "_usable_cores", lambda: 2)
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, "chains": "3",
+                                                    "iterations": "30"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert sizes == [2]
+        assert_chains_run_alone(cfg, out, tmp_path)
+
+    # an order-2 parameter-expanded cache reaches each worker pickled, and
+    # must round its totals there as the built cache does
+    @pytest.mark.parametrize("settings", [
+        dict(sampler="pmmh", estimator="difference", m="20"),
+        dict(sampler="hmc_ecs", epsilon="0.02", leapfrog_steps="3", m="30"),
+    ], ids=["pmmh", "hmc_ecs"])
+    def test_each_chain_matches_its_in_process_run(self, tmp_path, settings):
+        cfg = write_config(tmp_path / "run.cfg", **{
+            **ECHO_BASE, **settings, "simulate_theta": "0.5,0.3,-0.2,0.25,-0.15,0.1",
+            "cv": "param", "order": "2", "chains": "2", "iterations": "300", "seed": "1"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert_chains_run_alone(cfg, out, tmp_path)
 
     def test_pmmh_block_poisson_config_runs(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", model="poisson", simulate_n="100",
@@ -381,6 +441,12 @@ class TestSimulateAndDiagnose:
                      "--out", str(out)]) == 0
         table = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
         assert table["m"][0] >= table["m"][1] >= 1
+
+    def test_degenerate_plan_sizes_are_one(self):
+        # exact control variates leave a zero pilot variance
+        rows = plan_table(dict(model="poisson", simulate_n="200", simulate_theta="0.8,0.5",
+                               cv="exact", seed="2"))
+        assert [(row["m"], row["wor_m"], row["degenerate"]) for row in rows] == [(1, 1, 1)] * 2
 
 
 class TestFigure1:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -12,6 +12,7 @@ from submcmc import (
     DomainError,
     ExactControlVariate,
     LogisticRegression,
+    ParamExpandedCache,
     build_data_expanded,
     build_param_expanded,
     difference_estimate,
@@ -516,10 +517,9 @@ class TestSerialization:
         with pytest.raises(DomainError, match="300 observations, dataset has 100"):
             run()
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 60), d=st.integers(1, 4), order=st.integers(0, 2),
-           kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
-    def test_round_trip_is_bit_exact(self, tmp_path_factory, n, d, order, kind, seed):
+    @staticmethod
+    def random_cache(n, d, order, kind, seed):
+        """(model, data, cache, rng) for a random Poisson problem."""
         from submcmc import PoissonRegression
         model = PoissonRegression()
         rng = np.random.default_rng(seed)
@@ -529,14 +529,37 @@ class TestSerialization:
         else:
             clusters = kmeans_cluster(data, int(rng.integers(1, n + 1)), seed=seed)
             cache = build_data_expanded(model, data, clusters, order)
+        return model, data, cache, rng
+
+    @staticmethod
+    def assert_same_bits(back, cache, theta, n):
+        assert back.sum_values(theta) == cache.sum_values(theta)
+        idx = np.arange(n)
+        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
+        if isinstance(cache, ParamExpandedCache):
+            np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 60), d=st.integers(1, 4), order=st.integers(0, 2),
+           kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, n, d, order, kind, seed):
+        model, data, cache, rng = self.random_cache(n, d, order, kind, seed)
         path = tmp_path_factory.mktemp("cache") / "cache.cvc"
         save_cache(cache, path)
         back = load_cache(path, model=model, dataset=data)
-        theta, idx = rng.normal(0.0, 0.4, size=d), np.arange(n)
-        assert back.sum_values(theta) == cache.sum_values(theta)
-        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
-        if kind == "param":
-            np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
+        self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
+
+    # a multi-chain run pickles the plan, cache included, into its workers;
+    # the pinned case rounded its order-2 totals differently once unpickled
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 100), d=st.integers(1, 8), order=st.integers(0, 2),
+           kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
+    @example(n=100, d=4, order=2, kind="param", seed=0)
+    def test_pickle_round_trip_is_bit_exact(self, n, d, order, kind, seed):
+        import pickle
+        _, _, cache, rng = self.random_cache(n, d, order, kind, seed)
+        back = pickle.loads(pickle.dumps(cache))
+        self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
 
     def test_version_1_file_rejected(self, param_caches, tmp_path):
         # version 1 stored per-observation value, gradient and Hessian arrays

@@ -615,8 +615,10 @@ class TestHmcEcs:
         full = hmc_run(poisson_model, poisson_example, cfg, example_center, 400, seed=21)
         ecs = hmc_ecs_run(poisson_model, poisson_example, cache, cfg, 20,
                           example_center, 400, seed=21)
-        assert np.array_equal(full.draws, ecs.draws)
-        assert np.array_equal(full.accept, ecs.accept)
+        # exact control variates make hmc_ecs full-data HMC in the shared
+        # loop, so every trace column agrees
+        for name in ("draws", "accept", "loglik_est", "sign"):
+            np.testing.assert_array_equal(getattr(ecs, name), getattr(full, name), name)
         assert np.all(ecs.u_accept)
 
     def test_potential_gradient_matches_finite_differences(self, poisson_model,
