@@ -423,10 +423,12 @@ class _Differences:
         _, d, s = self._terms(theta, rows, True, grad)
         return (d, s) if grad else d
 
-    def estimate_terms(self, theta, rows: SubsampleRows):
-        """(d_i, sum_i q_i) at gathered rows."""
+    def estimate(self, theta, rows: SubsampleRows) -> tuple[float, float]:
+        """(value, sample variance) of the difference estimator at gathered
+        rows: the one evaluation pmmh and difference_estimate both make."""
         at, d, _ = self._terms(theta, rows, True, False)
-        return d, self._total(at)
+        value, sample_variance, _ = difference_total(self._total(at), d, self.n)
+        return value, sample_variance
 
     def potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
         """(U, grad U, log_phat) of the HMC-ECS potential at gathered rows:

@@ -17,14 +17,20 @@ IACT_METHODS = ("geyer_initial_positive", "batch_means", "bartlett_spectral")
 def autocorrelations(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelations rho_0..rho_max_lag via FFT (biased normalization)."""
     x = np.asarray(series, dtype=float)
+    if _constant(x):
+        raise DomainError("zero-variance series: autocorrelation undefined")
     x = x - x.mean()
     n = x.size
     nfft = 1 << int(np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conj(f), nfft)[: max_lag + 1] / n
-    if acov[0] <= 0:
-        raise DomainError("zero-variance series: autocorrelation undefined")
     return acov / acov[0]
+
+
+def _constant(x: np.ndarray) -> bool:
+    """Whether every value of x is the same: np.var of a constant array can
+    round to a tiny positive number, so constancy is decided exactly."""
+    return x.min() == x.max()
 
 
 @dataclass
@@ -49,7 +55,7 @@ def iact(series, method: str = "geyer_initial_positive", burn_in: int = 0) -> Ia
     n = x.size
     if n < 100:
         raise DomainError("need at least 100 points after burn-in")
-    if np.var(x) == 0.0:
+    if _constant(x):
         raise DomainError("zero-variance series: IACT undefined")
     if method == "geyer_initial_positive":
         rho = autocorrelations(x, max_lag=n - 1)
@@ -138,19 +144,19 @@ def summarize(trace, burn_in: int = 0, method: str = "geyer_initial_positive") -
     rows = []
     for j in range(d):
         x = draws[:, j]
-        sd = float(np.std(x, ddof=1))
-        if sd > 0 and n >= 100:
+        mean, sd = float(np.mean(x)), float(np.std(x, ddof=1))
+        tau_j = ess = mcse = float("nan")
+        if n >= 2 and _constant(x):
+            # a chain that never moved: its value, exactly, and no IACT
+            mean, sd, mcse = float(x[0]), 0.0, 0.0
+        elif sd > 0 and n >= 100:
             est = iact(x, method=method)
             floored = max(est.value, 0.01)
             tau_j, ess = est.value, n / floored
             mcse = mc_standard_error(x, floored)
-        else:
-            # degenerate or too-short series: report moments only
-            tau_j, ess = float("nan"), float("nan")
-            mcse = 0.0 if sd == 0 else float("nan")
         rows.append({
             "coordinate": j + 1,
-            "mean": float(np.mean(x)),
+            "mean": mean,
             "sd": sd,
             "iact": tau_j,
             "ess": ess,

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .control_variates import (SubsampleRows, bind_differences, check_indices,
-                               difference_total, differences)
+from .control_variates import bind_differences, check_indices, differences
 from .errors import DomainError
 from .models import Dataset, ModelSpec
 
@@ -142,16 +141,6 @@ def wor_sampling_fraction(n: int, sigma2_pop: float, target: float = 3.3) -> flo
     return n * sigma2_pop / (n * sigma2_pop + target)
 
 
-def difference_value(differ, theta: np.ndarray, rows: SubsampleRows) -> tuple[float, float]:
-    """(value, sample variance) of the difference estimator from bound
-    differences (control_variates.bind_differences) at rows they gathered.
-    The samplers call it once per iteration, and difference_estimate
-    delegates to it, so the two agree to the bit."""
-    d, q_total = differ.estimate_terms(theta, rows)
-    value, sample_variance, _ = difference_total(q_total, d, differ.n)
-    return value, sample_variance
-
-
 def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
                         sub) -> LogLikEstimate:
     """Survey-sampling difference estimator: sum q_i + (n/m) sum d_{u_k}.
@@ -165,7 +154,8 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
         raise DomainError("empty index set")
     theta = np.asarray(theta, dtype=float)
     differ = bind_differences(model, cache, dataset)
-    value, sample_variance = difference_value(differ, theta, differ.gather(indices))
+    # the evaluation pmmh makes, so the two agree to the bit
+    value, sample_variance = differ.estimate(theta, differ.gather(indices))
     return LogLikEstimate(value=value, sample_variance=sample_variance, m=indices.size,
                           theta=theta)
 
@@ -213,36 +203,25 @@ def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
     not its log; possibly negative when a mini-batch estimate falls below
     the soft bound.  A mini-batch hitting the bound exactly yields sign 0
     with log_abs = -inf (callers treat it as an invalid proposal).
-
-    All mini-batches are gathered and evaluated in one `differences` call.
     """
     if state.batch_size != cfg.batch_size:
         raise DomainError(f"expected mini-batches of {cfg.batch_size}, got {state.batch_size}")
-    d = differences(model, cache, dataset, theta, state.indices)
-    return _signed_product(d, cache.sum_values(theta), cfg, dataset.n)
+    return block_poisson_value(bind_differences(model, cache, dataset), cfg, theta,
+                               state.indices)
 
 
-def block_poisson_value(differ, theta: np.ndarray, cfg: BlockPoissonConfig,
-                        state: SubsampleState) -> tuple[float, int]:
+def block_poisson_value(differ, cfg: BlockPoissonConfig, theta, rows) -> tuple[float, int]:
     """block_poisson_evaluate from bound differences
-    (control_variates.bind_differences) on a state the sampler drew for
-    `cfg`, whose indices are trusted: the same one `differences` call, on
-    rows that `differ` gathers."""
-    d = differences(differ.model, differ.cache, differ.dataset, theta,
-                    differ.gather(state.indices))
-    return _signed_product(d, differ.cache.sum_values(theta), cfg, differ.n)
-
-
-def _signed_product(d: np.ndarray, q_total: float, cfg: BlockPoissonConfig,
-                    n: int) -> tuple[float, int]:
-    """(log |estimate|, sign) from the differences of all mini-batches in
-    order and sum_i q_i."""
+    (control_variates.bind_differences) at `rows`, the indices of a state
+    drawn for `cfg` or the SubsampleRows `differ` gathered for them.  All
+    mini-batches are evaluated in one `differences` call."""
+    d = differences(differ.model, differ.cache, differ.dataset, theta, rows)
     lam = cfg.n_products
-    dhat = n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
+    dhat = differ.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
     factors = (dhat - cfg.bound) / lam
     if np.any(factors == 0.0):
         return -np.inf, 0
-    log_abs = q_total + cfg.bound + lam
+    log_abs = differ.cache.sum_values(theta) + cfg.bound + lam
     # one at a time in mini-batch order: a pairwise np.sum would round differently
     for term in np.log(np.abs(factors)).tolist():
         log_abs += term

@@ -278,7 +278,8 @@ def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
                   seed) -> float:
     """Population variance of the differences from a pilot subsample,
     averaged over draws from the Laplace approximation at `center`."""
-    pilot = min(dataset.n, max(_MIN_SUBSAMPLE, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
+    # with replacement, so fewer than _MIN_SUBSAMPLE rows still give a full pilot
+    pilot = max(_MIN_SUBSAMPLE, min(dataset.n, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
     thetas = laplace_typical_points(model, dataset, center, count=5,
                                     seed=chain_seed(seed, _TAG_PLANNING), cache=cache)
     rng = np.random.Generator(np.random.PCG64(

@@ -39,7 +39,6 @@ from .estimators import (  # noqa: F401
     block_poisson_evaluate,
     block_poisson_value,
     difference_estimate,
-    difference_value,
     draw_block_poisson,
     draw_bpm,
     draw_cpm,
@@ -360,28 +359,26 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
     """
     rng_prop, rng_accept, rng_sub = _streams(seed)
     differ = bind_differences(model, cache, dataset)
+    gather = differ.gather
 
     if isinstance(est_cfg, DifferenceConfig):
-        rows_of = differ.gather
         if dependence.kind != "cpm":
             # the stream serves only integers(0, n, ·), so it is drawn in chunks;
             # independent proposals are evaluated on views of each chunk's rows
             m = est_cfg.m
             rng_sub = _IndexChunks(rng_sub, differ, m * max(1, _INDEX_CHUNK // m),
                                    views=dependence.kind == "independent")
-            rows_of = rng_sub.rows
+            gather = rng_sub.rows
 
-        def evaluate(t, state):
-            value, sample_variance = difference_value(differ, t, rows_of(state.indices))
-            return value - sample_variance / 2.0, value, 1
+        def evaluate(t, rows):
+            value, sample_variance = differ.estimate(t, rows)
+            return value - sample_variance / 2.0, 1
     else:
-        def evaluate(t, state):
-            log_abs, sign = block_poisson_value(differ, t, est_cfg, state)
-            return log_abs, log_abs, sign
+        evaluate = partial(block_poisson_value, differ, est_cfg)
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
     trace, invalid = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
-                              (rng_prop, rng_accept, rng_sub), state, dependence)
+                              (rng_prop, rng_accept, rng_sub), state, dependence, gather)
     trace.meta = {
         "kernel": "pmmh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
         "proposal": proposal, "dependence": dependence, "estimator": est_cfg,
@@ -398,9 +395,8 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
     loop with the exact log-likelihood as its estimate and no subsample."""
     loglik_sum = model.bind_sums(dataset)[0]
 
-    def evaluate(t, _):
-        loglik = loglik_sum(t)
-        return loglik, loglik, 1
+    def evaluate(t, rows):
+        return loglik_sum(t), 1
 
     trace, invalid = _mh_loop(evaluate, model.prior.bind()[0], proposal, theta0, n_iter,
                               _streams(seed))
@@ -413,11 +409,13 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
 
 
 def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int, streams,
-             state=None, dependence: DependenceConfig | None = None) -> tuple[ChainTrace, int]:
+             state=None, dependence: DependenceConfig | None = None,
+             gather=None) -> tuple[ChainTrace, int]:
     """Shared MH loop on the extended state (theta, u).  `evaluate(theta,
-    state)` returns (log-likelihood estimate, value to record, sign).  Each
-    iteration moves u by `propose_u` on the third of `streams`, unless `state`
-    is None (full-data MH).  A proposal with sign 0 or a non-finite log
+    rows)` returns (log-likelihood estimate, sign), where rows =
+    gather(state.indices), or None when `state` is None (full-data MH).
+    Each iteration moves u by `propose_u` on the third of `streams` and
+    gathers its rows once.  A proposal with sign 0 or a non-finite log
     target is rejected and counted; returns the trace and that count."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
@@ -425,7 +423,7 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
     propose = _Proposer(proposal, d, theta)
-    log_est, record, sign = evaluate(theta, state)
+    log_est, sign = evaluate(theta, None if state is None else gather(state.indices))
     log_target = log_est + log_prior(theta)
     if sign == 0 or not np.isfinite(log_target):
         raise SamplerError("unusable likelihood estimate at the initial point")
@@ -434,23 +432,26 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     invalid = 0
     normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
     t_start = time.perf_counter()
+    state_prop = rows_prop = None
     for i in range(n_iter):
-        state_prop = state if state is None else propose_u(state, dependence, rng_sub)
+        if state is not None:
+            state_prop = propose_u(state, dependence, rng_sub)
+            rows_prop = gather(state_prop.indices)
         theta_prop, corr = propose(theta, next(normals))
         u = next(uniforms)
-        log_est_p, record_p, sign_p = evaluate(theta_prop, state_prop)
+        log_est_p, sign_p = evaluate(theta_prop, rows_prop)
         log_target_p = log_est_p + log_prior(theta_prop)
         if sign_p == 0 or not math.isfinite(log_target_p):
             invalid += 1
         elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
             theta, state = theta_prop, state_prop
-            log_target, record, sign = log_target_p, record_p, sign_p
+            log_target, log_est, sign = log_target_p, log_est_p, sign_p
             trace.accept[i] = True
         if state is not state_prop:
             # rejected: carry the cursor forward so the refresh cycle keeps rotating
             state.cursor = state_prop.cursor
         trace.draws[i] = theta
-        trace.loglik_est[i] = record
+        trace.loglik_est[i] = log_est
         trace.sign[i] = sign
     trace.meta["wall_time"] = time.perf_counter() - t_start
     return trace, invalid

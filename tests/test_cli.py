@@ -299,6 +299,18 @@ class TestResolve:
         _, again = resolve(resolved)
         assert again == resolved
 
+    def test_planning_on_fewer_rows_than_the_pilot_floor(self, tmp_path):
+        # the with-replacement pilot keeps its 30 draws below 30 rows
+        cfg = {**self.PLANNED, "simulate_n": "20"}
+        plan, resolved = resolve(cfg)
+        assert plan.estimator.m == 30
+        assert resolved["m"] == "30" and resolved["plan_floored"] == "1"
+        out = tmp_path / "plan.csv"
+        assert main(["plan", "--config", write_config(tmp_path / "plan.cfg", **cfg),
+                     "--out", str(out)]) == 0
+        table = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
+        assert table.size >= 1 and np.all(table["m"] >= 1)
+
     def test_kmeans_stopped_at_max_iter_is_echoed(self, monkeypatch):
         from submcmc import experiments
         cfg = {**self.PLANNED, "simulate_n": "1000", "cv": "data", "centroids": "10",

@@ -150,6 +150,21 @@ class TestSummaries:
         assert b"\r" not in data
         assert data.count(b"\n") == 2 + 2 and data.endswith(b"\n")
 
+    def test_constant_coordinates_report_their_value(self):
+        # np.std of the second column is 1.1e-16, not 0, so constancy must
+        # be decided exactly or the chain reports an ESS it never had
+        values = (0.6067416364355295, 0.39462730468078516)
+        draws = np.tile(values, (400, 1))
+        trace = ChainTrace(draws=draws, accept=np.zeros(400, bool), loglik_est=np.zeros(400),
+                           sign=np.ones(400, np.int8), u_accept=np.zeros(400, bool))
+        for value, row in zip(values, summarize(trace)):
+            assert (row["mean"], row["sd"], row["mcse"]) == (value, 0.0, 0.0)
+            assert math.isnan(row["iact"]) and math.isnan(row["ess"])
+            with pytest.raises(DomainError):
+                iact(draws[:, row["coordinate"] - 1])
+            with pytest.raises(DomainError):
+                autocorrelations(draws[:, row["coordinate"] - 1], max_lag=5)
+
     def test_ct_report_uses_trace_cost(self, toy_trace):
         report = make_ct_report(toy_trace, coord=0)
         assert report.cost_proxy == 30

@@ -181,30 +181,30 @@ def ref_pmmh(model, dataset, cache, est_cfg, proposal, dependence, theta0, n_ite
         if isinstance(est_cfg, DifferenceConfig):
             dv = ref_differences(model, cache, dataset, t, state.indices)
             value, svar, _ = ref_difference_total(cache, t, dv, dataset.n)
-            return value - svar / 2.0, value, 1
-        log_abs, sign = ref_block_poisson(model, cache, dataset, t, est_cfg, state)
-        return log_abs, log_abs, sign
+            # the bias-corrected estimate, which the chain accepts under
+            return value - svar / 2.0, 1
+        return ref_block_poisson(model, cache, dataset, t, est_cfg, state)
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
-    log_est, record, sign = evaluate(theta, state)
+    log_est, sign = evaluate(theta, state)
     log_target = log_est + ref_log_prior(model, theta)
     trace = _empty_trace(n_iter, d)
     for i in range(n_iter):
         state_prop = propose_u(state, dependence, rng_sub)
         theta_prop, corr = propose(theta, rng_prop)
         u = rng_accept.random()
-        log_est_p, record_p, sign_p = evaluate(theta_prop, state_prop)
+        log_est_p, sign_p = evaluate(theta_prop, state_prop)
         log_target_p = log_est_p + ref_log_prior(model, theta_prop)
         if sign_p == 0 or not np.isfinite(log_target_p):
             state.cursor = state_prop.cursor
         elif np.log(u) < log_target_p - log_target + corr:
             theta, state = theta_prop, state_prop
-            log_target, record, sign = log_target_p, record_p, sign_p
+            log_target, log_est, sign = log_target_p, log_est_p, sign_p
             trace.accept[i] = True
         else:
             state.cursor = state_prop.cursor
         trace.draws[i] = theta
-        trace.loglik_est[i] = record
+        trace.loglik_est[i] = log_est
         trace.sign[i] = sign
     return trace
 

@@ -401,6 +401,25 @@ class TestPmmh:
                          example_center, 300, seed=13)
         assert np.all(trace.sign == 1)
 
+    def test_records_the_bias_corrected_estimate_it_accepts_under(
+            self, poisson_model, poisson_example, example_center, param_caches):
+        # off the expansion point the order-1 differences vary, so the
+        # sample variance is positive; a wide first proposal is rejected, so
+        # row 0 holds the initial state's estimate
+        from submcmc.samplers import initial_subsample
+        m, seed = 30, 15
+        theta0 = example_center + np.array([0.02, -0.02])
+        trace = pmmh_run(poisson_model, poisson_example, param_caches[1],
+                         DifferenceConfig(m=m), ProposalConfig(step_scale=1.0),
+                         DependenceConfig(), theta0, 1, seed=seed)
+        assert not trace.accept[0]
+        state = initial_subsample(DifferenceConfig(m), DependenceConfig(), poisson_example.n,
+                                  _streams(seed)[2])
+        est = difference_estimate(poisson_model, param_caches[1], poisson_example, theta0,
+                                  state)
+        assert est.sample_variance > 0
+        assert trace.loglik_est[0] == est.value - est.sample_variance / 2
+
     def test_cpm_dependence_runs_and_mixes(self, poisson_model, poisson_example,
                                            example_center, param_caches):
         proposal = ProposalConfig(step_scale=0.02)
