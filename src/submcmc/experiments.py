@@ -228,8 +228,9 @@ def _resolve_expansion(cfg, model, dataset, pilot, resolved) -> np.ndarray:
     return point
 
 
-def _build_cache(cfg, model, dataset, seed, resolved, pilot):
-    kind = _take(cfg, resolved, "cv", default="param", choices={"param", "data", "exact"})
+def _build_cache(cfg, model, dataset, seed, resolved, pilot,
+                 kinds=frozenset({"param", "data", "exact"})):
+    kind = _take(cfg, resolved, "cv", default="param", choices=kinds)
     if kind == "exact":
         return ExactControlVariate(model, dataset)
     order = _take(cfg, resolved, "order", int, default=2)
@@ -274,6 +275,13 @@ def laplace_typical_points(model: ModelSpec, dataset: Dataset, center: np.ndarra
     return center + rng.standard_normal((count, center.size)) @ L.T
 
 
+def _planning_center(cache, pilot) -> np.ndarray:
+    """Where planning measures the differences: the cache's expansion point,
+    else the pilot posterior mode; never the chain's start point."""
+    center = getattr(cache, "expansion_point", None)
+    return pilot() if center is None else center
+
+
 def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
                   seed) -> float:
     """Population variance of the differences from a pilot subsample,
@@ -287,11 +295,9 @@ def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
     return estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
 
 
-def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
+def _resolve_m(cfg, model, dataset, cache, seed, resolved, pilot) -> int:
     if "m" in cfg:
         m = _take(cfg, resolved, "m", int)
-        if m < 1:
-            raise ConfigError("m", "subsample size must be >= 1")
         _get(cfg, "sigma2_target", float)
         # keep planning fields in the echo as written, so rerunning an
         # echoed config reproduces it byte-for-byte
@@ -303,7 +309,7 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
         raise ConfigError("m", "provide m or sigma2_target")
     if target <= 0:
         raise ConfigError("sigma2_target", "target variance must be positive")
-    sigma2 = _pilot_sigma2(model, dataset, cache, expansion, seed)
+    sigma2 = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)
     m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2, target))
     if degenerate:
         resolved["plan_degenerate"] = "1"
@@ -312,11 +318,6 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, expansion) -> int:
         resolved["plan_floored"] = "1"
     resolved["m"] = str(m)
     return m
-
-
-def _check_blocks(dependence: DependenceConfig, m: int) -> None:
-    if dependence.kind == "bpm" and dependence.n_blocks > m:
-        raise ConfigError("blocks", f"block count must not exceed the subsample size m = {m}")
 
 
 def resolve(cfg: dict) -> tuple[RunPlan, dict]:
@@ -353,12 +354,60 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
     plan = RunPlan(model=model, dataset=dataset, sampler=sampler, theta0=theta0,
                    n_iter=n_iter, burn_in=burn_in, seed=seed, chains=chains)
 
-    if sampler == "pmmh":
-        est_name = _take(cfg, resolved, "estimator", required=True,
-                         choices={"difference", "block_poisson"})
+    if sampler in ("hmc", "hmc_ecs"):
+        plan.hmc = HmcConfig(
+            step_size=_take(cfg, resolved, "epsilon", float, required=True),
+            n_steps=_take(cfg, resolved, "leapfrog_steps", int, required=True))
+
+    if sampler in ("pmmh", "hmc_ecs"):
+        est_name = "difference" if sampler == "hmc_ecs" else _take(
+            cfg, resolved, "estimator", required=True, choices={"difference", "block_poisson"})
+        dep_kind = _take(cfg, resolved, "dependence", default="independent",
+                         choices={"independent", "cpm", "bpm"})
+        if dep_kind == "cpm":
+            plan.dependence = DependenceConfig(
+                kind="cpm", ar_coef=_take(cfg, resolved, "phi", float, required=True))
+        elif dep_kind == "bpm":
+            plan.dependence = DependenceConfig(
+                kind="bpm", n_blocks=_take(cfg, resolved, "blocks", int, required=True))
+        else:
+            plan.dependence = DependenceConfig()
         # built before the proposal, whose Laplace shape at the expansion
         # point then reads the summed Hessian from the cache
-        plan.cache = _build_cache(cfg, model, dataset, seed, resolved, pilot)
+        plan.cache = _build_cache(cfg, model, dataset, seed, resolved, pilot,
+                                  {"param", "exact"} if sampler == "hmc_ecs"
+                                  else {"param", "data", "exact"})
+        if est_name == "difference":
+            plan.estimator = DifferenceConfig(
+                m=_resolve_m(cfg, model, dataset, plan.cache, seed, resolved, pilot))
+            if dep_kind == "bpm" and plan.dependence.n_blocks > plan.estimator.m:
+                raise ConfigError("blocks", "block count must not exceed the subsample "
+                                  f"size m = {plan.estimator.m}")
+        else:
+            if dep_kind == "cpm":
+                raise ConfigError("dependence", "cpm does not apply to the product estimator")
+            lam = _take(cfg, resolved, "lambda", int, required=True)
+            m_b = _take(cfg, resolved, "m_b", int, required=True)
+            if lam < 1 or m_b < 1:
+                raise ConfigError("lambda", "lambda and m_b must be >= 1")
+            if dep_kind == "bpm" and lam % plan.dependence.n_blocks != 0:
+                raise ConfigError("blocks", "block count must divide lambda")
+            bound = _take(cfg, resolved, "a", float)
+            if bound is None:
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(chain_seed(seed, _TAG_BOUND))))
+                pilot_m = min(dataset.n, max(_MIN_SUBSAMPLE, 10 * m_b))
+                bound = default_soft_bound(model, plan.cache, dataset,
+                                           _planning_center(plan.cache, pilot),
+                                           lam, pilot_m, rng)
+                resolved["a"] = _fmt(bound)
+            plan.estimator = BlockPoissonConfig(n_products=lam, batch_size=m_b, bound=bound)
+
+    if sampler == "hmc_ecs":
+        plan.m = plan.estimator.m
+        plan.include_variance_grad = _get(cfg, "variance_grad", default="1",
+                                          choices={"0", "1", "false", "true"}) in ("1", "true")
+        resolved["variance_grad"] = "1" if plan.include_variance_grad else "0"
 
     if sampler in ("mh", "pmmh"):
         kappa = _take(cfg, resolved, "kappa", float, default=2.38 / math.sqrt(d))
@@ -370,63 +419,12 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
             step_scale=kappa, shape=laplace_covariance(model, dataset, theta0, plan.cache)
             if omega_kind == "laplace" else None)
 
-    if sampler in ("hmc", "hmc_ecs"):
-        plan.hmc = HmcConfig(
-            step_size=_take(cfg, resolved, "epsilon", float, required=True),
-            n_steps=_take(cfg, resolved, "leapfrog_steps", int, required=True))
-
-    if sampler in ("pmmh", "hmc_ecs"):
-        dep_kind = _take(cfg, resolved, "dependence", default="independent",
-                         choices={"independent", "cpm", "bpm"})
-        if dep_kind == "cpm":
-            plan.dependence = DependenceConfig(
-                kind="cpm", ar_coef=_take(cfg, resolved, "phi", float, required=True))
-        elif dep_kind == "bpm":
-            plan.dependence = DependenceConfig(
-                kind="bpm", n_blocks=_take(cfg, resolved, "blocks", int, required=True))
-        else:
-            plan.dependence = DependenceConfig()
-
-    if sampler == "pmmh":
-        expansion = getattr(plan.cache, "expansion_point", theta0)
-        if est_name == "difference":
-            plan.estimator = DifferenceConfig(
-                m=_resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion))
-            _check_blocks(plan.dependence, plan.estimator.m)
-        else:
-            if plan.dependence.kind == "cpm":
-                raise ConfigError("dependence", "cpm does not apply to the product estimator")
-            lam = _take(cfg, resolved, "lambda", int, required=True)
-            m_b = _take(cfg, resolved, "m_b", int, required=True)
-            if lam < 1 or m_b < 1:
-                raise ConfigError("lambda", "lambda and m_b must be >= 1")
-            if plan.dependence.kind == "bpm" and lam % plan.dependence.n_blocks != 0:
-                raise ConfigError("blocks", "block count must divide lambda")
-            bound = _take(cfg, resolved, "a", float)
-            if bound is None:
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence(chain_seed(seed, _TAG_BOUND))))
-                pilot_m = min(dataset.n, max(_MIN_SUBSAMPLE, 10 * m_b))
-                bound = default_soft_bound(model, plan.cache, dataset, expansion,
-                                           lam, pilot_m, rng)
-                resolved["a"] = _fmt(bound)
-            plan.estimator = BlockPoissonConfig(n_products=lam, batch_size=m_b, bound=bound)
-
-    if sampler == "hmc_ecs":
-        kind = _get(cfg, "cv", default="param", choices={"param", "exact"})
-        plan.cache = _build_cache({**cfg, "cv": kind}, model, dataset, seed, resolved, pilot)
-        expansion = getattr(plan.cache, "expansion_point", theta0)
-        plan.m = _resolve_m(cfg, model, dataset, plan.cache, seed, resolved, expansion)
-        _check_blocks(plan.dependence, plan.m)
-        plan.include_variance_grad = _get(cfg, "variance_grad", default="1",
-                                          choices={"0", "1", "false", "true"}) in ("1", "true")
-        resolved["variance_grad"] = "1" if plan.include_variance_grad else "0"
-
     return plan, resolved
 
 
 def run_chain(plan: RunPlan, chain_id: int) -> ChainTrace:
-    seed = plan.seed if plan.chains == 1 else chain_seed(plan.seed, chain_id)
+    # SeedSequence zero-pads [seed, 0] to seed: chain 0 is the single-chain run
+    seed = chain_seed(plan.seed, chain_id)
     if plan.sampler == "mh":
         return mh_run(plan.model, plan.dataset, plan.proposal, plan.theta0,
                       plan.n_iter, seed)
@@ -637,14 +635,19 @@ def figure5_study(sigma2_targets=(0.0, 1.0, 10.0, 50.0), n_iter: int = 20000,
     proposal = ProposalConfig(shape=laplace_covariance(model, dataset, center, cache))
     sigma2_d = _pilot_sigma2(model, dataset, cache, center, seed)
 
+    sizes = [dataset.n if target == 0.0
+             else plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))[0]
+             for target in sigma2_targets]
+    for target, m in zip(sigma2_targets, sizes):
+        if target != 0.0 and m < 2:  # one draw's sample variance is identically 0
+            raise ConfigError("targets", f"target {target:g} plans m = {m}, below the 2 "
+                              "draws a sample variance needs")
     coord = min(1, model.dim(dataset) - 1)
     results = []
-    for target in sigma2_targets:
+    for target, m in zip(sigma2_targets, sizes):
         if target == 0.0:
             trace = mh_run(model, dataset, proposal, center, n_iter, seed)
-            m = dataset.n
         else:
-            m, _ = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))
             trace = pmmh_run(model, dataset, cache, DifferenceConfig(m), proposal,
                              DependenceConfig(), center, n_iter, seed)
         burn = min(n_iter // 10, 2000)
@@ -679,10 +682,7 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     seed = _get(cfg, "seed", int, default=0)
     pilot = _pilot_mode(model, dataset, seed)
     cache = _build_cache(cfg, model, dataset, seed, {}, pilot)
-    center = getattr(cache, "expansion_point", None)
-    if center is None:
-        center = pilot()
-    sigma2_d = _pilot_sigma2(model, dataset, cache, center, seed)
+    sigma2_d = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)
     rows = []
     for target in targets:
         m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))

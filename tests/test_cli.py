@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from submcmc import DomainError, PoissonRegression, experiments, load_dataset, models
+from submcmc import (ConfigError, DomainError, PoissonRegression, experiments, load_dataset,
+                     models)
 from submcmc.cli import main
 from submcmc.experiments import (
     example_dataset,
@@ -59,6 +60,40 @@ ECHO_MATRIX = {
     "ecs-exact-vg0": dict(sampler="hmc_ecs", epsilon="0.05", leapfrog_steps="4", m="30",
                           cv="exact", variance_grad="0"),
     "mh-chains": dict(sampler="mh", chains="2", iterations="100"),
+}
+
+
+# the sampler requirement matrix: one config per field a single error names;
+# None removes a key
+_PMMH = dict(sampler="pmmh", estimator="difference", m="10")
+_BP = dict(sampler="pmmh", estimator="block_poisson", m_b="5", **{"lambda": "4"})
+_HMC = dict(sampler="hmc", epsilon="0.05", leapfrog_steps="4")
+_ECS = dict(_HMC, sampler="hmc_ecs", m="10")
+REQUIREMENTS = {
+    "pmmh-no-estimator": ("estimator", dict(_PMMH, estimator=None)),
+    "pmmh-no-m": ("m", dict(_PMMH, m=None)),
+    "bp-no-lambda": ("lambda", dict(_BP, **{"lambda": None})),
+    "bp-no-m_b": ("m_b", dict(_BP, m_b=None)),
+    "pmmh-cpm-no-phi": ("phi", dict(_PMMH, dependence="cpm")),
+    "pmmh-bpm-no-blocks": ("blocks", dict(_PMMH, dependence="bpm")),
+    "hmc-no-epsilon": ("epsilon", dict(_HMC, epsilon=None)),
+    "hmc-no-leapfrog_steps": ("leapfrog_steps", dict(_HMC, leapfrog_steps=None)),
+    "ecs-no-epsilon": ("epsilon", dict(_ECS, epsilon=None)),
+    "ecs-no-leapfrog_steps": ("leapfrog_steps", dict(_ECS, leapfrog_steps=None)),
+    "ecs-cpm-no-phi": ("phi", dict(_ECS, dependence="cpm")),
+    "ecs-bpm-no-blocks": ("blocks", dict(_ECS, dependence="bpm")),
+    "ecs-data-cv": ("cv", dict(_ECS, cv="data")),
+    "bp-cpm": ("dependence", dict(_BP, dependence="cpm", phi="0.5")),
+    "pmmh-blocks-over-m": ("blocks", dict(_PMMH, dependence="bpm", blocks="11")),
+    "ecs-blocks-over-m": ("blocks", dict(_ECS, dependence="bpm", blocks="11")),
+    "bp-blocks-not-dividing-lambda": ("blocks", dict(_BP, dependence="bpm", blocks="3")),
+    "pmmh-m-0": ("m", dict(_PMMH, m="0")),
+    "ecs-m-0": ("m", dict(_ECS, m="0")),
+    "bp-lambda-0": ("lambda", dict(_BP, **{"lambda": "0"})),
+    "pmmh-target-0": ("sigma2_target", dict(_PMMH, m=None, sigma2_target="0")),
+    "ecs-target-0": ("sigma2_target", dict(_ECS, m=None, sigma2_target="0")),
+    "pmmh-order-3": ("order", dict(_PMMH, order="3")),
+    "ecs-order-3": ("order", dict(_ECS, order="3")),
 }
 
 
@@ -246,6 +281,23 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert_chains_run_alone(cfg, out, tmp_path)
 
+    @pytest.mark.parametrize("settings", [
+        dict(sampler="mh"),
+        dict(sampler="pmmh", estimator="difference", m="20", dependence="bpm", blocks="4"),
+        dict(sampler="pmmh", estimator="block_poisson", m_b="10", **{"lambda": "4"}),
+        dict(sampler="hmc", epsilon="0.05", leapfrog_steps="4"),
+        dict(sampler="hmc_ecs", epsilon="0.05", leapfrog_steps="4", m="20"),
+    ], ids=["mh", "pmmh", "block_poisson", "hmc", "hmc_ecs"])
+    def test_chain_zero_is_the_single_chain_run(self, monkeypatch, settings):
+        # chain k is seeded [seed, k]; SeedSequence pads its entropy with
+        # zeros, so chain 0 reads the stream of the bare seed
+        plan, _ = resolve({**ECHO_BASE, **settings, "chains": "2"})
+        chain0 = run_chain(plan, 0)
+        monkeypatch.setattr(experiments, "chain_seed", lambda seed, chain_id: seed)
+        bare = run_chain(plan, 0)
+        for field in ("draws", "accept", "loglik_est", "sign", "u_accept"):
+            np.testing.assert_array_equal(getattr(chain0, field), getattr(bare, field))
+
     def test_pmmh_block_poisson_config_runs(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", model="poisson", simulate_n="100",
                            simulate_theta="0.6,0.4", sampler="pmmh",
@@ -377,6 +429,43 @@ class TestResolve:
         direct = real(plan.model, plan.dataset, seed=[4, 101])
         assert plan.theta0.tobytes() == direct.tobytes()
         assert plan.cache.expansion_point.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("field, settings", REQUIREMENTS.values(), ids=REQUIREMENTS)
+    def test_requirement_matrix_names_the_field(self, field, settings):
+        cfg = {key: value for key, value in {**BASE_RUN, **settings}.items()
+               if value is not None}
+        with pytest.raises(ConfigError) as err:
+            resolve(cfg)
+        assert err.value.field == field
+
+    DATA_PLAN = dict(model="poisson", simulate_n="2000", simulate_theta="1.0,0.75",
+                     sampler="pmmh", estimator="difference", cv="data", centroids="20",
+                     order="2", sigma2_target="1", iterations="10")
+
+    def test_run_plans_where_the_plan_command_does(self):
+        # data-expanded control variates have no expansion point, so planning
+        # measures the differences at the pilot mode, never at theta0; at
+        # theta0 = (1.2, 1.0) it once planned m = 32117, and a = -39.89
+        away = {**self.DATA_PLAN, "theta0": "1.2,1.0"}
+        _, resolved = resolve(away)
+        assert resolved["m"] == str(plan_table(away, targets=(1.0,))[0]["m"]) == "7490"
+        product = dict(estimator="block_poisson", m_b="20", **{"lambda": "10"})
+        _, at_mode = resolve({**self.DATA_PLAN, **product})
+        _, at_start = resolve({**away, **product})
+        assert at_start["a"] == at_mode["a"]
+
+    @pytest.mark.parametrize("cv", ["param", "exact", "data"])
+    @pytest.mark.parametrize("estimator", [
+        dict(),
+        dict(estimator="block_poisson", m_b="10", **{"lambda": "4"}),
+    ], ids=["difference", "block_poisson"])
+    def test_start_point_does_not_move_the_plan(self, cv, estimator):
+        cfg = {**self.DATA_PLAN, "simulate_n": "300", "cv": cv, **estimator}
+        _, default = resolve(cfg)
+        _, away = resolve({**cfg, "theta0": "1.2,1.0"})
+        assert away.pop("theta0") == "1.2,1.0"
+        default.pop("theta0")
+        assert away == default
 
 
 class TestSimulateAndDiagnose:
@@ -560,6 +649,15 @@ class TestFigure5:
         proposal = ProposalConfig(shape=laplace_covariance(model, dataset, center))
         direct = mh_run(model, dataset, proposal, center, 400, seed=6)
         assert np.array_equal(results[0]["trace"].draws, direct.draws)
+
+    def test_row_planned_below_two_draws_is_rejected(self, tmp_path, capsys):
+        # first-order control variates plan m = 1 at every target here, and
+        # one draw has sample variance 0, so no row has its target variance
+        out = tmp_path / "figures"
+        assert main(["figure5", "--cv-order", "1", "--iterations", "100",
+                     "--out", str(out)]) == 2
+        assert "config error: targets: target 1 plans m = 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rows_share_proposal_stream(self):
         # the theta proposals are seed-aligned across the variance ladder:

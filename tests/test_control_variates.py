@@ -441,6 +441,36 @@ class TestExactControlVariate:
         assert back.sum_values(theta) == cache.sum_values(theta)
 
 
+def random_cache(n, d, order, kind, seed):
+    """(model, data, cache, rng) for a random Poisson problem."""
+    from submcmc import PoissonRegression
+    model = PoissonRegression()
+    rng = np.random.default_rng(seed)
+    data = simulate_poisson(n, rng.normal(0.0, 0.4, size=d), seed=seed)
+    if kind == "param":
+        cache = build_param_expanded(model, data, rng.normal(0.0, 0.4, size=d), order)
+    else:
+        clusters = kmeans_cluster(data, int(rng.integers(1, n + 1)), seed=seed)
+        cache = build_data_expanded(model, data, clusters, order)
+    return model, data, cache, rng
+
+
+RANDOM_CACHES = dict(n=st.integers(2, 60), d=st.integers(1, 4), order=st.integers(0, 2),
+                     kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
+
+
+class TestCachedTotal:
+    # the fixed-example brute-force tests above, over random problems
+    @settings(max_examples=50, deadline=None)
+    @given(**RANDOM_CACHES)
+    def test_sum_values_is_the_sum_of_values_at(self, n, d, order, kind, seed):
+        _, _, cache, rng = random_cache(n, d, order, kind, seed)
+        # a data-expanded cache has no expansion point in theta
+        theta = getattr(cache, "expansion_point", 0.0) + rng.normal(0.0, 0.1, size=d)
+        brute = math.fsum(cache.values_at(theta, np.arange(n)))
+        assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
+
+
 class TestSerialization:
     def test_param_cache_round_trip(self, poisson_model, poisson_example, example_center,
                                     param_caches, tmp_path):
@@ -518,20 +548,6 @@ class TestSerialization:
             run()
 
     @staticmethod
-    def random_cache(n, d, order, kind, seed):
-        """(model, data, cache, rng) for a random Poisson problem."""
-        from submcmc import PoissonRegression
-        model = PoissonRegression()
-        rng = np.random.default_rng(seed)
-        data = simulate_poisson(n, rng.normal(0.0, 0.4, size=d), seed=seed)
-        if kind == "param":
-            cache = build_param_expanded(model, data, rng.normal(0.0, 0.4, size=d), order)
-        else:
-            clusters = kmeans_cluster(data, int(rng.integers(1, n + 1)), seed=seed)
-            cache = build_data_expanded(model, data, clusters, order)
-        return model, data, cache, rng
-
-    @staticmethod
     def assert_same_bits(back, cache, theta, n):
         assert back.sum_values(theta) == cache.sum_values(theta)
         idx = np.arange(n)
@@ -540,10 +556,9 @@ class TestSerialization:
             np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 60), d=st.integers(1, 4), order=st.integers(0, 2),
-           kind=st.sampled_from(["param", "data"]), seed=st.integers(0, 2**16))
+    @given(**RANDOM_CACHES)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, n, d, order, kind, seed):
-        model, data, cache, rng = self.random_cache(n, d, order, kind, seed)
+        model, data, cache, rng = random_cache(n, d, order, kind, seed)
         path = tmp_path_factory.mktemp("cache") / "cache.cvc"
         save_cache(cache, path)
         back = load_cache(path, model=model, dataset=data)
@@ -557,7 +572,7 @@ class TestSerialization:
     @example(n=100, d=4, order=2, kind="param", seed=0)
     def test_pickle_round_trip_is_bit_exact(self, n, d, order, kind, seed):
         import pickle
-        _, _, cache, rng = self.random_cache(n, d, order, kind, seed)
+        _, _, cache, rng = random_cache(n, d, order, kind, seed)
         back = pickle.loads(pickle.dumps(cache))
         self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
 
