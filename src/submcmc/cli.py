@@ -60,7 +60,7 @@ def cmd_plan(args) -> int:
     rows = plan_table(cfg, targets=parse_floats(args.targets, "targets"))
     out = args.out or os.path.join(_default_out(), "plan.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    header = ["target", "sigma2_d", "m", "wor_m", "degenerate"]
+    header = ["target", "sigma2_d", "m", "wor_m", "degenerate", "floored"]
     write_csv(out, header, [[row[c] for row in rows] for c in header],
               config_comment({k: cfg[k] for k in sorted(cfg)}))
     print(f"wrote {out}")

@@ -565,18 +565,18 @@ def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
     """
     n = dataset.n
     d = model.dim(dataset)
-    if exact:
-        idx = None
-    else:
+    if not exact:
         if pilot_size is None:
             pilot_size = min(n, int(np.ceil(10.0 * np.sqrt(n))))
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         idx = rng.choice(n, size=pilot_size, replace=False)
+        # gathered and validated once, not twice per Newton step
+        dataset = Dataset(dataset.y[idx], dataset.X[idx])
     theta = np.zeros(d)
     prior_hess = -np.eye(d) / model.prior.sd**2
     for _ in range(newton_steps):
-        g = np.sum(model.grad_theta(theta, dataset, idx), axis=0) + model.grad_log_prior(theta)
-        H = np.sum(model.hess_theta(theta, dataset, idx), axis=0) + prior_hess
+        g = np.sum(model.grad_theta(theta, dataset), axis=0) + model.grad_log_prior(theta)
+        H = np.sum(model.hess_theta(theta, dataset), axis=0) + prior_hess
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:

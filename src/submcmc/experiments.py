@@ -310,14 +310,21 @@ def _resolve_m(cfg, model, dataset, cache, seed, resolved, pilot) -> int:
     if target <= 0:
         raise ConfigError("sigma2_target", "target variance must be positive")
     sigma2 = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)
-    m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2, target))
+    m, degenerate, floored = _planned_m(dataset.n, sigma2, target)
     if degenerate:
         resolved["plan_degenerate"] = "1"
-    if m < _MIN_SUBSAMPLE:
-        m = _MIN_SUBSAMPLE
+    if floored:
         resolved["plan_floored"] = "1"
     resolved["m"] = str(m)
     return m
+
+
+def _planned_m(n: int, sigma2: float, target: float) -> tuple[int, bool, bool]:
+    """(m, degenerate, floored): the planned subsample size, raised to
+    _MIN_SUBSAMPLE and flagged when it was.  `run` samples with this m and
+    `plan` reports it."""
+    m, degenerate = plan_subsample_size(PlanningInputs(n, sigma2, target))
+    return max(m, _MIN_SUBSAMPLE), degenerate, m < _MIN_SUBSAMPLE
 
 
 def resolve(cfg: dict) -> tuple[RunPlan, dict]:
@@ -388,8 +395,10 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
                 raise ConfigError("dependence", "cpm does not apply to the product estimator")
             lam = _take(cfg, resolved, "lambda", int, required=True)
             m_b = _take(cfg, resolved, "m_b", int, required=True)
-            if lam < 1 or m_b < 1:
-                raise ConfigError("lambda", "lambda and m_b must be >= 1")
+            if lam < 1:
+                raise ConfigError("lambda", "must be >= 1")
+            if m_b < 1:
+                raise ConfigError("m_b", "must be >= 1")
             if dep_kind == "bpm" and lam % plan.dependence.n_blocks != 0:
                 raise ConfigError("blocks", "block count must divide lambda")
             bound = _take(cfg, resolved, "a", float)
@@ -685,8 +694,8 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     sigma2_d = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)
     rows = []
     for target in targets:
-        m, degenerate = plan_subsample_size(PlanningInputs(dataset.n, sigma2_d, target))
+        m, degenerate, floored = _planned_m(dataset.n, sigma2_d, target)
         rows.append({"target": float(target), "sigma2_d": sigma2_d, "m": m,
-                     "degenerate": int(degenerate),
+                     "degenerate": int(degenerate), "floored": int(floored),
                      "wor_m": optimal_m_srs_wor(dataset.n, sigma2_d, target)})
     return rows

@@ -312,31 +312,34 @@ class GlmModel(ModelSpec):
 
         Returns (eta, sum_i ell_i, W'ell', W'diag(ell'')W): the gradient
         sum is zero below order 1 and the Hessian sum zero below order 2.
-        Each block makes one BLAS product W'[ell', diag(ell'')W], so no
-        (n, d, d) array and no (n, d) array beyond a block is formed.  The
-        responses are validated here, once; a non-finite term raises
-        CacheBuildError naming its observation.
+        Each block writes its terms [ell, ell', diag(ell'')W] into one
+        C-contiguous buffer, allocated once per pass, and makes one BLAS
+        product W'[ell', diag(ell'')W], so no (n, d, d) array and no (n, d)
+        array beyond a block is formed.  The responses are validated here,
+        once; a non-finite term raises CacheBuildError naming its
+        observation.
         """
         theta = np.asarray(theta, dtype=float)
         self.check_response(dataset.y)
         d = theta.size
         eta = np.empty(dataset.n)
         sum_ell = 0.0
-        moments = np.zeros((d, (1 if order >= 1 else 0) + (d if order >= 2 else 0)))
+        width = 1 + (1 if order >= 1 else 0) + (d if order >= 2 else 0)
+        moments = np.zeros((d, width - 1))
+        buf = np.empty((min(_BLOCK, dataset.n), width))
         for lo in range(0, dataset.n, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             y, W = dataset.y[rows], self.design(dataset, rows)
             e = eta[rows] = W @ theta
-            terms = [self.ell(y, e)[:, None]]
+            cols = buf[:y.size]
+            cols[:, 0] = self.ell(y, e)
             if order >= 1:
-                terms.append(self.ell_d1(y, e)[:, None])
+                cols[:, 1] = self.ell_d1(y, e)
             if order >= 2:
-                terms.append(self.ell_d2(y, e)[:, None] * W)
-            cols = np.hstack(terms)
-            finite = np.isfinite(cols).all(axis=1)
-            if not finite.all():
-                raise CacheBuildError(
-                    f"non-finite expansion quantity at observation {lo + int(np.argmin(finite))}")
+                np.multiply(self.ell_d2(y, e)[:, None], W, out=cols[:, 2:])
+            if not np.isfinite(cols).all():
+                bad = np.argmin(np.isfinite(cols).all(axis=1))
+                raise CacheBuildError(f"non-finite expansion quantity at observation {lo + bad}")
             sum_ell += float(np.sum(cols[:, 0]))
             if order >= 1:
                 moments += W.T @ cols[:, 1:]
@@ -352,8 +355,25 @@ def _y_plus_one(y):
     return y + 1.0
 
 
+# below about this many counts a table costs more than gammaln on each:
+# 7.7 us against 6.2 us at 128 counts, 8.2 us against 9.2 us at 256 (2-core host)
+_TABLE_MIN_COUNTS = 256
+
+
 def _log_factorial(y):
-    """log(y!) = log Gamma(y + 1), overflow-free for large counts, for real y > -1."""
+    """log(y!) = log Gamma(y + 1), overflow-free for large counts, for real y > -1.
+
+    At least _TABLE_MIN_COUNTS float counts, each no larger than their
+    number, are looked up in a table of gammaln(1), ..., gammaln(max + 1):
+    the same arguments, so the same bits, at one gammaln call per distinct
+    value instead of one per count.
+    """
+    y = np.asarray(y)
+    if (y.dtype == float and y.size >= _TABLE_MIN_COUNTS and -1.0 < y.min()
+            and (top := y.max()) <= y.size):
+        counts = y.astype(np.intp)
+        if np.array_equal(counts, y):
+            return special.gammaln(np.arange(1.0, top + 2.0))[counts]
     return special.gammaln(_y_plus_one(y))
 
 

@@ -90,6 +90,7 @@ REQUIREMENTS = {
     "pmmh-m-0": ("m", dict(_PMMH, m="0")),
     "ecs-m-0": ("m", dict(_ECS, m="0")),
     "bp-lambda-0": ("lambda", dict(_BP, **{"lambda": "0"})),
+    "bp-m_b-0": ("m_b", dict(_BP, m_b="0")),
     "pmmh-target-0": ("sigma2_target", dict(_PMMH, m=None, sigma2_target="0")),
     "ecs-target-0": ("sigma2_target", dict(_ECS, m=None, sigma2_target="0")),
     "pmmh-order-3": ("order", dict(_PMMH, order="3")),
@@ -387,10 +388,13 @@ class TestResolve:
             return real_sums(self, theta, dataset, order)
 
         def counting_hess(self, theta, dataset, idx=None):
-            if idx is None:
+            # over all rows of the run's data; the pilot mode's Newton steps
+            # pass its gathered pilot rows alone
+            if idx is None and dataset.n == n:
                 passes.append("hess_theta")
             return real_hess(self, theta, dataset, idx)
 
+        n = int(self.PLANNED["simulate_n"])
         monkeypatch.setattr(PoissonRegression, "taylor_sums", counting_sums)
         monkeypatch.setattr(PoissonRegression, "hess_theta", counting_hess)
         plan, _ = resolve({**self.PLANNED, "omega": "laplace"})
@@ -453,6 +457,21 @@ class TestResolve:
         _, at_mode = resolve({**self.DATA_PLAN, **product})
         _, at_start = resolve({**away, **product})
         assert at_start["a"] == at_mode["a"]
+
+    def test_plan_reports_the_floored_m_that_run_samples_with(self, tmp_path):
+        # planned below the floor of 30, which run raises m to
+        cfg = write_config(tmp_path / "data.cfg", model="poisson", simulate_n="200",
+                           simulate_theta="0.6,0.4", sampler="pmmh", estimator="difference",
+                           cv="data", centroids="10", sigma2_target="1", iterations="20",
+                           seed="1")
+        table = tmp_path / "plan.csv"
+        assert main(["plan", "--config", cfg, "--targets", "1", "--out", str(table)]) == 0
+        with open(table, encoding="utf-8") as fh:
+            header, row = [line.strip().split(",") for line in fh if not line.startswith("#")]
+        assert header == ["target", "sigma2_d", "m", "wor_m", "degenerate", "floored"]
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        echo = parse_config_file(tmp_path / "run" / "config_resolved.cfg")
+        assert (row[2], row[5]) == (echo["m"], echo["plan_floored"]) == ("30", "1")
 
     @pytest.mark.parametrize("cv", ["param", "exact", "data"])
     @pytest.mark.parametrize("estimator", [
@@ -543,11 +562,13 @@ class TestSimulateAndDiagnose:
         table = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
         assert table["m"][0] >= table["m"][1] >= 1
 
-    def test_degenerate_plan_sizes_are_one(self):
-        # exact control variates leave a zero pilot variance
+    def test_degenerate_plan_is_floored(self):
+        # exact control variates leave a zero pilot variance, where both
+        # sizes plan 1; m is then raised to the floor run samples with
         rows = plan_table(dict(model="poisson", simulate_n="200", simulate_theta="0.8,0.5",
                                cv="exact", seed="2"))
-        assert [(row["m"], row["wor_m"], row["degenerate"]) for row in rows] == [(1, 1, 1)] * 2
+        assert ([(row["m"], row["wor_m"], row["degenerate"], row["floored"]) for row in rows]
+                == [(30, 1, 1, 1)] * 2)
 
 
 class TestFigure1:

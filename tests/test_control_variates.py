@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from submcmc import (
     select_expansion_point,
     simulate_poisson,
 )
+from submcmc import models
+from submcmc.models import MODELS
 
 
 def poisson_param_cv_closed_form(theta, center, dataset):
@@ -416,7 +419,6 @@ class TestExactControlVariate:
                                              poisson_example):
         # log y! over all n responses is computed at construction only, and
         # the total keeps the bits of loglik_sum
-        from submcmc import models
         sizes = []
         real = models._log_factorial
 
@@ -441,14 +443,18 @@ class TestExactControlVariate:
         assert back.sum_values(theta) == cache.sum_values(theta)
 
 
-def random_cache(n, d, order, kind, seed):
-    """(model, data, cache, rng) for a random Poisson problem."""
-    from submcmc import PoissonRegression
-    model = PoissonRegression()
+def random_cache(n, d, order, kind, seed, family="poisson"):
+    """(model, data, cache, rng) for a random problem of a GLM family: d
+    coordinates of theta (one for the normal-mean model), on Poisson counts,
+    their 0/1 indicators of exceeding 1 for the logistic family."""
+    model = MODELS[family]()
     rng = np.random.default_rng(seed)
     data = simulate_poisson(n, rng.normal(0.0, 0.4, size=d), seed=seed)
+    if family == "logistic":
+        data = Dataset(y=(data.y > 1).astype(float), X=data.X)
     if kind == "param":
-        cache = build_param_expanded(model, data, rng.normal(0.0, 0.4, size=d), order)
+        point = rng.normal(0.0, 0.4, size=model.dim(data))
+        cache = build_param_expanded(model, data, point, order)
     else:
         clusters = kmeans_cluster(data, int(rng.integers(1, n + 1)), seed=seed)
         cache = build_data_expanded(model, data, clusters, order)
@@ -467,6 +473,19 @@ class TestCachedTotal:
         _, _, cache, rng = random_cache(n, d, order, kind, seed)
         # a data-expanded cache has no expansion point in theta
         theta = getattr(cache, "expansion_point", 0.0) + rng.normal(0.0, 0.1, size=d)
+        brute = math.fsum(cache.values_at(theta, np.arange(n)))
+        assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**{**RANDOM_CACHES, "n": st.integers(2, 300)},
+           family=st.sampled_from(sorted(MODELS)), block=st.sampled_from([7, 64, 1 << 16]))
+    def test_every_family_over_full_and_partial_blocks(self, n, d, order, kind, seed,
+                                                        family, block):
+        # the parameter-expanded totals come from taylor_sums' blocked pass
+        with mock.patch.object(models, "_BLOCK", block):
+            model, data, cache, rng = random_cache(n, d, order, kind, seed, family)
+        theta = (getattr(cache, "expansion_point", 0.0)
+                 + rng.normal(0.0, 0.1, size=model.dim(data)))
         brute = math.fsum(cache.values_at(theta, np.arange(n)))
         assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
 
@@ -620,6 +639,44 @@ class TestExpansionPoint:
         a = select_expansion_point(poisson_model, poisson_example, seed=2)
         b = select_expansion_point(poisson_model, poisson_example, seed=2)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    @pytest.mark.parametrize("pilot_size, exact", [(None, False), (37, False), (None, True)])
+    def test_gathered_pilot_keeps_the_indexed_newton_bits(self, family, pilot_size, exact):
+        model, data, _, _ = random_cache(400, 3, 0, "param", 5, family)
+        got = select_expansion_point(model, data, seed=[4, 101], pilot_size=pilot_size,
+                                     exact=exact)
+        want = indexed_newton(model, data, [4, 101], pilot_size, exact)
+        assert got.tobytes() == want.tobytes()
+
+
+def indexed_newton(model, dataset, seed, pilot_size=None, exact=False, newton_steps=50):
+    """select_expansion_point as it was before it gathered its pilot once:
+    every Newton step indexes the pilot rows of the full dataset."""
+    n, d = dataset.n, model.dim(dataset)
+    idx = None
+    if not exact:
+        if pilot_size is None:
+            pilot_size = min(n, int(np.ceil(10.0 * np.sqrt(n))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        idx = rng.choice(n, size=pilot_size, replace=False)
+    theta = np.zeros(d)
+    prior_hess = -np.eye(d) / model.prior.sd**2
+    for _ in range(newton_steps):
+        g = np.sum(model.grad_theta(theta, dataset, idx), axis=0) + model.grad_log_prior(theta)
+        H = np.sum(model.hess_theta(theta, dataset, idx), axis=0) + prior_hess
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, g, rcond=None)[0]
+        new = theta - step
+        if not np.all(np.isfinite(new)):
+            break
+        if np.max(np.abs(new - theta)) < 1e-12:
+            theta = new
+            break
+        theta = new
+    return theta
 
 
 def test_simulated_covariate_law_option():

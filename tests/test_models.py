@@ -3,14 +3,17 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from submcmc import (
+    CacheBuildError,
     CsvParseError,
     Dataset,
     DomainError,
@@ -323,6 +326,114 @@ class TestNormalMean:
         q_var = np.trapezoid(w * (grid - q_mean) ** 2, grid)
         assert mean == pytest.approx(q_mean, abs=1e-8)
         assert var == pytest.approx(q_var, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The set-up pass: taylor_sums and log y!
+# ---------------------------------------------------------------------------
+
+
+def hstack_taylor_sums(model, theta, dataset, order, block):
+    """taylor_sums as it was before its terms went into one reused buffer:
+    a fresh np.hstack of the terms per block.  The reference whose bits the
+    buffered pass keeps."""
+    theta = np.asarray(theta, dtype=float)
+    model.check_response(dataset.y)
+    d = theta.size
+    eta = np.empty(dataset.n)
+    sum_ell = 0.0
+    moments = np.zeros((d, (1 if order >= 1 else 0) + (d if order >= 2 else 0)))
+    for lo in range(0, dataset.n, block):
+        rows = slice(lo, lo + block)
+        y, W = dataset.y[rows], model.design(dataset, rows)
+        e = eta[rows] = W @ theta
+        terms = [model.ell(y, e)[:, None]]
+        if order >= 1:
+            terms.append(model.ell_d1(y, e)[:, None])
+        if order >= 2:
+            terms.append(model.ell_d2(y, e)[:, None] * W)
+        cols = np.hstack(terms)
+        sum_ell += float(np.sum(cols[:, 0]))
+        if order >= 1:
+            moments += W.T @ cols[:, 1:]
+    sum_grad = moments[:, 0] if order >= 1 else np.zeros(d)
+    sum_hess = moments[:, 1:] if order >= 2 else np.zeros((d, d))
+    return eta, sum_ell, sum_grad, sum_hess
+
+
+def setup_case(model_cls, n, seed=11):
+    """A dataset with two covariates for `model_cls`, and a point near its mode."""
+    ds = simulate_poisson(n, np.array([1.0, 0.5, -0.3]), seed=seed)
+    if model_cls is LogisticRegression:
+        ds = Dataset(y=(ds.y > 2).astype(float), X=ds.X)
+    model = model_cls()
+    theta = np.array([0.9, 0.45, -0.25])[:model.dim(ds)]
+    return model, ds, theta
+
+
+class TestSetupPass:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
+                                           NormalMeanModel])
+    @pytest.mark.parametrize("block, n", [(64, 3 * 64 + 17), (64, 64), (1 << 16, 300)],
+                             ids=["full-and-partial-blocks", "one-full-block", "one-short"])
+    def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, order,
+                                                 block, n):
+        model, ds, theta = setup_case(model_cls, n)
+        monkeypatch.setattr(models, "_BLOCK", block)
+        got = model.taylor_sums(theta, ds, order)
+        want = hstack_taylor_sums(model, theta, ds, order, block)
+        for g, w in zip(got, want):
+            assert np.asarray(g).shape == np.asarray(w).shape
+            assert np.array_equal(g, w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_non_finite_term_in_a_later_block_names_its_observation(self, monkeypatch,
+                                                                   order):
+        model, ds, theta = setup_case(PoissonRegression, 3 * 64 + 17)
+        X = ds.X.copy()
+        X[150, 0] = 2000.0      # exp(eta) overflows in the third block only
+        monkeypatch.setattr(models, "_BLOCK", 64)
+        with pytest.raises(CacheBuildError, match="observation 150$"):
+            model.taylor_sums(theta, Dataset(y=ds.y, X=X), order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(0, 400), min_size=0, max_size=60),
+           reals=st.lists(st.floats(-0.999, 1e6), max_size=3))
+    @example(counts=[0, 1, 2, 3], reals=[])          # the table: max <= size
+    @example(counts=[0, 0, 7], reals=[])             # max above the table bound
+    @example(counts=[0, 1, 5, 2, 2, 1], reals=[0.5])  # a non-integer real
+    @example(counts=[], reals=[-0.5])
+    def test_log_factorial_is_gammaln_to_the_bit(self, counts, reals):
+        y = np.array([0.0, *counts, *reals])
+        for table_min in (0, models._TABLE_MIN_COUNTS):
+            with mock.patch.object(models, "_TABLE_MIN_COUNTS", table_min):
+                got = models._log_factorial(y)
+            assert got.dtype == np.float64
+            assert got.tobytes() == special.gammaln(y + 1.0).tobytes()
+
+    def test_log_factorial_tables_small_counts(self, monkeypatch):
+        seen = []
+        real = special.gammaln
+
+        def counting(x):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(models.special, "gammaln", counting)
+        many = models._TABLE_MIN_COUNTS
+        models._log_factorial(np.arange(many, dtype=float) % 8)
+        assert seen == [8]
+        models._log_factorial(np.full(many, 2.0))
+        models._log_factorial(np.array([0.0] * (many - 1) + [many]))
+        assert seen == [8, 3, many + 1]
+        # above the table bound, non-integer, or too few counts: one per count
+        models._log_factorial(np.array([0.0] * (many - 1) + [many + 1]))
+        models._log_factorial(np.array([0.0] * (many - 1) + [1.5]))
+        models._log_factorial(np.arange(many - 1, dtype=float))
+        assert seen == [8, 3, many + 1, many, many, many - 1]
 
 
 # ---------------------------------------------------------------------------
