@@ -33,6 +33,16 @@ def _constant(x: np.ndarray) -> bool:
     return x.min() == x.max()
 
 
+def after_burn_in(x, burn_in: int):
+    """x[burn_in:], raising DomainError naming burn-in unless it lies in
+    [0, len(x)): a negative one would keep the last rows, and one past the
+    end none.  A burn-in of 0 always passes, so empty input meets the
+    caller's own length check."""
+    if not 0 <= burn_in < max(len(x), 1):
+        raise DomainError(f"burn-in must satisfy 0 <= burn-in < {len(x)}, got {burn_in}")
+    return x[burn_in:]
+
+
 @dataclass
 class IactEstimate:
     value: float
@@ -51,7 +61,7 @@ def iact(series, method: str = "geyer_initial_positive", burn_in: int = 0) -> Ia
     frequency zero with window width floor(N^(1/3)), divided by the
     sample variance.
     """
-    x = np.asarray(series, dtype=float)[burn_in:]
+    x = after_burn_in(np.asarray(series, dtype=float), burn_in)
     n = x.size
     if n < 100:
         raise DomainError("need at least 100 points after burn-in")
@@ -101,7 +111,7 @@ def ct_signed(iact_value, batch_size: int, n_products: int, tau: float) -> float
 
 def mc_standard_error(series, iact_value, burn_in: int = 0) -> float:
     """MCSE of the series mean: sd * sqrt(IACT / N)."""
-    x = np.asarray(series, dtype=float)[burn_in:]
+    x = after_burn_in(np.asarray(series, dtype=float), burn_in)
     v = iact_value.value if isinstance(iact_value, IactEstimate) else float(iact_value)
     if x.size < 2:
         raise DomainError("need at least 2 points")
@@ -137,7 +147,7 @@ def summarize(trace, burn_in: int = 0, method: str = "geyer_initial_positive") -
     floor it at a small positive value since the true autocorrelation time
     is strictly positive.
     """
-    draws = trace.draws[burn_in:]
+    draws = after_burn_in(trace.draws, burn_in)
     n, d = draws.shape
     accept_rate = float(np.mean(trace.accept[burn_in:]))
     sign_rate = float(np.mean(trace.sign[burn_in:] > 0))

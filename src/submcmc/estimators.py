@@ -206,22 +206,21 @@ def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
     """
     if state.batch_size != cfg.batch_size:
         raise DomainError(f"expected mini-batches of {cfg.batch_size}, got {state.batch_size}")
-    return block_poisson_value(bind_differences(model, cache, dataset), cfg, theta,
-                               state.indices)
+    return block_poisson_value(model, cache, dataset, cfg, theta, state.indices)
 
 
-def block_poisson_value(differ, cfg: BlockPoissonConfig, theta, rows) -> tuple[float, int]:
-    """block_poisson_evaluate from bound differences
-    (control_variates.bind_differences) at `rows`, the indices of a state
-    drawn for `cfg` or the SubsampleRows `differ` gathered for them.  All
-    mini-batches are evaluated in one `differences` call."""
-    d = differences(differ.model, differ.cache, differ.dataset, theta, rows)
+def block_poisson_value(model: ModelSpec, cache, dataset: Dataset, cfg: BlockPoissonConfig,
+                        theta, rows) -> tuple[float, int]:
+    """block_poisson_evaluate at `rows`, the indices of a state drawn for
+    `cfg` or the SubsampleRows gathered for them.  All mini-batches are
+    evaluated in one `differences` call, the one bind of an index array."""
+    d = differences(model, cache, dataset, theta, rows)
     lam = cfg.n_products
-    dhat = differ.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
+    dhat = dataset.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
     factors = (dhat - cfg.bound) / lam
     if np.any(factors == 0.0):
         return -np.inf, 0
-    log_abs = differ.cache.sum_values(theta) + cfg.bound + lam
+    log_abs = cache.sum_values(theta) + cfg.bound + lam
     # one at a time in mini-batch order: a pairwise np.sum would round differently
     for term in np.log(np.abs(factors)).tolist():
         log_abs += term

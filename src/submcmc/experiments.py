@@ -162,6 +162,26 @@ def _get(cfg, key, parse=str, default=None, required=False, choices=None):
     return value
 
 
+# every key that `resolve`, `build_dataset` or `plan_table` reads or echoes;
+# a key of another sampler is accepted, so one config can switch samplers
+CONFIG_KEYS = frozenset({
+    "model", "data", "simulate_n", "simulate_theta", "simulate_seed", "simulate_law",
+    "sampler", "iterations", "burn_in", "seed", "chains", "theta0",
+    "cv", "order", "expansion", "centroids", "cluster_seed", "kmeans_converged",
+    "m", "sigma2_target", "plan_degenerate", "plan_floored",
+    "estimator", "dependence", "phi", "blocks", "lambda", "m_b", "a",
+    "epsilon", "leapfrog_steps", "variance_grad", "kappa", "omega", "proposal_kind",
+})
+
+
+def _check_keys(cfg):
+    """Raise ConfigError naming the first key outside CONFIG_KEYS: a
+    misspelled key would otherwise leave its field at the default."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(unknown[0], "unknown config key")
+
+
 def _take(cfg, resolved, key, parse=str, default=None, required=False, choices=None):
     """`_get`, echoing the value into `resolved` unless it is None."""
     value = _get(cfg, key, parse, default, required, choices)
@@ -428,6 +448,8 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
             step_scale=kappa, shape=laplace_covariance(model, dataset, theta0, plan.cache)
             if omega_kind == "laplace" else None)
 
+    # after every field is read, so a field's own error names it first
+    _check_keys(cfg)
     return plan, resolved
 
 
@@ -691,6 +713,7 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     seed = _get(cfg, "seed", int, default=0)
     pilot = _pilot_mode(model, dataset, seed)
     cache = _build_cache(cfg, model, dataset, seed, {}, pilot)
+    _check_keys(cfg)
     sigma2_d = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)
     rows = []
     for target in targets:

@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .control_variates import SubsampleRows, bind_differences, gather_rows
+from .diagnostics import after_burn_in
 from .errors import ConfigError, SamplerError
 # difference_estimate and block_poisson_evaluate stay importable from here for
 # tools that wrap them by these names
@@ -374,18 +375,13 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
             value, sample_variance = differ.estimate(t, rows)
             return value - sample_variance / 2.0, 1
     else:
-        evaluate = partial(block_poisson_value, differ, est_cfg)
+        evaluate = partial(block_poisson_value, model, cache, dataset, est_cfg)
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
-    trace, invalid = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
-                              (rng_prop, rng_accept, rng_sub), state, dependence, gather)
-    trace.meta = {
-        "kernel": "pmmh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "proposal": proposal, "dependence": dependence, "estimator": est_cfg,
-        "invalid_proposals": invalid, "wall_time": trace.meta["wall_time"],
-        "cost_proxy": (est_cfg.m if isinstance(est_cfg, DifferenceConfig)
-                       else est_cfg.n_products * est_cfg.batch_size),
-    }
+    trace = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
+                     (rng_prop, rng_accept, rng_sub), state, dependence, gather)
+    trace.meta["cost_proxy"] = (est_cfg.m if isinstance(est_cfg, DifferenceConfig)
+                                else est_cfg.n_products * est_cfg.batch_size)
     return trace
 
 
@@ -398,25 +394,21 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
     def evaluate(t, rows):
         return loglik_sum(t), 1
 
-    trace, invalid = _mh_loop(evaluate, model.prior.bind()[0], proposal, theta0, n_iter,
-                              _streams(seed))
-    trace.meta = {
-        "kernel": "mh", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "proposal": proposal, "invalid_proposals": invalid,
-        "wall_time": trace.meta["wall_time"], "cost_proxy": dataset.n,
-    }
+    trace = _mh_loop(evaluate, model.prior.bind()[0], proposal, theta0, n_iter,
+                     _streams(seed))
+    trace.meta["cost_proxy"] = dataset.n
     return trace
 
 
 def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int, streams,
              state=None, dependence: DependenceConfig | None = None,
-             gather=None) -> tuple[ChainTrace, int]:
+             gather=None) -> ChainTrace:
     """Shared MH loop on the extended state (theta, u).  `evaluate(theta,
     rows)` returns (log-likelihood estimate, sign), where rows =
     gather(state.indices), or None when `state` is None (full-data MH).
     Each iteration moves u by `propose_u` on the third of `streams` and
     gathers its rows once.  A proposal with sign 0 or a non-finite log
-    target is rejected and counted; returns the trace and that count."""
+    target is rejected; trace.meta counts them next to the wall time."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = streams
@@ -453,13 +445,13 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
         trace.draws[i] = theta
         trace.loglik_est[i] = log_est
         trace.sign[i] = sign
-    trace.meta["wall_time"] = time.perf_counter() - t_start
-    return trace, invalid
+    trace.meta = {"wall_time": time.perf_counter() - t_start, "invalid_proposals": invalid}
+    return trace
 
 
 def signed_expectation(trace: ChainTrace, psi, burn_in: int = 0) -> float:
     """Sign-corrected posterior expectation sum(psi * s) / sum(s)."""
-    signs = trace.sign[burn_in:].astype(float)
+    signs = after_burn_in(trace.sign, burn_in).astype(float)
     total = float(np.sum(signs))
     if total <= 0:
         raise SamplerError("sign sum <= 0: sign rate too far below 1 to estimate anything")
@@ -520,18 +512,14 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
         loglik = loglik_sum(t)
         return -(loglik + log_prior(t)), grad_potential(t, rows), loglik
 
-    trace, diverged = _hmc_loop(evaluate, grad_potential, cfg, theta0, n_iter, _streams(seed))
-    trace.meta = {
-        "kernel": "hmc", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "hmc": cfg, "divergences": diverged,
-        "wall_time": trace.meta.get("wall_time"), "cost_proxy": dataset.n * cfg.n_steps,
-    }
+    trace = _hmc_loop(evaluate, grad_potential, cfg, theta0, n_iter, _streams(seed))
+    trace.meta["cost_proxy"] = dataset.n * cfg.n_steps
     return trace
 
 
 def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, streams,
               state=None, dependence: DependenceConfig | None = None,
-              gather=None) -> tuple[ChainTrace, int]:
+              gather=None) -> ChainTrace:
     """Shared HMC loop on the extended state (theta, u).  `evaluate(theta,
     rows)` returns (U, grad U, log-likelihood) and `grad_potential(theta,
     rows)` grad U alone, to the same bits, where rows = gather(state.indices),
@@ -542,7 +530,7 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
     current point is carried, so a trajectory opens on the carried gradient
     and makes n_steps - 1 `grad_potential` calls and one `evaluate` call at
     its end.  The recorded log-likelihood is the one the draw was accepted
-    or kept under."""
+    or kept under; trace.meta counts divergences next to the wall time."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = streams
@@ -586,8 +574,8 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
             trace.accept[i] = True
         trace.draws[i] = theta
         trace.loglik_est[i] = loglik
-    trace.meta["wall_time"] = time.perf_counter() - t_start
-    return trace, diverged
+    trace.meta = {"wall_time": time.perf_counter() - t_start, "divergences": diverged}
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +618,9 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     *streams, rng_init = _streams(seed, 4)
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, rng_init)
     differ = bind_differences(model, cache, dataset)
-    trace, diverged = _hmc_loop(
+    trace = _hmc_loop(
         partial(differ.potential, include_variance_grad=include_variance_grad),
         partial(differ.grad_potential, include_variance_grad=include_variance_grad),
         cfg, theta0, n_iter, streams, state, dependence, differ.gather)
-    trace.meta = {
-        "kernel": "hmc_ecs", "seed": seed, "n_iter": n_iter, "theta0": theta0,
-        "hmc": cfg, "dependence": dependence, "m": m, "divergences": diverged,
-        "include_variance_grad": include_variance_grad,
-        "wall_time": trace.meta.get("wall_time"), "cost_proxy": m * cfg.n_steps,
-    }
+    trace.meta["cost_proxy"] = m * cfg.n_steps
     return trace

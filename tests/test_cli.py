@@ -164,6 +164,25 @@ class TestRunCommand:
         assert code == 2
         assert "phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    def test_unknown_key_exits_two_naming_it(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
+        code = main([command, "--config", cfg, "--set", "kapa=0.1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "kapa: unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_another_samplers_key_still_runs(self, tmp_path):
+        # one config serves every sampler, so `epsilon` is no misspelling in mh
+        cfg = write_config(tmp_path / "run.cfg", **BASE_RUN, epsilon="0.05")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("settings", ECHO_MATRIX.values(), ids=ECHO_MATRIX.keys())
+    def test_every_echoed_key_is_a_config_key(self, settings):
+        _, resolved = resolve({**ECHO_BASE, **settings})
+        assert set(resolved) <= experiments.CONFIG_KEYS
+
     def test_missing_required_fields(self, tmp_path, capsys):
         code = main(["run", "--config",
                      write_config(tmp_path / "a.cfg", model="poisson"),
@@ -510,6 +529,16 @@ class TestSimulateAndDiagnose:
         table = np.genfromtxt(tmp_path / "diag.csv", delimiter=",", names=True,
                               skip_header=1)
         assert table["coordinate"].shape == (2,)
+
+    @pytest.mark.parametrize("burn_in", ["120", "-5"], ids=["past-the-end", "negative"])
+    def test_diagnose_burn_in_out_of_range_exits_two(self, tmp_path, capsys, burn_in):
+        cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        assert main(["diagnose", "--trace", str(out / "trace.csv"), "--burn-in", burn_in,
+                     "--out", str(tmp_path / "diag.csv")]) == 2
+        assert "burn-in" in capsys.readouterr().err
+        assert not (tmp_path / "diag.csv").exists()
 
     def test_diagnose_reproduces_the_run_summary(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)

@@ -165,6 +165,19 @@ class TestSummaries:
             with pytest.raises(DomainError):
                 autocorrelations(draws[:, row["coordinate"] - 1], max_lag=5)
 
+    @pytest.mark.parametrize("burn_in", [500, -5], ids=["past-the-end", "negative"])
+    def test_burn_in_out_of_range_rejected(self, toy_trace, burn_in):
+        # a negative burn-in would keep the last rows, one past the end none
+        from submcmc import signed_expectation
+        x = toy_trace.draws[:, 0]
+        for call in (lambda: summarize(toy_trace, burn_in=burn_in),
+                     lambda: iact(x, burn_in=burn_in),
+                     lambda: mc_standard_error(x, 1.0, burn_in=burn_in),
+                     lambda: make_ct_report(toy_trace, burn_in=burn_in),
+                     lambda: signed_expectation(toy_trace, lambda t: t[0], burn_in=burn_in)):
+            with pytest.raises(DomainError, match="0 <= burn-in < 500"):
+                call()
+
     def test_ct_report_uses_trace_cost(self, toy_trace):
         report = make_ct_report(toy_trace, coord=0)
         assert report.cost_proxy == 30

@@ -425,6 +425,25 @@ class TestBlockPoisson:
         assert len(calls) == 1 and calls[0].size == 0
         assert got == (cache.sum_values(theta) + cfg.bound + 6, 1)
 
+    def test_one_bind_per_estimate(self, monkeypatch, poisson_model, poisson_example,
+                                   example_center, param_caches):
+        # the one `differences` call binds, range-checks and gathers the state
+        from submcmc import control_variates, estimators
+        calls = []
+        real = control_variates.bind_differences
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(control_variates, "bind_differences", counting)
+        monkeypatch.setattr(estimators, "bind_differences", counting)
+        cfg = BlockPoissonConfig(n_products=6, batch_size=8, bound=-6.0)
+        state = draw_block_poisson(poisson_example.n, 6, 8, np.random.default_rng(12))
+        block_poisson_evaluate(poisson_model, param_caches[2], poisson_example,
+                               example_center + 0.01, cfg, state)
+        assert len(calls) == 1
+
     def test_deterministic_given_state(self, poisson_model, poisson_example,
                                        example_center, param_caches):
         state = draw_block_poisson(poisson_example.n, 3, 10, np.random.default_rng(11))

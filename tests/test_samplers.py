@@ -873,6 +873,38 @@ def test_trace_columns_mean_the_same_in_every_kernel(tmp_path, poisson_model,
     assert np.all(back.sign == 1)
 
 
+@pytest.mark.parametrize("kernel", ["mh", "pmmh", "pmmh_block_poisson", "hmc", "hmc_ecs"])
+def test_trace_meta_holds_what_the_chain_measured(poisson_model, poisson_example,
+                                                  example_center, param_caches, kernel):
+    # the shared loop records its wall time and its counter, the kernel its
+    # cost per iteration; the config lives in the run's echo
+    from submcmc import BlockPoissonConfig, make_ct_report
+    n, cache = poisson_example.n, param_caches[2]
+    proposal, hmc = ProposalConfig(step_scale=0.02), HmcConfig(step_size=0.02, n_steps=5)
+    bp = BlockPoissonConfig(n_products=4, batch_size=5, bound=-4.0)
+    args = (poisson_model, poisson_example)
+    run, counter, cost = {
+        "mh": (lambda: mh_run(*args, proposal, example_center, 150, seed=32),
+               "invalid_proposals", n),
+        "pmmh": (lambda: pmmh_run(*args, cache, DifferenceConfig(m=20), proposal,
+                                  DependenceConfig(), example_center, 150, seed=32),
+                 "invalid_proposals", 20),
+        "pmmh_block_poisson": (lambda: pmmh_run(*args, cache, bp, proposal,
+                                                DependenceConfig(kind="bpm", n_blocks=2),
+                                                example_center, 150, seed=32),
+                               "invalid_proposals", 4 * 5),
+        "hmc": (lambda: hmc_run(*args, hmc, example_center, 150, seed=32),
+                "divergences", n * 5),
+        "hmc_ecs": (lambda: hmc_ecs_run(*args, cache, hmc, 20, example_center, 150, seed=32),
+                    "divergences", 20 * 5),
+    }[kernel]
+    trace = run()
+    assert set(trace.meta) == {"wall_time", "cost_proxy", counter}
+    assert trace.meta["wall_time"] > 0 and trace.meta[counter] >= 0
+    assert trace.meta["cost_proxy"] == cost
+    assert make_ct_report(trace) == make_ct_report(trace, cost_proxy=cost)
+
+
 def test_stream_split_is_stable():
     a = _streams(123)
     b = _streams(123)
