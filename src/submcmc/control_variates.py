@@ -362,24 +362,34 @@ class SubsampleRows:
     """The rows of one subsample, gathered once for repeated evaluation.
 
     `idx` holds the range-checked indices and `differ` the bound
-    differences that gathered them and evaluate them.  For a parameter-
-    expanded cache `y`, `W` and `eta0` hold the responses, design rows and
-    expansion-point predictors; for any other cache they stay None and
-    evaluation goes through the model and the cache by index.
+    differences that gathered and evaluate them.  For a parameter-expanded
+    cache `y`, `W` and `terms` hold the responses, design rows and theta-
+    free row terms (`GlmModel.row_terms`); for any other cache they stay
+    None and evaluation goes through the model and the cache by index.
     """
 
     idx: np.ndarray
     differ: _Differences
     y: np.ndarray | None = None
     W: np.ndarray | None = None
-    eta0: np.ndarray | None = None
+    terms: np.ndarray | None = None
 
     def span(self, lo: int, hi: int) -> SubsampleRows:
         """Rows lo:hi of these, as views."""
         if self.y is None:
             return SubsampleRows(self.idx[lo:hi], self.differ)
         return SubsampleRows(self.idx[lo:hi], self.differ, self.y[lo:hi], self.W[lo:hi],
-                             self.eta0[lo:hi])
+                             self.terms[lo:hi])
+
+    def splice(self, idx: np.ndarray, lo: int, hi: int, end: int) -> SubsampleRows:
+        """The rows of `idx`, these rows' indices with lo:hi replaced by
+        idx[lo:end]: the rows around that slice are kept, the new gathered."""
+        if self.y is None:
+            return SubsampleRows(idx, self.differ)
+        new = self.differ.gather(idx[lo:end])
+        return SubsampleRows(idx, self.differ, *(
+            np.concatenate([old[:lo], seg, old[hi:]])
+            for old, seg in ((self.y, new.y), (self.W, new.W), (self.terms, new.terms))))
 
 
 def _centered_differences(d: np.ndarray) -> tuple[float, np.ndarray]:
@@ -465,17 +475,17 @@ class _GlmDifferences(_Differences):
     def __init__(self, model: GlmModel, cache: ParamExpandedCache, dataset: Dataset):
         super().__init__(model, cache, dataset)
         self._y, self._eta0, self._theta0 = dataset.y, cache.eta0, cache.expansion_point
-        self._order, self._design, self._remainder = cache.order, model.design, model.remainder
+        self._order, self._design, self._remainder = cache.order, model.design, model.row_remainder
         self._total, self._grad_total = cache._total, cache._grad_total
 
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self, self._y[idx], self._design(self.dataset, idx),
-                             self._eta0[idx])
+                             self.model.row_terms(self._eta0[idx]))
 
     def _terms(self, theta, rows, need_d, need_s):
         # the remainder gives d whether asked or not; the totals take theta - theta0
         delta = theta - self._theta0
-        out = self._remainder(rows.y, rows.eta0, rows.W @ delta, self._order, need_s)
+        out = self._remainder(rows.y, rows.terms, rows.W @ delta, self._order, need_s)
         return (delta, *out) if need_s else (delta, out, None)
 
     @staticmethod

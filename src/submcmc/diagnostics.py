@@ -128,10 +128,13 @@ class CtReport:
 
 def make_ct_report(trace, coord: int = 0, cost_proxy: float | None = None,
                    burn_in: int = 0, method: str = "geyer_initial_positive") -> CtReport:
-    """Tuning report for one coordinate of a chain trace."""
+    """Tuning report for one coordinate of a chain trace, at `cost_proxy`
+    per iteration or else the trace's own (one read from CSV has none)."""
     est = iact(trace.draws[:, coord], method=method, burn_in=burn_in)
     tau = float(np.mean(trace.sign[burn_in:] > 0))
-    cost = float(cost_proxy) if cost_proxy is not None else float(trace.meta.get("cost_proxy", 1.0))
+    if cost_proxy is None and "cost_proxy" not in trace.meta:
+        raise DomainError("cost_proxy: the trace records no per-iteration cost; pass one")
+    cost = float(cost_proxy if cost_proxy is not None else trace.meta["cost_proxy"])
     return CtReport(iact=est, cost_proxy=cost, tau=tau, ct_value=ct(est, cost))
 
 
@@ -149,6 +152,8 @@ def summarize(trace, burn_in: int = 0, method: str = "geyer_initial_positive") -
     """
     draws = after_burn_in(trace.draws, burn_in)
     n, d = draws.shape
+    if n < 2:
+        raise DomainError(f"burn-in {burn_in} leaves {n} of {n + burn_in} draws, fewer than 2")
     accept_rate = float(np.mean(trace.accept[burn_in:]))
     sign_rate = float(np.mean(trace.sign[burn_in:] > 0))
     rows = []
@@ -156,7 +161,7 @@ def summarize(trace, burn_in: int = 0, method: str = "geyer_initial_positive") -
         x = draws[:, j]
         mean, sd = float(np.mean(x)), float(np.std(x, ddof=1))
         tau_j = ess = mcse = float("nan")
-        if n >= 2 and _constant(x):
+        if _constant(x):
             # a chain that never moved: its value, exactly, and no IACT
             mean, sd, mcse = float(x[0]), 0.0, 0.0
         elif sd > 0 and n >= 100:

@@ -31,7 +31,8 @@ class SubsampleState:
     whose segments hold whole mini-batches of `batch_size`, so that
     `indices.reshape(-1, batch_size)` lists them.  `gaussians` are the
     codes behind the indices of a correlated draw.  `cursor` tracks which
-    refresh block a cyclic refresh touches next.
+    refresh block a cyclic refresh touches next.  A refresh of one block of
+    several records `replaced = (lo, hi, end)`: its lo:end replaced lo:hi.
     """
 
     n: int
@@ -40,6 +41,7 @@ class SubsampleState:
     gaussians: np.ndarray | None = None
     batch_size: int | None = None
     cursor: int = 0
+    replaced: tuple[int, int, int] | None = None
 
     @property
     def m(self) -> int:
@@ -80,12 +82,13 @@ def draw_products(n: int, n_products: int, batch_size: int,
     """Flat indices of n_products products, each Pois(1)-many mini-batches,
     and the product bounds starting at 0.  One draw of count * batch_size
     indices reads the same stream as count draws of batch_size each."""
-    segments = []
+    segments, bounds = [], [0]
     for _ in range(n_products):
-        count = rng.poisson(1.0)
-        segments.append(rng.integers(0, n, size=count * batch_size) if count
-                        else np.empty(0, dtype=np.int64))
-    return np.concatenate(segments), np.cumsum([0] + [s.size for s in segments])
+        size = rng.poisson(1.0) * batch_size
+        if size:
+            segments.append(rng.integers(0, n, size=size))
+        bounds.append(bounds[-1] + size)
+    return np.concatenate(segments or [np.empty(0, dtype=np.int64)]), np.array(bounds)
 
 
 def draw_block_poisson(n: int, n_products: int, batch_size: int,

@@ -361,8 +361,8 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
     if n_iter < 1:
         raise ConfigError("iterations", "must be >= 1")
     burn_in = _take(cfg, resolved, "burn_in", int, default=0)
-    if not 0 <= burn_in < n_iter:
-        raise ConfigError("burn_in", "must satisfy 0 <= burn_in < iterations")
+    if not 0 <= burn_in <= n_iter - 2:
+        raise ConfigError("burn_in", "must leave 2 draws: 0 <= burn_in <= iterations - 2")
     seed = _take(cfg, resolved, "seed", int, default=0)
     chains = _take(cfg, resolved, "chains", int, default=1)
     if chains < 1:

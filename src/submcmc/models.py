@@ -174,7 +174,9 @@ class GlmModel(ModelSpec):
     d(y, eta0, a, order) = ell(eta0 + a) - Taylor_order(a) of ell around
     eta0, computed without the cancellation of ell - q.  That remainder is
     the difference d_i of parameter-expanded control variates, with
-    a = w_i'(theta - theta0).  Everything else is derived here from the
+    a = w_i'(theta - theta0), stated as `row_remainder` on the theta-free
+    terms `row_terms(eta0)` (Poisson: -exp(eta0)) that gathered rows hold, so
+    no evaluation recomputes them.  Everything else is derived here from the
     design rows w_i = (1, x_i): the per-observation terms in theta, the
     full-data sums, and the terms in data space.
 
@@ -206,11 +208,19 @@ class GlmModel(ModelSpec):
     def ell_d2(self, y, eta) -> np.ndarray:
         """Second eta-derivative of ell."""
 
+    def row_terms(self, eta0):
+        """The theta-free row terms `row_remainder` reads; eta0 by default."""
+        return eta0
+
     @abstractmethod
+    def row_remainder(self, y, terms, a, order: int, grad: bool = False):
+        """`remainder` on the rows' terms = row_terms(eta0)."""
+
     def remainder(self, y, eta0, a, order: int, grad: bool = False):
         """d = ell(eta0 + a) - sum_{j <= order} ell^(j)(eta0) a^j / j!, and
         with grad=True also s = dd/da, so the theta-gradient of d_i is
         s_i * w_i."""
+        return self.row_remainder(y, self.row_terms(eta0), a, order, grad)
 
     def c_d1(self, y):
         """c'(y); None where c is constant."""
@@ -408,20 +418,22 @@ class PoissonRegression(GlmModel):
     def ell_d2(self, y, eta):
         return -np.exp(eta)
 
-    def remainder(self, y, eta0, a, order, grad=False):
+    def row_terms(self, eta0):
+        return -np.exp(eta0)
+
+    def row_remainder(self, y, neg_mu0, a, order, grad=False):
         # log y! and, from order 1 on, y * eta cancel exactly:
-        # d = y a [order 0] - mu0 (expm1(a) - sum_{1 <= j <= order} a^j / j!)
-        mu0 = np.exp(eta0)
+        # d = y a [order 0] - mu0 (expm1(a) - sum_{1 <= j <= order} a^j / j!);
+        # adding -mu0 x rounds as subtracting mu0 x does
         e = np.expm1(a)
         if order == 0:
-            d = y * a - mu0 * e
-            s = y - mu0 * (e + 1.0)
+            d = y * a + neg_mu0 * e
+            s = y + neg_mu0 * (e + 1.0)
         elif order == 1:
-            neg_mu0 = -mu0
             d = neg_mu0 * (e - a)
             s = neg_mu0 * e
         else:
-            neg_mu0, r1 = -mu0, e - a
+            r1 = e - a
             d = neg_mu0 * (r1 - 0.5 * a * a)
             s = neg_mu0 * r1
         return (d, s) if grad else d
@@ -448,7 +460,7 @@ class LogisticRegression(GlmModel):
         p = _sigmoid(eta)
         return -(p * (1.0 - p))
 
-    def remainder(self, y, eta0, a, order, grad=False):
+    def row_remainder(self, y, eta0, a, order, grad=False):
         # For |a| <= 1, with p0 = sigmoid(eta0), q0 = 1 - p0 and e = expm1(a):
         #   softplus(eta0 + a) - softplus(eta0) = log1p(p0 e)
         #   sigmoid(eta0 + a) - p0             = p0 q0 e / (1 + p0 e)
@@ -514,7 +526,7 @@ class NormalMeanModel(GlmModel):
     def ell_d2(self, y, eta):
         return np.full(np.shape(y), -1.0)
 
-    def remainder(self, y, eta0, a, order, grad=False):
+    def row_remainder(self, y, eta0, a, order, grad=False):
         # ell is quadratic in eta, so the second-order expansion is exact
         if order == 0:
             r = y - eta0

@@ -326,7 +326,15 @@ def propose_u(current: SubsampleState, dependence: DependenceConfig,
         indices = np.concatenate([current.indices[:lo], new, current.indices[hi:]])
         bounds = np.concatenate([bounds[:g * per], lo + offsets,
                                  bounds[(g + 1) * per + 1:] + (new.size - (hi - lo))])
-    return SubsampleState(n, indices, bounds, None, current.batch_size, (g + 1) % G)
+    return SubsampleState(n, indices, bounds, None, current.batch_size, (g + 1) % G,
+                          (lo, hi, hi + indices.size - current.m) if G > 1 else None)
+
+
+def _rows_of(proposed: SubsampleState, rows, gather):
+    """The proposal's rows: `rows` spliced where it records a replaced slice."""
+    if proposed.replaced is None:
+        return gather(proposed.indices)
+    return rows.splice(proposed.indices, *proposed.replaced)
 
 
 def initial_subsample(est_cfg, dependence: DependenceConfig, n: int,
@@ -407,15 +415,16 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     rows)` returns (log-likelihood estimate, sign), where rows =
     gather(state.indices), or None when `state` is None (full-data MH).
     Each iteration moves u by `propose_u` on the third of `streams` and
-    gathers its rows once.  A proposal with sign 0 or a non-finite log
-    target is rejected; trace.meta counts them next to the wall time."""
+    gathers the rows it drew (`_rows_of`).  A proposal with sign 0 or a
+    non-finite log target is rejected; trace.meta counts them next to the wall time."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = streams
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
     propose = _Proposer(proposal, d, theta)
-    log_est, sign = evaluate(theta, None if state is None else gather(state.indices))
+    rows = None if state is None else gather(state.indices)
+    log_est, sign = evaluate(theta, rows)
     log_target = log_est + log_prior(theta)
     if sign == 0 or not np.isfinite(log_target):
         raise SamplerError("unusable likelihood estimate at the initial point")
@@ -428,7 +437,7 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     for i in range(n_iter):
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
-            rows_prop = gather(state_prop.indices)
+            rows_prop = _rows_of(state_prop, rows, gather)
         theta_prop, corr = propose(theta, next(normals))
         u = next(uniforms)
         log_est_p, sign_p = evaluate(theta_prop, rows_prop)
@@ -436,7 +445,7 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
         if sign_p == 0 or not math.isfinite(log_target_p):
             invalid += 1
         elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
-            theta, state = theta_prop, state_prop
+            theta, state, rows = theta_prop, state_prop, rows_prop
             log_target, log_est, sign = log_target_p, log_est_p, sign_p
             trace.accept[i] = True
         if state is not state_prop:
@@ -525,8 +534,9 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
     rows)` grad U alone, to the same bits, where rows = gather(state.indices),
     or None when `state` is None (full-data HMC).  With a subsample, each
     iteration first moves u given theta (the energy conserving subsampling
-    Gibbs block): `propose_u` and one uniform on the third of `streams`, and
-    acceptance on the ratio of the likelihood estimates.  The triple at the
+    Gibbs block): `propose_u`, one uniform on the third of `streams`, the
+    rows drawn (`_rows_of`), and acceptance on the ratio of the likelihood
+    estimates.  The triple at the
     current point is carried, so a trajectory opens on the carried gradient
     and makes n_steps - 1 `grad_potential` calls and one `evaluate` call at
     its end.  The recorded log-likelihood is the one the draw was accepted
@@ -549,7 +559,7 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
             u = rng_sub.random()
-            rows_prop = gather(state_prop.indices)
+            rows_prop = _rows_of(state_prop, rows, gather)
             U_prop, g_prop, loglik_prop = evaluate(theta, rows_prop)
             if np.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
                 state, rows, U, g, loglik = state_prop, rows_prop, U_prop, g_prop, loglik_prop

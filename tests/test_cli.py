@@ -201,6 +201,12 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "burn_in" in capsys.readouterr().err
 
+    def test_burn_in_must_leave_two_draws(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, "burn_in": "119"})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: burn_in:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg",
@@ -530,7 +536,8 @@ class TestSimulateAndDiagnose:
                               skip_header=1)
         assert table["coordinate"].shape == (2,)
 
-    @pytest.mark.parametrize("burn_in", ["120", "-5"], ids=["past-the-end", "negative"])
+    @pytest.mark.parametrize("burn_in", ["120", "-5", "119"],
+                             ids=["past-the-end", "negative", "one-row-left"])
     def test_diagnose_burn_in_out_of_range_exits_two(self, tmp_path, capsys, burn_in):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
         out = tmp_path / "out"

@@ -178,6 +178,20 @@ class TestSummaries:
             with pytest.raises(DomainError, match="0 <= burn-in < 500"):
                 call()
 
+    def test_summary_of_one_draw_names_the_burn_in(self, toy_trace):
+        # one row has no sample sd, so no sd, iact, ess or mcse to report
+        with pytest.raises(DomainError, match="burn-in 499 leaves 1 of 500 draws"):
+            summarize(toy_trace, burn_in=499)
+        assert len(summarize(toy_trace, burn_in=498)) == 2
+
+    def test_ct_report_needs_a_cost(self, toy_trace):
+        # a trace read back from CSV carries no cost; CT is not the bare IACT
+        toy_trace.meta = {"source": "trace.csv"}
+        with pytest.raises(DomainError, match="cost_proxy"):
+            make_ct_report(toy_trace)
+        assert make_ct_report(toy_trace, cost_proxy=30).ct_value == pytest.approx(
+            30 * iact(toy_trace.draws[:, 0]).value)
+
     def test_ct_report_uses_trace_cost(self, toy_trace):
         report = make_ct_report(toy_trace, coord=0)
         assert report.cost_proxy == 30

@@ -154,3 +154,72 @@ def test_fused_error_at_small_step(name):
     fused = differences(model, cache, ds, theta, np.arange(ds.n))
     ref, magnitude = long_double_remainder(name, model, ds, theta0, theta, 2)
     assert float(np.max(np.abs(fused - ref))) <= 1e-17 * (1 + float(magnitude))
+
+
+def reference_remainder(name, y, eta0, a, order):
+    """A frozen copy of each family's remainder as it read before the row
+    terms hook: Poisson recomputed exp(eta0) on every call."""
+    if name == "poisson":
+        mu0 = np.exp(eta0)
+        e = np.expm1(a)
+        if order == 0:
+            return y * a - mu0 * e, y - mu0 * (e + 1.0)
+        if order == 1:
+            neg_mu0 = -mu0
+            return neg_mu0 * (e - a), neg_mu0 * e
+        neg_mu0, r1 = -mu0, e - a
+        return neg_mu0 * (r1 - 0.5 * a * a), neg_mu0 * r1
+    if name == "logistic":
+        def softplus(eta):
+            return np.logaddexp(0.0, eta)
+
+        def sig(eta):
+            out = np.empty_like(eta)
+            pos = eta >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+            e = np.exp(eta[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        p0, q0 = sig(eta0), sig(-eta0)
+        eta = eta0 + a
+        near = np.abs(a) <= 1.0
+        pe = p0 * np.expm1(np.clip(a, -1.0, 1.0))
+        dsp = np.where(near, np.log1p(pe), softplus(eta) - softplus(eta0))
+        dp = np.where(near, q0 * pe / (1.0 + pe), sig(eta) - p0)
+        if order == 0:
+            return y * a - dsp, y - p0 - dp
+        if order == 1:
+            return p0 * a - dsp, -dp
+        c0 = p0 * q0
+        return (p0 + 0.5 * c0 * a) * a - dsp, c0 * a - dp
+    if order == 0:
+        r = y - eta0
+        return (r - 0.5 * a) * a, r - a
+    if order == 1:
+        return -0.5 * a * a, -a
+    return np.zeros_like(a), np.zeros_like(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from([1e-6, 0.1, 1.0, 5.0]), **problem_args)
+def test_remainder_from_row_terms_equals_the_reference_bit_for_bit(name, n, p, seed, order,
+                                                                     scale):
+    # the family states its remainder on row_terms(eta0); the public
+    # remainder derived from the two, and the differences taken from the
+    # terms gathered rows hold, keep every bit of the copy above
+    model, ds, theta0, rng = make_problem(name, n, p, seed)
+    eta0 = model.design(ds) @ theta0
+    a = scale * rng.standard_normal(n)
+    want = reference_remainder(name, ds.y, eta0, a, order)
+    for got in (model.remainder(ds.y, eta0, a, order, grad=True),
+                model.row_remainder(ds.y, model.row_terms(eta0), a, order, grad=True)):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert model.remainder(ds.y, eta0, a, order).tobytes() == want[0].tobytes()
+    theta = theta0 + scale * rng.uniform(-1.0, 1.0, size=theta0.size)
+    cache = build_param_expanded(model, ds, theta0, order=order)
+    d, s = differences(model, cache, ds, theta, np.arange(n), grad=True)
+    ref = reference_remainder(name, ds.y, cache.eta0, model.design(ds) @ (theta - theta0),
+                              order)
+    assert d.tobytes() == ref[0].tobytes() and s.tobytes() == ref[1].tobytes()

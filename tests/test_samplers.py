@@ -270,7 +270,7 @@ class TestChunkedIndexStream:
         for k in (12, 12, 12, 12, 30, 25, 7):
             idx = stream.integers(0, n, size=k)
             got, want = stream.rows(idx), differ.gather(idx)
-            for name in ("idx", "y", "W", "eta0"):
+            for name in ("idx", "y", "W", "terms"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
             # any other array with the same indices is gathered afresh
