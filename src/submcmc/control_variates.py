@@ -111,9 +111,10 @@ class ParamExpandedCache:
 
 
 def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
-                         order: int = 2) -> ParamExpandedCache:
+                         order: int = 2, checked: bool = False) -> ParamExpandedCache:
     """One blocked full pass over the data; afterwards sum_values() is
-    O(d^2) per theta and the cache holds 8n bytes per dataset."""
+    O(d^2) per theta and the cache holds 8n bytes per dataset.  `checked`
+    says the responses were validated already, so the pass skips that."""
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
     if not isinstance(model, GlmModel):
@@ -121,7 +122,7 @@ def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
             f"parameter-expanded control variates need a model of GLM form "
             f"(log-likelihood a function of w_i'theta); {type(model).__name__} is not")
     t0 = np.asarray(expansion_point, dtype=float)
-    eta0, sum_ell, sum_grad, sum_hess = model.taylor_sums(t0, dataset, order)
+    eta0, sum_ell, sum_grad, sum_hess = model.taylor_sums(t0, dataset, order, checked=checked)
     return ParamExpandedCache(
         expansion_point=t0, order=order, sum_ell=sum_ell, sum_grad=sum_grad,
         sum_hess=sum_hess, eta0=eta0, n=dataset.n, d=t0.size,

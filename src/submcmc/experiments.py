@@ -10,7 +10,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -68,10 +67,21 @@ _TAG_EXPANSION = 101
 _TAG_PLANNING = 102
 _TAG_BOUND = 103
 _TAG_DIRECTIONS = 104
+_TAG_CENTRE = 105
 
 # smallest pilot subsample, and the floor under a planned m: below it the
 # within-sample variance that drives the bias correction means little
 _MIN_SUBSAMPLE = 30
+
+# An order-2 parameter-expanded cache anchored at the pilot mode is rebuilt
+# at the full-data Newton point while a _MIN_SUBSAMPLE-row difference
+# estimate about that point has a variance of log L-hat above _CENTRE_VAR,
+# in at most _CENTRE_BUILDS builds.  A chain's efficiency falls about as
+# exp(-variance) for a small variance, so 0.01 costs it about 1%; on the
+# n = 1e6, d = 6 benchmark data the pilot centre, which this test puts at
+# 0.38, cost 14% of the minimum ESS.
+_CENTRE_VAR = 0.01
+_CENTRE_BUILDS = 3
 
 
 def _fmt(value) -> str:
@@ -167,7 +177,8 @@ def _get(cfg, key, parse=str, default=None, required=False, choices=None):
 CONFIG_KEYS = frozenset({
     "model", "data", "simulate_n", "simulate_theta", "simulate_seed", "simulate_law",
     "sampler", "iterations", "burn_in", "seed", "chains", "theta0",
-    "cv", "order", "expansion", "centroids", "cluster_seed", "kmeans_converged",
+    "cv", "order", "expansion", "newton_rebuilds", "centroids", "cluster_seed",
+    "kmeans_converged",
     "m", "sigma2_target", "plan_degenerate", "plan_floored",
     "estimator", "dependence", "phi", "blocks", "lambda", "m_b", "a",
     "epsilon", "leapfrog_steps", "variance_grad", "kappa", "omega", "proposal_kind",
@@ -227,29 +238,39 @@ def build_dataset(cfg: dict) -> tuple[Dataset, dict]:
     return simulate_poisson(n, theta, covariate_law=law, seed=sim_seed), resolved
 
 
-def _pilot_mode(model: ModelSpec, dataset: Dataset, seed):
-    """The pilot posterior mode as a function evaluated on first use only,
-    so a pilot theta0 and a pilot expansion point share one Newton run."""
-    return functools.cache(lambda: select_expansion_point(
-        model, dataset, seed=chain_seed(seed, _TAG_EXPANSION)))
+class _PilotMode:
+    """The pilot posterior mode, found on first use only, so a pilot theta0
+    and a pilot expansion point share one Newton run.  Re-centring a cache
+    anchored there (`_centred_cache`) moves `point` to the cache's final centre,
+    where a pilot theta0 then starts."""
+
+    def __init__(self, model: ModelSpec, dataset: Dataset, seed):
+        self._args = model, dataset, seed
+        self.point = None
+
+    def __call__(self) -> np.ndarray:
+        if self.point is None:
+            model, dataset, seed = self._args
+            self.point = select_expansion_point(model, dataset,
+                                                seed=chain_seed(seed, _TAG_EXPANSION))
+        return self.point
 
 
-def _resolve_expansion(cfg, model, dataset, pilot, resolved) -> np.ndarray:
+def _resolve_expansion(cfg, model, dataset, pilot) -> np.ndarray:
     raw = cfg.get("expansion", "pilot")
     if raw == "pilot":
-        point = pilot()
-    elif raw == "exact":
-        point = select_expansion_point(model, dataset, exact=True)
-    else:
-        point = _get(cfg, "expansion", parse_floats)
-        if point.size != model.dim(dataset):
-            raise ConfigError("expansion", "dimension mismatch with the model")
-    resolved["expansion"] = _fmt(point)
+        return pilot()
+    if raw == "exact":
+        return select_expansion_point(model, dataset, exact=True)
+    point = _get(cfg, "expansion", parse_floats)
+    if point.size != model.dim(dataset):
+        raise ConfigError("expansion", "dimension mismatch with the model")
     return point
 
 
 def _build_cache(cfg, model, dataset, seed, resolved, pilot,
                  kinds=frozenset({"param", "data", "exact"})):
+    """The control variates of a run, for responses already validated."""
     kind = _take(cfg, resolved, "cv", default="param", choices=kinds)
     if kind == "exact":
         return ExactControlVariate(model, dataset)
@@ -257,14 +278,28 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot,
     if order not in (0, 1, 2):
         raise ConfigError("order", "must be 0, 1 or 2")
     if kind == "param":
-        point = _resolve_expansion(cfg, model, dataset, pilot, resolved)
-        return build_param_expanded(model, dataset, point, order=order)
+        point = _resolve_expansion(cfg, model, dataset, pilot)
+        if order == 2 and cfg.get("expansion", "pilot") == "pilot":
+            cache = _centred_cache(model, dataset, point, seed, resolved)
+            pilot.point = cache.expansion_point
+        else:
+            cache = build_param_expanded(model, dataset, point, order=order, checked=True)
+            # as written, so that a rerun from a re-centred run's echo echoes it
+            _take(cfg, resolved, "newton_rebuilds", int)
+        # a rerun from the echo builds this cache, bit for bit, with no re-centring
+        resolved["expansion"] = _fmt(cache.expansion_point)
+        return cache
     K = _take(cfg, resolved, "centroids", int, default=75)
     cseed = _take(cfg, resolved, "cluster_seed", int, default=seed)
     clustering = kmeans_cluster(dataset, K, seed=cseed)
     if not clustering.converged:
         resolved["kmeans_converged"] = "0"
     return build_data_expanded(model, dataset, clustering, order=order)
+
+
+def _posterior_hessian(model: ModelSpec, sum_hess: np.ndarray) -> np.ndarray:
+    """Hessian of the log-posterior from the summed log-likelihood Hessian."""
+    return sum_hess - np.eye(sum_hess.shape[0]) / model.prior.sd**2
 
 
 def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray,
@@ -282,17 +317,21 @@ def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray,
         H = model.taylor_sums(center, dataset, order=2)[3]
     else:
         H = np.sum(model.hess_theta(center, dataset), axis=0)
-    H = H - np.eye(center.size) / model.prior.sd**2
-    return np.linalg.inv(-H)
+    return np.linalg.inv(-_posterior_hessian(model, H))
+
+
+def _gaussian_points(center: np.ndarray, cov: np.ndarray, count: int, seed) -> np.ndarray:
+    L = np.linalg.cholesky(cov)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return center + rng.standard_normal((count, center.size)) @ L.T
 
 
 def laplace_typical_points(model: ModelSpec, dataset: Dataset, center: np.ndarray,
                            count: int, seed, cache=None) -> np.ndarray:
     """Draws from the Gaussian (mode, inverse curvature) approximation; used
     to evaluate planning variances where the chain actually lives."""
-    L = np.linalg.cholesky(laplace_covariance(model, dataset, center, cache))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return center + rng.standard_normal((count, center.size)) @ L.T
+    return _gaussian_points(center, laplace_covariance(model, dataset, center, cache),
+                            count, seed)
 
 
 def _planning_center(cache, pilot) -> np.ndarray:
@@ -302,17 +341,56 @@ def _planning_center(cache, pilot) -> np.ndarray:
     return pilot() if center is None else center
 
 
+def _sigma2_at(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
+               cov: np.ndarray, seed) -> float:
+    """Population variance of the differences from a pilot subsample,
+    averaged over 5 draws from N(center, cov)."""
+    # with replacement, so fewer than _MIN_SUBSAMPLE rows still give a full pilot
+    pilot = max(_MIN_SUBSAMPLE, min(dataset.n, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
+    thetas = _gaussian_points(center, cov, 5, seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
+
+
 def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
                   seed) -> float:
     """Population variance of the differences from a pilot subsample,
     averaged over draws from the Laplace approximation at `center`."""
-    # with replacement, so fewer than _MIN_SUBSAMPLE rows still give a full pilot
-    pilot = max(_MIN_SUBSAMPLE, min(dataset.n, int(np.ceil(10.0 * np.sqrt(dataset.n)))))
-    thetas = laplace_typical_points(model, dataset, center, count=5,
-                                    seed=chain_seed(seed, _TAG_PLANNING), cache=cache)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(chain_seed(seed, _TAG_PLANNING))))
-    return estimate_sigma2_pilot(model, cache, dataset, thetas, pilot, rng)
+    return _sigma2_at(model, dataset, cache, center,
+                      laplace_covariance(model, dataset, center, cache),
+                      chain_seed(seed, _TAG_PLANNING))
+
+
+def _centred_cache(model: GlmModel, dataset: Dataset, point: np.ndarray, seed,
+                   resolved) -> ParamExpandedCache:
+    """The order-2 cache built at `point`, then rebuilt at the full-data
+    Newton point while its centre costs variance; a rebuild is echoed.
+
+    The Newton point t = c - H^-1 g takes the gradient g and Hessian H of
+    the log-posterior at the cache's centre c from the cache's own totals,
+    so it makes no data pass.  The test is the variance of log L-hat of a
+    _MIN_SUBSAMPLE-row difference estimate with this cache, n^2 sigma2_d /
+    _MIN_SUBSAMPLE, with sigma2_d measured at draws from N(t, -H^-1), the
+    covariance again from the cache rather than from a pass at t.  While it
+    is above _CENTRE_VAR the cache is rebuilt at t, the old one dropped
+    first, in at most _CENTRE_BUILDS builds; the last build is the cache.
+    """
+    cache = build_param_expanded(model, dataset, point, order=2, checked=True)
+    seed = chain_seed(seed, _TAG_CENTRE)
+    for rebuilds in range(1, _CENTRE_BUILDS):
+        c = cache.expansion_point
+        H = _posterior_hessian(model, cache.sum_hess)
+        t = c - np.linalg.solve(H, cache.sum_grad + model.grad_log_prior(c))
+        cost = dataset.n**2 / _MIN_SUBSAMPLE * _sigma2_at(model, dataset, cache, t,
+                                                          np.linalg.inv(-H), seed)
+        # a non-finite estimate (an overflowed remainder, or t itself) is no
+        # ground for a rebuild
+        if not (math.isfinite(cost) and cost > _CENTRE_VAR):
+            break
+        cache = None  # dropped before the pass that builds the next one
+        cache = build_param_expanded(model, dataset, t, order=2, checked=True)
+        resolved["newton_rebuilds"] = str(rebuilds)
+    return cache
 
 
 def _resolve_m(cfg, model, dataset, cache, seed, resolved, pilot) -> int:
@@ -369,14 +447,12 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         raise ConfigError("chains", "must be >= 1")
 
     d = model.dim(dataset)
-    pilot = _pilot_mode(model, dataset, seed)
-    if cfg.get("theta0", "pilot") == "pilot":
-        theta0 = pilot()
-    else:
+    pilot = _PilotMode(model, dataset, seed)
+    theta0 = None
+    if cfg.get("theta0", "pilot") != "pilot":
         theta0 = _get(cfg, "theta0", parse_floats)
         if theta0.size != d:
             raise ConfigError("theta0", f"expected {d} coordinates")
-    resolved["theta0"] = _fmt(theta0)
 
     plan = RunPlan(model=model, dataset=dataset, sampler=sampler, theta0=theta0,
                    n_iter=n_iter, burn_in=burn_in, seed=seed, chains=chains)
@@ -431,6 +507,11 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
                                            lam, pilot_m, rng)
                 resolved["a"] = _fmt(bound)
             plan.estimator = BlockPoissonConfig(n_products=lam, batch_size=m_b, bound=bound)
+
+    if theta0 is None:
+        # after the cache build, which may have moved the pilot mode
+        theta0 = plan.theta0 = pilot()
+    resolved["theta0"] = _fmt(theta0)
 
     if sampler == "hmc_ecs":
         plan.m = plan.estimator.m
@@ -711,7 +792,8 @@ def plan_table(cfg: dict, targets=(1.0, 3.3)) -> list[dict]:
     model = MODELS[_get(cfg, "model", required=True, choices=set(MODELS))]()
     dataset, _ = build_dataset(cfg)
     seed = _get(cfg, "seed", int, default=0)
-    pilot = _pilot_mode(model, dataset, seed)
+    model.check_response(dataset.y)
+    pilot = _PilotMode(model, dataset, seed)
     cache = _build_cache(cfg, model, dataset, seed, {}, pilot)
     _check_keys(cfg)
     sigma2_d = _pilot_sigma2(model, dataset, cache, _planning_center(cache, pilot), seed)

