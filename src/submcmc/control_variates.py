@@ -566,39 +566,50 @@ def check_indices(idx, n: int) -> np.ndarray:
 # Expansion-point selection
 # ---------------------------------------------------------------------------
 
-def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
-                           pilot_size: int | None = None, newton_steps: int = 50,
-                           exact: bool = False) -> np.ndarray:
-    """Posterior mode of a pilot subset, found by Newton iteration.
+# a Newton iteration to a posterior mode stops at a step below _NEWTON_TOL
+# in max norm, or after _NEWTON_STEPS steps
+_NEWTON_STEPS, _NEWTON_TOL = 50, 1e-12
 
-    Default pilot size is ceil(10 * sqrt(n)); `exact=True` optimizes over
-    the full dataset instead (used by tests and small problems).
-    """
+
+def posterior_hessian(model: ModelSpec, sum_hess: np.ndarray) -> np.ndarray:
+    """Hessian of the log-posterior from the summed log-likelihood Hessian."""
+    return sum_hess - np.eye(sum_hess.shape[0]) / model.prior.sd**2
+
+
+def newton_point(model: ModelSpec, theta, sum_grad, sum_hess) -> tuple[np.ndarray, np.ndarray]:
+    """(theta - H^-1 g, H): the package's one Newton step on the log-posterior,
+    from the summed log-likelihood gradient and Hessian at theta plus the
+    prior's; a singular H takes the least-squares step."""
+    H = posterior_hessian(model, sum_hess)
+    g = sum_grad + model.grad_log_prior(theta)
+    try:
+        step = np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        step = np.linalg.lstsq(H, g, rcond=None)[0]
+    return theta - step, H
+
+
+def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
+                           pilot_size: int | None = None) -> np.ndarray:
+    """Posterior mode of a pilot subset, ceil(10 * sqrt(n)) rows by default,
+    by Newton iteration from zero.  The full-data mode is reached from here
+    on cache totals (`experiments._centred_cache`)."""
     n = dataset.n
-    d = model.dim(dataset)
-    if not exact:
-        if pilot_size is None:
-            pilot_size = min(n, int(np.ceil(10.0 * np.sqrt(n))))
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        idx = rng.choice(n, size=pilot_size, replace=False)
-        # gathered and validated once, not twice per Newton step
-        dataset = Dataset(dataset.y[idx], dataset.X[idx])
-    theta = np.zeros(d)
-    prior_hess = -np.eye(d) / model.prior.sd**2
-    for _ in range(newton_steps):
-        g = np.sum(model.grad_theta(theta, dataset), axis=0) + model.grad_log_prior(theta)
-        H = np.sum(model.hess_theta(theta, dataset), axis=0) + prior_hess
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        new = theta - step
+    if pilot_size is None:
+        pilot_size = min(n, int(np.ceil(10.0 * np.sqrt(n))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    idx = rng.choice(n, size=pilot_size, replace=False)
+    # gathered and validated once, not twice per Newton step
+    pilot = Dataset(dataset.y[idx], dataset.X[idx])
+    theta = np.zeros(model.dim(dataset))
+    for _ in range(_NEWTON_STEPS):
+        new = newton_point(model, theta, np.sum(model.grad_theta(theta, pilot), axis=0),
+                           np.sum(model.hess_theta(theta, pilot), axis=0))[0]
         if not np.all(np.isfinite(new)):
             break
-        if np.max(np.abs(new - theta)) < 1e-12:
-            theta = new
+        theta, step = new, np.max(np.abs(new - theta))
+        if step < _NEWTON_TOL:
             break
-        theta = new
     return theta
 
 
@@ -665,6 +676,9 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
                               "and the dataset it was built on")
         if dataset.n != n:
             raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
+        if model.dim(dataset) != dim:
+            raise DomainError(f"{path}: cache built at d = {dim}, the model has "
+                              f"d = {model.dim(dataset)} on this dataset")
         point, sum_ell, sum_grad, sum_hess, eta0 = arrays
         return ParamExpandedCache(
             expansion_point=point, order=int(order), sum_ell=float(sum_ell),

@@ -117,7 +117,7 @@ class LogLikEstimate:
 
 def srs_wr_estimate(model: ModelSpec, dataset: Dataset, theta, indices) -> LogLikEstimate:
     """Plain with-replacement expansion estimator (n/m) * sum ell_{u_k}."""
-    indices = np.atleast_1d(np.asarray(indices))
+    indices = check_indices(indices, dataset.n)
     if indices.size == 0:
         raise DomainError("empty index set")
     n, m = dataset.n, indices.size

@@ -22,11 +22,15 @@ import numpy as np
 
 from . import __version__, models
 from .control_variates import (
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
     ExactControlVariate,
     ParamExpandedCache,
     build_data_expanded,
     build_param_expanded,
     kmeans_cluster,
+    newton_point,
+    posterior_hessian,
     select_expansion_point,
 )
 from .diagnostics import autocorrelations, iact, summarize, write_summary_csv
@@ -256,18 +260,6 @@ class _PilotMode:
         return self.point
 
 
-def _resolve_expansion(cfg, model, dataset, pilot) -> np.ndarray:
-    raw = cfg.get("expansion", "pilot")
-    if raw == "pilot":
-        return pilot()
-    if raw == "exact":
-        return select_expansion_point(model, dataset, exact=True)
-    point = _get(cfg, "expansion", parse_floats)
-    if point.size != model.dim(dataset):
-        raise ConfigError("expansion", "dimension mismatch with the model")
-    return point
-
-
 def _build_cache(cfg, model, dataset, seed, resolved, pilot,
                  kinds=frozenset({"param", "data", "exact"})):
     """The control variates of a run, for responses already validated."""
@@ -278,11 +270,18 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot,
     if order not in (0, 1, 2):
         raise ConfigError("order", "must be 0, 1 or 2")
     if kind == "param":
-        point = _resolve_expansion(cfg, model, dataset, pilot)
-        if order == 2 and cfg.get("expansion", "pilot") == "pilot":
-            cache = _centred_cache(model, dataset, point, seed, resolved)
+        how = cfg.get("expansion", "pilot")
+        if how == "exact" or (how == "pilot" and order == 2):
+            cache = _centred_cache(model, dataset, pilot(), None if how == "exact" else seed,
+                                   resolved)
+            if order < 2:  # built once more at the centre of the order-2 steps
+                point, cache = cache.expansion_point, None
+                cache = build_param_expanded(model, dataset, point, order=order, checked=True)
             pilot.point = cache.expansion_point
         else:
+            point = pilot() if how == "pilot" else _get(cfg, "expansion", parse_floats)
+            if point.size != model.dim(dataset):
+                raise ConfigError("expansion", "dimension mismatch with the model")
             cache = build_param_expanded(model, dataset, point, order=order, checked=True)
             # as written, so that a rerun from a re-centred run's echo echoes it
             _take(cfg, resolved, "newton_rebuilds", int)
@@ -297,27 +296,19 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot,
     return build_data_expanded(model, dataset, clustering, order=order)
 
 
-def _posterior_hessian(model: ModelSpec, sum_hess: np.ndarray) -> np.ndarray:
-    """Hessian of the log-posterior from the summed log-likelihood Hessian."""
-    return sum_hess - np.eye(sum_hess.shape[0]) / model.prior.sd**2
-
-
-def laplace_covariance(model: ModelSpec, dataset: Dataset, center: np.ndarray,
+def laplace_covariance(model: GlmModel, dataset: Dataset, center: np.ndarray,
                        cache=None) -> np.ndarray:
-    """Inverse negative curvature of the log-posterior at a central point.
-
-    An order-2 parameter-expanded cache anchored exactly at `center` holds
-    the same summed Hessian, from the same pass, so it is read from there
-    instead of making another full-data pass; any other cache is ignored.
-    """
+    """Inverse negative curvature of the log-posterior at a central point,
+    from the summed Hessian of one full-data pass there (`taylor_sums`).  An
+    order-2 parameter-expanded cache anchored exactly at `center` holds that
+    Hessian, from the same pass, so it is read from there instead; any other
+    cache is ignored."""
     if (isinstance(cache, ParamExpandedCache) and cache.order == 2
             and np.array_equal(cache.expansion_point, center)):
         H = cache.sum_hess
-    elif isinstance(model, GlmModel):
-        H = model.taylor_sums(center, dataset, order=2)[3]
     else:
-        H = np.sum(model.hess_theta(center, dataset), axis=0)
-    return np.linalg.inv(-_posterior_hessian(model, H))
+        H = model.taylor_sums(center, dataset, order=2)[3]
+    return np.linalg.inv(-posterior_hessian(model, H))
 
 
 def _gaussian_points(center: np.ndarray, cov: np.ndarray, count: int, seed) -> np.ndarray:
@@ -363,29 +354,29 @@ def _pilot_sigma2(model: ModelSpec, dataset: Dataset, cache, center: np.ndarray,
 
 def _centred_cache(model: GlmModel, dataset: Dataset, point: np.ndarray, seed,
                    resolved) -> ParamExpandedCache:
-    """The order-2 cache built at `point`, then rebuilt at the full-data
-    Newton point while its centre costs variance; a rebuild is echoed.
-
-    The Newton point t = c - H^-1 g takes the gradient g and Hessian H of
-    the log-posterior at the cache's centre c from the cache's own totals,
-    so it makes no data pass.  The test is the variance of log L-hat of a
-    _MIN_SUBSAMPLE-row difference estimate with this cache, n^2 sigma2_d /
-    _MIN_SUBSAMPLE, with sigma2_d measured at draws from N(t, -H^-1), the
-    covariance again from the cache rather than from a pass at t.  While it
-    is above _CENTRE_VAR the cache is rebuilt at t, the old one dropped
-    first, in at most _CENTRE_BUILDS builds; the last build is the cache.
-    """
+    """The order-2 cache built at `point`, rebuilt at the Newton point
+    t = c - H^-1 g of the log-posterior at its centre c, read from its own
+    totals with no data pass (`newton_point`), while c costs variance: while
+    a _MIN_SUBSAMPLE-row difference estimate has Var(log L-hat) =
+    n^2 sigma2_d / _MIN_SUBSAMPLE above _CENTRE_VAR, sigma2_d measured at
+    draws from N(t, -H^-1), in at most _CENTRE_BUILDS builds.  With seed None
+    (`expansion = exact`) it is rebuilt while t - c is at least _NEWTON_TOL
+    in max norm, in at most _NEWTON_STEPS builds.  The old cache is dropped
+    before each rebuild, the last build is the cache, and a rebuild is echoed."""
     cache = build_param_expanded(model, dataset, point, order=2, checked=True)
-    seed = chain_seed(seed, _TAG_CENTRE)
-    for rebuilds in range(1, _CENTRE_BUILDS):
+    exact = seed is None
+    for rebuilds in range(1, _NEWTON_STEPS if exact else _CENTRE_BUILDS):
         c = cache.expansion_point
-        H = _posterior_hessian(model, cache.sum_hess)
-        t = c - np.linalg.solve(H, cache.sum_grad + model.grad_log_prior(c))
-        cost = dataset.n**2 / _MIN_SUBSAMPLE * _sigma2_at(model, dataset, cache, t,
-                                                          np.linalg.inv(-H), seed)
-        # a non-finite estimate (an overflowed remainder, or t itself) is no
-        # ground for a rebuild
-        if not (math.isfinite(cost) and cost > _CENTRE_VAR):
+        t, H = newton_point(model, c, cache.sum_grad, cache.sum_hess)
+        if exact:
+            moved = np.all(np.isfinite(t)) and np.max(np.abs(t - c)) >= _NEWTON_TOL
+        else:
+            # a non-finite cost (an overflowed remainder, or t itself) is no
+            # ground for a rebuild
+            cost = dataset.n**2 / _MIN_SUBSAMPLE * _sigma2_at(
+                model, dataset, cache, t, np.linalg.inv(-H), chain_seed(seed, _TAG_CENTRE))
+            moved = math.isfinite(cost) and cost > _CENTRE_VAR
+        if not moved:
             break
         cache = None  # dropped before the pass that builds the next one
         cache = build_param_expanded(model, dataset, t, order=2, checked=True)
@@ -698,7 +689,9 @@ def figure234_tables(cv_kind: str = "param", radius_list=(0.025, 0.1, 0.25),
         raise ConfigError("cv", "cv must be 'param' or 'data'")
     model = MODELS["poisson"]()
     dataset = dataset if dataset is not None else example_dataset(seed=seed)
-    center = select_expansion_point(model, dataset, exact=True)
+    # the full-data mode, by Newton steps on cache totals from the pilot mode
+    center = _centred_cache(model, dataset, select_expansion_point(
+        model, dataset, seed=chain_seed(seed, _TAG_EXPANSION)), None, {}).expansion_point
     direction = sphere_direction(model.dim(dataset), chain_seed(seed, _TAG_DIRECTIONS))
 
     caches = {}

@@ -4,6 +4,7 @@ import pytest
 from submcmc import (
     PoissonRegression,
     build_param_expanded,
+    experiments,
     select_expansion_point,
     simulate_poisson,
 )
@@ -25,8 +26,11 @@ def poisson_model():
 
 @pytest.fixture(scope="session")
 def example_center(poisson_model, poisson_example):
-    """Full-data posterior mode, the expansion point for the example."""
-    return select_expansion_point(poisson_model, poisson_example, exact=True)
+    """Full-data posterior mode, the expansion point for the example: the
+    Newton steps of `expansion = exact` from the pilot mode."""
+    pilot = select_expansion_point(poisson_model, poisson_example)
+    return experiments._centred_cache(poisson_model, poisson_example, pilot, None,
+                                      {}).expansion_point
 
 
 @pytest.fixture(scope="session")

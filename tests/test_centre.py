@@ -4,7 +4,8 @@ from its own totals, while that centre costs a 30-row difference estimate
 more than _CENTRE_VAR of log-likelihood variance.  Where the pilot centre
 costs less (`TestResolve.PLANNED` in test_cli.py, 5e-4), the cache stays
 there after one pass: `test_laplace_shape_reads_the_cache_curvature` and
-`test_pilot_mode_is_computed_once` pin that."""
+`test_pilot_mode_is_computed_once` pin that.  `expansion = exact` takes the
+same steps from the pilot mode until one is below 1e-12 in max norm."""
 
 import weakref
 
@@ -13,7 +14,7 @@ import pytest
 
 from submcmc import PoissonRegression, build_param_expanded, experiments
 from submcmc.cli import main
-from submcmc.control_variates import differences
+from submcmc.control_variates import differences, newton_point
 from submcmc.experiments import parse_config_file, plan_table, resolve, run_chain
 
 TALL_THETA = "0.5,0.3,-0.2,0.25,-0.15,0.1"
@@ -23,6 +24,8 @@ MOVED = dict(model="poisson", simulate_n="100000", simulate_theta=TALL_THETA,
              simulate_seed="7", sampler="pmmh", estimator="difference",
              sigma2_target="1.0", omega="laplace", iterations="400", burn_in="100",
              seed="1")
+# the same steps, rebuilt until one is below 1e-12: 4 builds
+EXACT = {**MOVED, "expansion": "exact"}
 
 
 @pytest.fixture
@@ -133,8 +136,8 @@ def test_the_old_cache_is_dropped_before_each_rebuild(monkeypatch):
 
 @pytest.mark.parametrize("settings", [
     dict(order="1"), dict(order="0"), dict(cv="data", centroids="10"), dict(cv="exact"),
-    dict(expansion="exact"), dict(expansion=TALL_THETA)],
-    ids=["order-1", "order-0", "data", "exact-cv", "exact-point", "given-point"])
+    dict(expansion=TALL_THETA)],
+    ids=["order-1", "order-0", "data", "exact-cv", "given-point"])
 def test_other_caches_are_not_recentred(passes, settings):
     cfg = {**MOVED, "simulate_n": "20000", "m": "50", "omega": "identity", **settings}
     del cfg["sigma2_target"]
@@ -150,3 +153,60 @@ def test_plan_measures_at_the_recentred_centre():
                                        plan.cache.expansion_point, plan.seed)
     assert rows[0]["sigma2_d"] == sigma2
     assert str(rows[0]["m"]) == resolved["m"]
+
+
+@pytest.fixture
+def hess_rows(monkeypatch):
+    """The rows each hess_theta call covers."""
+    rows = []
+    real = PoissonRegression.hess_theta
+
+    def counting(self, theta, dataset, idx=None):
+        rows.append(dataset.n if idx is None else np.asarray(idx).size)
+        return real(self, theta, dataset, idx)
+
+    monkeypatch.setattr(PoissonRegression, "hess_theta", counting)
+    return rows
+
+
+def test_the_exact_point_is_reached_from_the_pilot_mode_on_cache_totals(passes, hess_rows):
+    plan, resolved = resolve(EXACT)
+    # Newton steps on per-observation Hessians run over the pilot rows alone
+    pilot_rows = int(np.ceil(10.0 * np.sqrt(plan.dataset.n)))
+    assert hess_rows and max(hess_rows) <= pilot_rows
+    # one full-data pass per build, the first at the pilot mode; the
+    # proposal shape and the planning draws read the last one's Hessian
+    assert len(passes) == 1 + int(resolved["newton_rebuilds"])
+    assert passes[0].tobytes() == pilot_mode(plan).tobytes()
+    assert plan.cache.expansion_point.tobytes() == passes[-1].tobytes()
+    # the loop stopped at a step below 1e-12
+    t, _ = newton_point(plan.model, plan.cache.expansion_point, plan.cache.sum_grad,
+                        plan.cache.sum_hess)
+    assert np.max(np.abs(t - plan.cache.expansion_point)) < 1e-12
+    # a pilot theta0 starts at the final centre, and both are echoed
+    assert plan.theta0.tobytes() == plan.cache.expansion_point.tobytes()
+    assert resolved["theta0"] == resolved["expansion"] == experiments._fmt(plan.theta0)
+
+
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_lower_orders_are_built_once_more_at_the_exact_point(passes, order):
+    plan, resolved = resolve({**EXACT, "order": order, "m": "50", "omega": "identity"})
+    assert plan.cache.order == int(order)
+    # the order-2 builds of the steps, then the cache at their final centre
+    assert len(passes) == 2 + int(resolved["newton_rebuilds"])
+    assert passes[-1].tobytes() == passes[-2].tobytes()
+    assert plan.theta0.tobytes() == plan.cache.expansion_point.tobytes()
+    assert resolved["expansion"] == experiments._fmt(plan.cache.expansion_point)
+
+
+def test_the_rerun_from_an_exact_echo_builds_once(tmp_path, passes):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in EXACT.items()), encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    echo = tmp_path / "a" / "config_resolved.cfg"
+    assert len(passes) == 1 + int(parse_config_file(echo)["newton_rebuilds"])
+    del passes[:]
+    assert main(["run", "--config", str(echo), "--out", str(tmp_path / "b")]) == 0
+    assert len(passes) == 1
+    for name in ("trace.csv", "summary.csv", "config_resolved.cfg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

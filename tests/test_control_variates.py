@@ -24,7 +24,7 @@ from submcmc import (
     select_expansion_point,
     simulate_poisson,
 )
-from submcmc import models
+from submcmc import experiments, models
 from submcmc.models import MODELS
 
 
@@ -533,6 +533,16 @@ class TestSerialization:
         with pytest.raises(DomainError, match="1000 observations"):
             load_cache(path, model=poisson_model, dataset=small)
 
+    def test_param_cache_of_another_dimension_rejected(self, poisson_model, poisson_example,
+                                                       param_caches, tmp_path):
+        # a d = 2 cache beside d = 3 data of as many rows: its first
+        # evaluation would fail to broadcast
+        path = tmp_path / "param.cvc"
+        save_cache(param_caches[2], path)
+        wide = Dataset(y=poisson_example.y, X=np.column_stack([poisson_example.X] * 2))
+        with pytest.raises(DomainError, match="cache built at d = 2, the model has d = 3"):
+            load_cache(path, model=poisson_model, dataset=wide)
+
     @pytest.mark.parametrize("entry", ["difference_estimate", "differences",
                                        "block_poisson_evaluate", "pmmh_run", "hmc_ecs_run"])
     def test_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
@@ -641,18 +651,28 @@ class TestExpansionPoint:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("family", sorted(MODELS))
-    @pytest.mark.parametrize("pilot_size, exact", [(None, False), (37, False), (None, True)])
-    def test_gathered_pilot_keeps_the_indexed_newton_bits(self, family, pilot_size, exact):
+    @pytest.mark.parametrize("pilot_size", [None, 37])
+    def test_gathered_pilot_keeps_the_indexed_newton_bits(self, family, pilot_size):
         model, data, _, _ = random_cache(400, 3, 0, "param", 5, family)
-        got = select_expansion_point(model, data, seed=[4, 101], pilot_size=pilot_size,
-                                     exact=exact)
-        want = indexed_newton(model, data, [4, 101], pilot_size, exact)
+        got = select_expansion_point(model, data, seed=[4, 101], pilot_size=pilot_size)
+        want = indexed_newton(model, data, [4, 101], pilot_size)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_exact_centre_meets_the_from_zero_full_data_newton_point(self, family):
+        # Newton steps on cache totals from the pilot mode end where Newton
+        # steps on per-observation terms over every row, from zero, end
+        model, data, _, _ = random_cache(400, 3, 0, "param", 5, family)
+        pilot = select_expansion_point(model, data, seed=[4, 101])
+        got = experiments._centred_cache(model, data, pilot, None, {}).expansion_point
+        want = indexed_newton(model, data, [4, 101], exact=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def indexed_newton(model, dataset, seed, pilot_size=None, exact=False, newton_steps=50):
     """select_expansion_point as it was before it gathered its pilot once:
-    every Newton step indexes the pilot rows of the full dataset."""
+    every Newton step indexes the pilot rows of the full dataset, or with
+    `exact` every row, as `expansion = exact` once did."""
     n, d = dataset.n, model.dim(dataset)
     idx = None
     if not exact:

@@ -19,6 +19,7 @@ from submcmc import (
     difference_estimate,
     differences,
     kmeans_cluster,
+    srs_wr_estimate,
     subsampled_potential,
 )
 from submcmc.control_variates import check_indices, gather_rows
@@ -90,6 +91,13 @@ class TestOutOfRangeIndexRejected:
         with pytest.raises(DomainError, match="index out of range"):
             block_poisson_evaluate(model, cache, data, example_center, cfg, state)
 
+    def test_srs_wr_estimate(self, poisson_model, poisson_example, example_center, caches,
+                             kind, where):
+        # no cache: -1 would read row n - 1, and n would raise numpy's IndexError
+        model, _, data, idx = self._args(poisson_model, poisson_example, caches, kind, where)
+        with pytest.raises(DomainError, match="index out of range"):
+            srs_wr_estimate(model, data, example_center, idx)
+
     def test_gather_rows(self, poisson_model, poisson_example, caches, kind, where):
         model, cache, data, idx = self._args(poisson_model, poisson_example, caches, kind,
                                              where)
@@ -130,6 +138,8 @@ def test_non_integer_indices_rejected(poisson_model, poisson_example, example_ce
             gather_rows(*args, idx)
         with pytest.raises(DomainError, match="indices must be integers"):
             caches[kind].values_at(example_center, idx)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            srs_wr_estimate(poisson_model, poisson_example, example_center, idx)
 
 
 def test_empty_indices_pass_the_check():

@@ -24,7 +24,6 @@ from submcmc import (
     ParamExpandedCache,
     ProposalConfig,
     build_data_expanded,
-    build_param_expanded,
     hmc_ecs_run,
     hmc_run,
     kmeans_cluster,
@@ -33,7 +32,7 @@ from submcmc import (
     propose_u,
     select_expansion_point,
 )
-from submcmc import samplers
+from submcmc import experiments, samplers
 from submcmc.samplers import DIVERGENCE_THRESHOLD, _empty_trace, _streams, initial_subsample
 
 # two whole chunks and part of a third
@@ -419,8 +418,9 @@ def logistic_case(poisson_example):
     cancellation-free branch."""
     model = LogisticRegression()
     data = Dataset(y=(poisson_example.y > 2).astype(float), X=poisson_example.X)
-    center = select_expansion_point(model, data, exact=True)
-    return model, data, build_param_expanded(model, data, center, order=2), center
+    cache = experiments._centred_cache(model, data, select_expansion_point(model, data),
+                                       None, {})
+    return model, data, cache, cache.expansion_point
 
 
 BPM4 = DependenceConfig(kind="bpm", n_blocks=4)
