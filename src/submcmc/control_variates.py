@@ -31,9 +31,11 @@ class ParamExpandedCache:
 
         q_i(theta) = ell(y_i, eta0_i) + ell'(eta0_i) a_i + ell''(eta0_i) a_i^2 / 2
 
-    (truncated at `order`), and the cache keeps one float per observation,
-    eta0_i = w_i'theta0: 8n bytes.  The summed terms make sum_values O(d^2)
-    per theta; per-index evaluation reads y_i and w_i from the dataset.
+    truncated at `order`, which truncates evaluation only: every order holds
+    the moments of the one order-2 set-up pass (`GlmModel.taylor_sums`).
+    The cache keeps one float per observation, eta0_i = w_i'theta0: 8n
+    bytes.  The summed terms make sum_values O(d^2) per theta; per-index
+    evaluation reads y_i and w_i from the dataset.
     """
 
     expansion_point: np.ndarray
@@ -48,11 +50,10 @@ class ParamExpandedCache:
     _dataset: Dataset = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.order >= 2:
-            # the layout taylor_sums builds, whatever came in: products on
-            # contiguous copies round differently
-            moments = np.column_stack([self.sum_grad, self.sum_hess])
-            self.sum_grad, self.sum_hess = moments[:, 0], moments[:, 1:]
+        # the layout taylor_sums builds, whatever came in: products on
+        # contiguous copies round differently
+        moments = np.column_stack([self.sum_grad, self.sum_hess])
+        self.sum_grad, self.sum_hess = moments[:, 0], moments[:, 1:]
 
     def __setstate__(self, state):
         # unpickling makes each moment array contiguous on its own
@@ -122,7 +123,7 @@ def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
             f"parameter-expanded control variates need a model of GLM form "
             f"(log-likelihood a function of w_i'theta); {type(model).__name__} is not")
     t0 = np.asarray(expansion_point, dtype=float)
-    eta0, sum_ell, sum_grad, sum_hess = model.taylor_sums(t0, dataset, order, checked=checked)
+    eta0, sum_ell, sum_grad, sum_hess = model.taylor_sums(t0, dataset, checked=checked)
     return ParamExpandedCache(
         expansion_point=t0, order=order, sum_ell=sum_ell, sum_grad=sum_grad,
         sum_hess=sum_hess, eta0=eta0, n=dataset.n, d=t0.size,
@@ -524,6 +525,9 @@ def bind_differences(model: ModelSpec, cache, dataset: Dataset) -> _Differences:
     if getattr(cache, "n", None) != dataset.n:
         raise DomainError(f"cache built on {getattr(cache, 'n', 'an unknown number of')} "
                           f"observations, dataset has {dataset.n}")
+    if isinstance(cache, DataExpandedCache) and cache.centroids.shape[1] != dataset.p + 1:
+        raise DomainError(f"cache built on points of {cache.centroids.shape[1]} "
+                          f"coordinates, dataset has {dataset.p + 1}")
     if isinstance(cache, ParamExpandedCache):
         return _GlmDifferences(model, cache, dataset)
     return _PlainDifferences(model, cache, dataset)
@@ -618,9 +622,9 @@ def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SMCV"
-# version 2: parameter-expanded caches hold eta0 instead of per-observation
-# value, gradient and Hessian arrays
-_VERSION = 2
+# version 2: parameter-expanded caches hold eta0, not per-observation terms;
+# version 3: they hold the gradient and Hessian sums at every order
+_VERSION = 3
 _KIND_PARAM = 1
 _KIND_DATA = 2
 _HEADER = struct.Struct("<4sIBQQQB")
@@ -651,7 +655,7 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
 
     Both kinds evaluate through the model at read time, so `model` is
     required; a parameter-expanded cache also reads y_i and w_i from the
-    dataset it was built on.
+    dataset it was built on, and either kind is checked against a given one.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -670,12 +674,12 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
                 arrays.append(np.load(fh, allow_pickle=False))
             except (EOFError, ValueError, OSError):
                 raise DomainError(f"{path}: truncated cache payload") from None
+    if dataset is not None and dataset.n != n:
+        raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
     if kind == _KIND_PARAM:
         if not isinstance(model, GlmModel) or dataset is None:
             raise DomainError("loading a parameter-expanded cache requires the GLM model "
                               "and the dataset it was built on")
-        if dataset.n != n:
-            raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
         if model.dim(dataset) != dim:
             raise DomainError(f"{path}: cache built at d = {dim}, the model has "
                               f"d = {model.dim(dataset)} on this dataset")
@@ -687,6 +691,9 @@ def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = N
         )
     if model is None:
         raise DomainError("loading a data-expanded cache requires the model")
+    if dataset is not None and dataset.p + 1 != dim:
+        raise DomainError(f"{path}: cache built on points of {dim} coordinates, "
+                          f"dataset has {dataset.p + 1}")
     centroids, assignment, dev, counts, sum_dev, sum_outer = arrays
     return DataExpandedCache(
         centroids=centroids, assignment=assignment.astype(int), dev=dev,

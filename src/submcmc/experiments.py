@@ -77,13 +77,13 @@ _TAG_CENTRE = 105
 # within-sample variance that drives the bias correction means little
 _MIN_SUBSAMPLE = 30
 
-# An order-2 parameter-expanded cache anchored at the pilot mode is rebuilt
-# at the full-data Newton point while a _MIN_SUBSAMPLE-row difference
-# estimate about that point has a variance of log L-hat above _CENTRE_VAR,
-# in at most _CENTRE_BUILDS builds.  A chain's efficiency falls about as
-# exp(-variance) for a small variance, so 0.01 costs it about 1%; on the
-# n = 1e6, d = 6 benchmark data the pilot centre, which this test puts at
-# 0.38, cost 14% of the minimum ESS.
+# A parameter-expanded cache anchored at the pilot mode, whatever its order,
+# is rebuilt at the full-data Newton point while a _MIN_SUBSAMPLE-row
+# order-2 difference estimate about that point has a variance of log L-hat
+# above _CENTRE_VAR, in at most _CENTRE_BUILDS builds.  A chain's efficiency
+# falls about as exp(-variance) for a small variance, so 0.01 costs it about
+# 1%; on the n = 1e6, d = 6 benchmark data the pilot centre, which this test
+# puts at 0.38, cost 14% of the minimum ESS.
 _CENTRE_VAR = 0.01
 _CENTRE_BUILDS = 3
 
@@ -271,15 +271,13 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot,
         raise ConfigError("order", "must be 0, 1 or 2")
     if kind == "param":
         how = cfg.get("expansion", "pilot")
-        if how == "exact" or (how == "pilot" and order == 2):
+        if how in ("pilot", "exact"):
             cache = _centred_cache(model, dataset, pilot(), None if how == "exact" else seed,
                                    resolved)
-            if order < 2:  # built once more at the centre of the order-2 steps
-                point, cache = cache.expansion_point, None
-                cache = build_param_expanded(model, dataset, point, order=order, checked=True)
-            pilot.point = cache.expansion_point
+            # every order holds the moments of the order-2 build
+            cache.order, pilot.point = order, cache.expansion_point
         else:
-            point = pilot() if how == "pilot" else _get(cfg, "expansion", parse_floats)
+            point = _get(cfg, "expansion", parse_floats)
             if point.size != model.dim(dataset):
                 raise ConfigError("expansion", "dimension mismatch with the model")
             cache = build_param_expanded(model, dataset, point, order=order, checked=True)
@@ -299,15 +297,14 @@ def _build_cache(cfg, model, dataset, seed, resolved, pilot,
 def laplace_covariance(model: GlmModel, dataset: Dataset, center: np.ndarray,
                        cache=None) -> np.ndarray:
     """Inverse negative curvature of the log-posterior at a central point,
-    from the summed Hessian of one full-data pass there (`taylor_sums`).  An
-    order-2 parameter-expanded cache anchored exactly at `center` holds that
-    Hessian, from the same pass, so it is read from there instead; any other
-    cache is ignored."""
-    if (isinstance(cache, ParamExpandedCache) and cache.order == 2
-            and np.array_equal(cache.expansion_point, center)):
+    from the summed Hessian of one full-data pass there (`taylor_sums`).  A
+    parameter-expanded cache of any order anchored exactly at `center` holds
+    that Hessian, from the same pass, so it is read from there instead; any
+    other cache is ignored."""
+    if isinstance(cache, ParamExpandedCache) and np.array_equal(cache.expansion_point, center):
         H = cache.sum_hess
     else:
-        H = model.taylor_sums(center, dataset, order=2)[3]
+        H = model.taylor_sums(center, dataset)[3]
     return np.linalg.inv(-posterior_hessian(model, H))
 
 
@@ -326,8 +323,9 @@ def laplace_typical_points(model: ModelSpec, dataset: Dataset, center: np.ndarra
 
 
 def _planning_center(cache, pilot) -> np.ndarray:
-    """Where planning measures the differences: the cache's expansion point,
-    else the pilot posterior mode; never the chain's start point."""
+    """Where planning measures the differences and a Laplace proposal reads
+    its shape: the cache's expansion point, else the pilot posterior mode;
+    never the chain's start point."""
     center = getattr(cache, "expansion_point", None)
     return pilot() if center is None else center
 
@@ -362,7 +360,8 @@ def _centred_cache(model: GlmModel, dataset: Dataset, point: np.ndarray, seed,
     draws from N(t, -H^-1), in at most _CENTRE_BUILDS builds.  With seed None
     (`expansion = exact`) it is rebuilt while t - c is at least _NEWTON_TOL
     in max norm, in at most _NEWTON_STEPS builds.  The old cache is dropped
-    before each rebuild, the last build is the cache, and a rebuild is echoed."""
+    before each rebuild, the last build is the cache, and a rebuild is echoed.
+    Every order holds its moments, so orders 0 and 1 take it as it is."""
     cache = build_param_expanded(model, dataset, point, order=2, checked=True)
     exact = seed is None
     for rebuilds in range(1, _NEWTON_STEPS if exact else _CENTRE_BUILDS):
@@ -517,7 +516,8 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         plan.proposal = ProposalConfig(
             kind=_take(cfg, resolved, "proposal_kind", default="rwm",
                        choices={"rwm", "independence"}),
-            step_scale=kappa, shape=laplace_covariance(model, dataset, theta0, plan.cache)
+            step_scale=kappa, shape=laplace_covariance(
+                model, dataset, _planning_center(plan.cache, pilot), plan.cache)
             if omega_kind == "laplace" else None)
 
     # after every field is read, so a field's own error names it first

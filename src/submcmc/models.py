@@ -229,11 +229,10 @@ class GlmModel(ModelSpec):
     def ell_d2(self, y, eta) -> np.ndarray:
         """Second eta-derivative of ell."""
 
-    def ell_terms(self, y, eta, order: int = 2):
-        """(ell, ell', ell'') at eta, each derivative above `order` None: the
-        terms of the set-up pass.  A family may share work among them."""
-        return (self.ell(y, eta), self.ell_d1(y, eta) if order >= 1 else None,
-                self.ell_d2(y, eta) if order >= 2 else None)
+    def ell_terms(self, y, eta):
+        """(ell, ell', ell'') at eta: the terms of the set-up pass.  A family
+        may share work among them."""
+        return self.ell(y, eta), self.ell_d1(y, eta), self.ell_d2(y, eta)
 
     def row_terms(self, eta0):
         """The theta-free row terms `row_remainder` reads; eta0 by default."""
@@ -354,17 +353,17 @@ class GlmModel(ModelSpec):
         H[:, 1:, 1:] = self.ell_d2(y, eta)[:, None, None] * np.outer(beta, beta)
         return H
 
-    def taylor_sums(self, theta, dataset: Dataset, order: int = 2, checked: bool = False):
+    def taylor_sums(self, theta, dataset: Dataset, checked: bool = False):
         """One blocked pass over all observations at `theta`.
 
-        Returns (eta, sum_i ell_i, W'ell', W'diag(ell'')W): the gradient
-        sum is zero below order 1 and the Hessian sum zero below order 2.
-        Each block writes its terms [ell, ell', diag(ell'')W] (`ell_terms`)
-        into one C-contiguous buffer, allocated once per pass, and makes one
-        BLAS product W'[ell', diag(ell'')W], so no (n, d, d) array and no
-        (n, d) array beyond a block is formed.  The responses are validated
-        here, once, unless `checked` says the caller has (`resolve` does,
-        once per run); a non-finite term raises CacheBuildError naming its
+        Returns (eta, sum_i ell_i, W'ell', W'diag(ell'')W), the moments of
+        every parameter-expanded cache whatever its order.  Each block
+        writes its terms [ell, ell', diag(ell'')W] (`ell_terms`) into one
+        C-contiguous buffer, allocated once per pass, and makes one BLAS
+        product W'[ell', diag(ell'')W], so no (n, d, d) array and no (n, d)
+        array beyond a block is formed.  The responses are validated here,
+        once, unless `checked` says the caller has (`resolve` does, once per
+        run); a non-finite term raises CacheBuildError naming its
         observation.
         """
         theta = np.asarray(theta, dtype=float)
@@ -373,29 +372,23 @@ class GlmModel(ModelSpec):
         d = theta.size
         eta = np.empty(dataset.n)
         sum_ell = 0.0
-        width = 1 + (1 if order >= 1 else 0) + (d if order >= 2 else 0)
-        moments = np.zeros((d, width - 1))
-        buf = np.empty((min(_BLOCK, dataset.n), width))
+        moments = np.zeros((d, 1 + d))
+        buf = np.empty((min(_BLOCK, dataset.n), 2 + d))
         for lo in range(0, dataset.n, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             y, W = dataset.y[rows], self.design(dataset, rows)
             e = eta[rows] = W @ theta
             cols = buf[:y.size]
-            ell, d1, d2 = self.ell_terms(y, e, order)
+            ell, d1, d2 = self.ell_terms(y, e)
             cols[:, 0] = ell
-            if order >= 1:
-                cols[:, 1] = d1
-            if order >= 2:
-                np.multiply(d2[:, None], W, out=cols[:, 2:])
+            cols[:, 1] = d1
+            np.multiply(d2[:, None], W, out=cols[:, 2:])
             if not np.isfinite(cols).all():
                 bad = np.argmin(np.isfinite(cols).all(axis=1))
                 raise CacheBuildError(f"non-finite expansion quantity at observation {lo + bad}")
             sum_ell += float(np.sum(cols[:, 0]))
-            if order >= 1:
-                moments += W.T @ cols[:, 1:]
-        sum_grad = moments[:, 0] if order >= 1 else np.zeros(d)
-        sum_hess = moments[:, 1:] if order >= 2 else np.zeros((d, d))
-        return eta, sum_ell, sum_grad, sum_hess
+            moments += W.T @ cols[:, 1:]
+        return eta, sum_ell, moments[:, 0], moments[:, 1:]
 
 
 def _y_plus_one(y):
@@ -458,13 +451,11 @@ class PoissonRegression(GlmModel):
     def ell_d2(self, y, eta):
         return -np.exp(eta)
 
-    def ell_terms(self, y, eta, order=2):
+    def ell_terms(self, y, eta):
         # exp(eta) once for all three terms, and ell'' = -exp(eta) in its
         # buffer, so a block holds no more temporaries than one term at a time
         mu = np.exp(eta)
-        ell = y * eta - mu - _log_factorial(y)
-        d1 = y - mu if order >= 1 else None
-        return ell, d1, np.negative(mu, out=mu) if order >= 2 else None
+        return y * eta - mu - _log_factorial(y), y - mu, np.negative(mu, out=mu)
 
     def row_terms(self, eta0):
         return -np.exp(eta0)

@@ -1,9 +1,10 @@
-"""Where the control variates are centred: an order-2 parameter-expanded
-cache anchored at the pilot mode is rebuilt at the full-data Newton point,
-from its own totals, while that centre costs a 30-row difference estimate
-more than _CENTRE_VAR of log-likelihood variance.  Where the pilot centre
-costs less (`TestResolve.PLANNED` in test_cli.py, 5e-4), the cache stays
-there after one pass: `test_laplace_shape_reads_the_cache_curvature` and
+"""Where the control variates are centred: a parameter-expanded cache of
+any order anchored at the pilot mode is rebuilt at the full-data Newton
+point, from its own totals, while that centre costs a 30-row order-2
+difference estimate more than _CENTRE_VAR of log-likelihood variance.
+Where the pilot centre costs less (`TestResolve.PLANNED` in test_cli.py,
+5e-4), the cache stays there after one pass:
+`test_laplace_shape_reads_the_cache_curvature` and
 `test_pilot_mode_is_computed_once` pin that.  `expansion = exact` takes the
 same steps from the pilot mode until one is below 1e-12 in max norm."""
 
@@ -26,6 +27,8 @@ MOVED = dict(model="poisson", simulate_n="100000", simulate_theta=TALL_THETA,
              seed="1")
 # the same steps, rebuilt until one is below 1e-12: 4 builds
 EXACT = {**MOVED, "expansion": "exact"}
+# first-order control variates, centred by the same order-2 test and steps
+ORDER_1 = {**MOVED, "order": "1", "m": "50"}
 
 
 @pytest.fixture
@@ -34,9 +37,9 @@ def passes(monkeypatch):
     made = []
     real = PoissonRegression.taylor_sums
 
-    def counting(self, theta, dataset, order=2, **kwargs):
+    def counting(self, theta, dataset, **kwargs):
         made.append(np.asarray(theta, dtype=float).copy())
-        return real(self, theta, dataset, order, **kwargs)
+        return real(self, theta, dataset, **kwargs)
 
     monkeypatch.setattr(PoissonRegression, "taylor_sums", counting)
     return made
@@ -76,19 +79,64 @@ def test_a_costly_centre_is_moved_to_the_newton_point_of_its_totals(passes):
     assert newton_step(plan.model, plan.cache)[1] < 0.5
 
 
-def test_the_rerun_from_the_echo_builds_the_same_cache_once(tmp_path, passes):
+def rerun_from_echo(tmp_path, passes, settings):
+    """Run `settings`, then rerun from its echo, which builds its expansion
+    point as given, in one pass with no test and no rebuild, and writes the
+    same trace, summary and echo bytes.  (The echo, the first run's passes.)"""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in MOVED.items()), encoding="utf-8")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    assert len(passes) == 2
+    first = len(passes)
     echo = tmp_path / "a" / "config_resolved.cfg"
-    assert parse_config_file(echo)["newton_rebuilds"] == "1"
     del passes[:]
     assert main(["run", "--config", str(echo), "--out", str(tmp_path / "b")]) == 0
-    # an echoed expansion point is built as given, with no test and no rebuild
     assert len(passes) == 1
     for name in ("trace.csv", "summary.csv", "config_resolved.cfg"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    return parse_config_file(echo), first
+
+
+def test_the_rerun_from_the_echo_builds_the_same_cache_once(tmp_path, passes):
+    echo, first = rerun_from_echo(tmp_path, passes, MOVED)
+    assert first == 2
+    assert echo["newton_rebuilds"] == "1"
+
+
+def test_order_1_is_centred_like_order_2(passes):
+    plan, resolved = resolve(ORDER_1)
+    # the order-2 test and step of MOVED, and no pass at order 1: the
+    # Laplace shape reads the last build's Hessian
+    assert resolved["newton_rebuilds"] == "1"
+    assert len(passes) == 2
+    assert plan.cache.order == 1
+    centre = passes[-1]
+    assert plan.cache.expansion_point.tobytes() == centre.tobytes()
+    assert plan.theta0.tobytes() == centre.tobytes()
+    assert resolved["theta0"] == resolved["expansion"] == experiments._fmt(centre)
+
+
+def test_the_rerun_from_an_order_1_echo_builds_once(tmp_path, passes):
+    echo, first = rerun_from_echo(tmp_path, passes, ORDER_1)
+    assert first == 2
+    assert echo["newton_rebuilds"] == "1"
+
+
+def test_an_order_1_chain_mixes_at_the_centre():
+    """At the pilot centre this chain accepted 0.007 of its proposals after
+    burn-in, with a realized Var(log L-hat) median of 153; here 0.19 and 0.17."""
+    plan, _ = resolve(ORDER_1)
+    trace = run_chain(plan, 0)
+    assert np.mean(trace.accept[plan.burn_in:]) > 0.1
+
+
+def test_laplace_shape_is_read_at_the_centre_not_at_theta0(passes):
+    plan, resolved = resolve({**MOVED, "theta0": "0,0,0,0,0,0"})
+    # no pass at theta0: the shape reads the cache's Hessian
+    assert len(passes) == 1 + int(resolved["newton_rebuilds"])
+    assert plan.theta0.tobytes() == np.zeros(6).tobytes()
+    centre = plan.cache.expansion_point
+    shape = experiments.laplace_covariance(plan.model, plan.dataset, centre)
+    assert plan.proposal.shape.tobytes() == shape.tobytes()
 
 
 def test_planned_variance_meets_the_variance_at_the_chains_draws():
@@ -135,9 +183,8 @@ def test_the_old_cache_is_dropped_before_each_rebuild(monkeypatch):
 
 
 @pytest.mark.parametrize("settings", [
-    dict(order="1"), dict(order="0"), dict(cv="data", centroids="10"), dict(cv="exact"),
-    dict(expansion=TALL_THETA)],
-    ids=["order-1", "order-0", "data", "exact-cv", "given-point"])
+    dict(cv="data", centroids="10"), dict(cv="exact"), dict(expansion=TALL_THETA)],
+    ids=["data", "exact-cv", "given-point"])
 def test_other_caches_are_not_recentred(passes, settings):
     cfg = {**MOVED, "simulate_n": "20000", "m": "50", "omega": "identity", **settings}
     del cfg["sigma2_target"]
@@ -189,24 +236,17 @@ def test_the_exact_point_is_reached_from_the_pilot_mode_on_cache_totals(passes, 
 
 
 @pytest.mark.parametrize("order", ["0", "1"])
-def test_lower_orders_are_built_once_more_at_the_exact_point(passes, order):
-    plan, resolved = resolve({**EXACT, "order": order, "m": "50", "omega": "identity"})
+def test_lower_orders_take_the_exact_build_with_no_further_pass(passes, order):
+    plan, resolved = resolve({**EXACT, "order": order, "m": "50"})
     assert plan.cache.order == int(order)
-    # the order-2 builds of the steps, then the cache at their final centre
-    assert len(passes) == 2 + int(resolved["newton_rebuilds"])
-    assert passes[-1].tobytes() == passes[-2].tobytes()
+    # the order-2 builds of the steps alone: the last is the cache, and the
+    # Laplace shape reads its Hessian
+    assert len(passes) == 1 + int(resolved["newton_rebuilds"])
+    assert plan.cache.expansion_point.tobytes() == passes[-1].tobytes()
     assert plan.theta0.tobytes() == plan.cache.expansion_point.tobytes()
     assert resolved["expansion"] == experiments._fmt(plan.cache.expansion_point)
 
 
 def test_the_rerun_from_an_exact_echo_builds_once(tmp_path, passes):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in EXACT.items()), encoding="utf-8")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    echo = tmp_path / "a" / "config_resolved.cfg"
-    assert len(passes) == 1 + int(parse_config_file(echo)["newton_rebuilds"])
-    del passes[:]
-    assert main(["run", "--config", str(echo), "--out", str(tmp_path / "b")]) == 0
-    assert len(passes) == 1
-    for name in ("trace.csv", "summary.csv", "config_resolved.cfg"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    echo, first = rerun_from_echo(tmp_path, passes, EXACT)
+    assert first == 1 + int(echo["newton_rebuilds"])

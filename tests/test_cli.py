@@ -408,9 +408,9 @@ class TestResolve:
         real_sums = PoissonRegression.taylor_sums
         real_hess = PoissonRegression.hess_theta
 
-        def counting_sums(self, theta, dataset, order=2, **kwargs):
+        def counting_sums(self, theta, dataset, **kwargs):
             passes.append("taylor_sums")
-            return real_sums(self, theta, dataset, order, **kwargs)
+            return real_sums(self, theta, dataset, **kwargs)
 
         def counting_hess(self, theta, dataset, idx=None):
             # over all rows of the run's data; the pilot mode's Newton steps

@@ -148,8 +148,11 @@ class TestParamExpanded:
         np.testing.assert_allclose(cache.sum_grad, grad.sum(axis=0), rtol=1e-9)
         np.testing.assert_allclose(cache.sum_hess, hess.sum(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(cache.sum_hess, cache.sum_hess.T)
-        np.testing.assert_array_equal(param_caches[1].sum_hess, np.zeros((2, 2)))
-        np.testing.assert_array_equal(param_caches[0].sum_grad, np.zeros(2))
+        # every order holds the moments of the one order-2 pass, bit for bit
+        for lower in (param_caches[0], param_caches[1]):
+            assert lower.sum_ell == cache.sum_ell
+            assert lower.sum_grad.tobytes() == cache.sum_grad.tobytes()
+            assert lower.sum_hess.tobytes() == cache.sum_hess.tobytes()
 
     def test_model_without_glm_form_rejected(self, poisson_example, example_center):
         from tests.test_estimators import TableModel
@@ -543,6 +546,32 @@ class TestSerialization:
         with pytest.raises(DomainError, match="cache built at d = 2, the model has d = 3"):
             load_cache(path, model=poisson_model, dataset=wide)
 
+    @pytest.fixture
+    def narrow_cache(self, poisson_model, poisson_example, tmp_path):
+        """A saved 300-row, 5-centroid cache on points (y, x), the rows it was
+        built on, and points (y, x, x) of as many rows."""
+        small = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
+        path = tmp_path / "data.cvc"
+        save_cache(build_data_expanded(poisson_model, small, kmeans_cluster(small, 5, seed=3)),
+                   path)
+        return path, small, Dataset(y=small.y, X=np.column_stack([small.X] * 2))
+
+    def test_data_cache_of_another_width_rejected_at_load(self, poisson_model, narrow_cache):
+        path, small, wide = narrow_cache
+        with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
+            load_cache(path, model=poisson_model, dataset=wide)
+        with pytest.raises(DomainError, match="300 observations, dataset has 100"):
+            load_cache(path, model=poisson_model,
+                       dataset=Dataset(y=small.y[:100], X=small.X[:100]))
+
+    def test_data_cache_of_another_width_rejected_at_evaluation(self, poisson_model,
+                                                                narrow_cache):
+        # loaded without the dataset, the first estimate would fail in a matmul
+        path, _, wide = narrow_cache
+        cache = load_cache(path, model=poisson_model)
+        with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
+            difference_estimate(poisson_model, cache, wide, np.zeros(3), np.arange(20))
+
     @pytest.mark.parametrize("entry", ["difference_estimate", "differences",
                                        "block_poisson_evaluate", "pmmh_run", "hmc_ecs_run"])
     def test_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
@@ -557,7 +586,8 @@ class TestSerialization:
         path = tmp_path / "data.cvc"
         save_cache(build_data_expanded(poisson_model, big, kmeans_cluster(big, 10, seed=3)),
                    path)
-        cache = load_cache(path, model=poisson_model, dataset=small)
+        # loaded without the dataset, which load_cache would check
+        cache = load_cache(path, model=poisson_model)
         idx, theta = np.arange(20), example_center
         run = {
             "difference_estimate": lambda: difference_estimate(
@@ -605,16 +635,18 @@ class TestSerialization:
         back = pickle.loads(pickle.dumps(cache))
         self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
 
-    def test_version_1_file_rejected(self, param_caches, tmp_path):
-        # version 1 stored per-observation value, gradient and Hessian arrays
+    # version 1 stored per-observation value, gradient and Hessian arrays;
+    # version 2 stored zero moments below order 2
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_files_rejected(self, param_caches, tmp_path, version):
         import struct
 
         path = tmp_path / "old.cvc"
         save_cache(param_caches[2], path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
-        with pytest.raises(DomainError, match="unsupported cache version 1"):
+        with pytest.raises(DomainError, match=f"unsupported cache version {version}"):
             load_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):

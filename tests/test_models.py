@@ -334,7 +334,7 @@ class TestNormalMean:
 # ---------------------------------------------------------------------------
 
 
-def hstack_taylor_sums(model, theta, dataset, order, block):
+def hstack_taylor_sums(model, theta, dataset, block):
     """taylor_sums as it was before its terms went into one reused buffer:
     a fresh np.hstack of the terms per block.  The reference whose bits the
     buffered pass keeps."""
@@ -343,23 +343,16 @@ def hstack_taylor_sums(model, theta, dataset, order, block):
     d = theta.size
     eta = np.empty(dataset.n)
     sum_ell = 0.0
-    moments = np.zeros((d, (1 if order >= 1 else 0) + (d if order >= 2 else 0)))
+    moments = np.zeros((d, 1 + d))
     for lo in range(0, dataset.n, block):
         rows = slice(lo, lo + block)
         y, W = dataset.y[rows], model.design(dataset, rows)
         e = eta[rows] = W @ theta
-        terms = [model.ell(y, e)[:, None]]
-        if order >= 1:
-            terms.append(model.ell_d1(y, e)[:, None])
-        if order >= 2:
-            terms.append(model.ell_d2(y, e)[:, None] * W)
-        cols = np.hstack(terms)
+        cols = np.hstack([model.ell(y, e)[:, None], model.ell_d1(y, e)[:, None],
+                          model.ell_d2(y, e)[:, None] * W])
         sum_ell += float(np.sum(cols[:, 0]))
-        if order >= 1:
-            moments += W.T @ cols[:, 1:]
-    sum_grad = moments[:, 0] if order >= 1 else np.zeros(d)
-    sum_hess = moments[:, 1:] if order >= 2 else np.zeros((d, d))
-    return eta, sum_ell, sum_grad, sum_hess
+        moments += W.T @ cols[:, 1:]
+    return eta, sum_ell, moments[:, 0], moments[:, 1:]
 
 
 def setup_case(model_cls, n, seed=11):
@@ -373,50 +366,44 @@ def setup_case(model_cls, n, seed=11):
 
 
 class TestSetupPass:
-    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
                                            NormalMeanModel])
     @pytest.mark.parametrize("block, n", [(64, 3 * 64 + 17), (64, 64), (1 << 16, 300)],
                              ids=["full-and-partial-blocks", "one-full-block", "one-short"])
     @pytest.mark.parametrize("layout", ["arrays", "rows"])
-    def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, order,
-                                                 block, n, layout):
+    def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, block, n,
+                                                 layout):
         model, ds, theta = setup_case(model_cls, n)
         monkeypatch.setattr(models, "_BLOCK", block)
         # a dataset over one block of rows gathers its design rows whole
         got = model.taylor_sums(theta, Dataset.from_rows(ds.points()) if layout == "rows"
-                                else ds, order)
-        want = hstack_taylor_sums(model, theta, ds, order, block)
+                                else ds)
+        want = hstack_taylor_sums(model, theta, ds, block)
         for g, w in zip(got, want):
             assert np.asarray(g).shape == np.asarray(w).shape
             assert np.array_equal(g, w)
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_non_finite_term_in_a_later_block_names_its_observation(self, monkeypatch,
-                                                                   order):
+    def test_non_finite_term_in_a_later_block_names_its_observation(self, monkeypatch):
         model, ds, theta = setup_case(PoissonRegression, 3 * 64 + 17)
         X = ds.X.copy()
         X[150, 0] = 2000.0      # exp(eta) overflows in the third block only
         monkeypatch.setattr(models, "_BLOCK", 64)
         with pytest.raises(CacheBuildError, match="observation 150$"):
-            model.taylor_sums(theta, Dataset(y=ds.y, X=X), order)
+            model.taylor_sums(theta, Dataset(y=ds.y, X=X))
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
                                            NormalMeanModel])
-    def test_ell_terms_are_the_three_terms_to_the_bit(self, model_cls, order):
+    def test_ell_terms_are_the_three_terms_to_the_bit(self, model_cls):
         # Poisson shares one exp(eta) among them; every family keeps their bits
         model, ds, theta = setup_case(model_cls, 300)
         eta = model.design(ds) @ theta
-        got = model.ell_terms(ds.y, eta, order)
+        got = model.ell_terms(ds.y, eta)
         want = [model.ell(ds.y, eta), model.ell_d1(ds.y, eta), model.ell_d2(ds.y, eta)]
-        for k, (g, w) in enumerate(zip(got, want)):
-            if k > order:
-                assert g is None
-            else:
-                assert g.tobytes() == w.tobytes()
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_responses_are_validated_unless_checked(self):
         model, ds, theta = setup_case(PoissonRegression, 50)
