@@ -22,6 +22,7 @@ from submcmc import (
     LogisticRegression,
     NormalMeanModel,
     PoissonRegression,
+    build_param_expanded,
     load_dataset,
     save_dataset,
     simulate_poisson,
@@ -366,36 +367,49 @@ def setup_case(model_cls, n, seed=11):
 
 
 class TestSetupPass:
+    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
                                            NormalMeanModel])
     @pytest.mark.parametrize("block, n", [(64, 3 * 64 + 17), (64, 64), (1 << 16, 300)],
                              ids=["full-and-partial-blocks", "one-full-block", "one-short"])
     @pytest.mark.parametrize("layout", ["arrays", "rows"])
-    def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, block, n,
-                                                 layout):
+    def test_buffered_pass_keeps_the_hstack_bits(self, monkeypatch, model_cls, order,
+                                                 block, n, layout):
         model, ds, theta = setup_case(model_cls, n)
         monkeypatch.setattr(models, "_BLOCK", block)
         # a dataset over one block of rows gathers its design rows whole
-        got = model.taylor_sums(theta, Dataset.from_rows(ds.points()) if layout == "rows"
-                                else ds)
+        data = Dataset.from_rows(ds.points()) if layout == "rows" else ds
+        got = model.taylor_sums(theta, data)
         want = hstack_taylor_sums(model, theta, ds, block)
         for g, w in zip(got, want):
             assert np.asarray(g).shape == np.asarray(w).shape
             assert np.array_equal(g, w)
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        # a cache of any order holds the moments of that one order-2 pass
+        cache = build_param_expanded(model, data, theta, order=order)
+        assert cache.order == order
+        held = (cache.eta0, cache.sum_ell, cache.sum_grad, cache.sum_hess)
+        for g, w in zip(held, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_term_in_a_later_block_names_its_observation(self, monkeypatch):
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_non_finite_term_in_a_later_block_names_its_observation(self, monkeypatch,
+                                                                   order):
         model, ds, theta = setup_case(PoissonRegression, 3 * 64 + 17)
         X = ds.X.copy()
         X[150, 0] = 2000.0      # exp(eta) overflows in the third block only
         monkeypatch.setattr(models, "_BLOCK", 64)
         with pytest.raises(CacheBuildError, match="observation 150$"):
             model.taylor_sums(theta, Dataset(y=ds.y, X=X))
+        # every order builds through that pass, so every order names it
+        with pytest.raises(CacheBuildError, match="observation 150$"):
+            build_param_expanded(model, Dataset(y=ds.y, X=X), theta, order=order)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("model_cls", [PoissonRegression, LogisticRegression,
                                            NormalMeanModel])
-    def test_ell_terms_are_the_three_terms_to_the_bit(self, model_cls):
+    def test_ell_terms_are_the_three_terms_to_the_bit(self, model_cls, order):
         # Poisson shares one exp(eta) among them; every family keeps their bits
         model, ds, theta = setup_case(model_cls, 300)
         eta = model.design(ds) @ theta
@@ -404,6 +418,17 @@ class TestSetupPass:
         assert len(got) == 3
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        # a cache of this order evaluates those terms truncated at its order
+        cache = build_param_expanded(model, ds, theta, order=order)
+        theta1 = theta + 0.01
+        idx = np.arange(ds.n)
+        a = model.design(ds) @ (theta1 - theta)
+        q = got[0]
+        if order >= 1:
+            q = q + got[1] * a
+            if order >= 2:
+                q = q + 0.5 * got[2] * a * a
+        assert cache.values_at(theta1, idx).tobytes() == q.tobytes()
 
     def test_responses_are_validated_unless_checked(self):
         model, ds, theta = setup_case(PoissonRegression, 50)
