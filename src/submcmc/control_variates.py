@@ -4,7 +4,8 @@ Two families: Taylor expansion in parameter space around a fixed expansion
 point (cheap total: O(d^2) per theta, independent of n) and Taylor
 expansion in data space around cluster centroids (cheap total: O(K) per
 theta).  Both support per-index evaluation for sampled observations, which
-is what the difference estimator needs.
+is what the difference estimator needs.  Their per-iteration products use
+`ndarray.dot`, never `@`, with arrays before scalars (see `samplers`).
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ class ParamExpandedCache:
         """sum_i q_i at theta = expansion_point + delta."""
         total = self.sum_ell
         if self.order >= 1:
-            total += float(self.sum_grad @ delta)
+            total += float(self.sum_grad.dot(delta))
             if self.order >= 2:
-                total += 0.5 * float(delta @ self.sum_hess @ delta)
+                total += 0.5 * float(delta.dot(self.sum_hess).dot(delta))
         return total
 
     # theta-gradients of the q_i
@@ -108,7 +109,7 @@ class ParamExpandedCache:
             return np.zeros(self.d)
         if self.order == 1:
             return self.sum_grad.copy()
-        return self.sum_grad + self.sum_hess @ delta
+        return self.sum_grad + self.sum_hess.dot(delta)
 
 
 def build_param_expanded(model: ModelSpec, dataset: Dataset, expansion_point,
@@ -359,7 +360,7 @@ class ExactControlVariate:
         return self._grad_sum(theta)
 
 
-@dataclass
+@dataclass(slots=True)
 class SubsampleRows:
     """The rows of one subsample, gathered once for repeated evaluation.
 
@@ -375,13 +376,6 @@ class SubsampleRows:
     y: np.ndarray | None = None
     W: np.ndarray | None = None
     terms: np.ndarray | None = None
-
-    def span(self, lo: int, hi: int) -> SubsampleRows:
-        """Rows lo:hi of these, as views."""
-        if self.y is None:
-            return SubsampleRows(self.idx[lo:hi], self.differ)
-        return SubsampleRows(self.idx[lo:hi], self.differ, self.y[lo:hi], self.W[lo:hi],
-                             self.terms[lo:hi])
 
     def splice(self, idx: np.ndarray, lo: int, hi: int, end: int) -> SubsampleRows:
         """The rows of `idx`, these rows' indices with lo:hi replaced by
@@ -409,7 +403,7 @@ def difference_total(q_total: float, d: np.ndarray, n: int) -> tuple[float, floa
     m = d.size
     total, centered = _centered_differences(d)
     value = q_total + n / m * total
-    sample_variance = n * n / m * (float(centered @ centered) / m)
+    sample_variance = n * n / m * (float(centered.dot(centered)) / m)
     return value, sample_variance, centered
 
 
@@ -427,6 +421,7 @@ class _Differences:
     def __init__(self, model: ModelSpec, cache, dataset: Dataset):
         self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
         self.log_prior, self.grad_log_prior = model.prior.bind()
+        self._at_theta = None, None
 
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self)
@@ -447,26 +442,38 @@ class _Differences:
         U = -(log_phat + log prior) with log_phat the difference estimate
         less half its sample variance."""
         at, d, s = self._terms(theta, rows, True, True)
-        value, sample_variance, centered = difference_total(self._total(at), d, self.n)
+        q_total, log_prior, grad_total, grad_log_prior = self._theta_terms(theta, at)
+        value, sample_variance, centered = difference_total(q_total, d, self.n)
         log_phat = value - sample_variance / 2.0
-        grad = self._gradient(theta, rows, at, s, centered if include_variance_grad else None)
-        return -(log_phat + self.log_prior(theta)), grad, log_phat
+        grad = self._gradient(rows, s, centered if include_variance_grad else None,
+                              grad_total, grad_log_prior)
+        return -(log_phat + log_prior), grad, log_phat
+
+    def _theta_terms(self, theta, at):
+        """(sum_i q_i, log prior, sum_i grad q_i, grad log prior) at theta.
+        The last theta's are kept: the HMC-ECS u-step evaluates a proposed
+        subsample at the theta the previous evaluation ended on."""
+        key = theta.tobytes()
+        if key != self._at_theta[0]:
+            self._at_theta = key, (self._total(at), self.log_prior(theta), self._grad_total(at),
+                                   self.grad_log_prior(theta))
+        return self._at_theta[1]
 
     def grad_potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
         """grad U of `potential` to the bit, without sum_i q_i, the sample
         variance or the prior density; the differences are computed only
         for the variance term."""
         at, d, s = self._terms(theta, rows, include_variance_grad, True)
-        return self._gradient(theta, rows, at, s,
-                              _centered_differences(d)[1] if include_variance_grad else None)
+        return self._gradient(rows, s,
+                              _centered_differences(d)[1] if include_variance_grad else None,
+                              self._grad_total(at), self.grad_log_prior(theta))
 
-    def _gradient(self, theta, rows, at, s, centered):
+    def _gradient(self, rows, s, centered, grad_total, grad_log_prior):
         # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i;
         # without the variance term (centered None) the weights are n/m
         n, m = self.n, rows.idx.size
-        weights = np.full(m, n / m) if centered is None else n / m - n * n / (m * m) * centered
-        return -(self._grad_total(at) + self._weighted(weights, s, rows)
-                 + self.grad_log_prior(theta))
+        weights = np.full(m, n / m) if centered is None else n / m - centered * (n * n / (m * m))
+        return -(grad_total + self._weighted(weights, s, rows) + grad_log_prior)
 
 
 class _GlmDifferences(_Differences):
@@ -487,12 +494,12 @@ class _GlmDifferences(_Differences):
     def _terms(self, theta, rows, need_d, need_s):
         # the remainder gives d whether asked or not; the totals take theta - theta0
         delta = theta - self._theta0
-        out = self._remainder(rows.y, rows.terms, rows.W @ delta, self._order, need_s)
+        out = self._remainder(rows.y, rows.terms, rows.W.dot(delta), self._order, need_s)
         return (delta, *out) if need_s else (delta, out, None)
 
     @staticmethod
     def _weighted(weights, s, rows):
-        return (weights * s) @ rows.W
+        return (weights * s).dot(rows.W)
 
 
 class _PlainDifferences(_Differences):

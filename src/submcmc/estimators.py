@@ -21,7 +21,7 @@ from .errors import DomainError
 from .models import Dataset, ModelSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class SubsampleState:
     """The auxiliary variable u: which observations a likelihood estimate saw.
 
@@ -219,16 +219,16 @@ def block_poisson_value(model: ModelSpec, cache, dataset: Dataset, cfg: BlockPoi
     evaluated in one `differences` call, the one bind of an index array."""
     d = differences(model, cache, dataset, theta, rows)
     lam = cfg.n_products
-    dhat = dataset.n / cfg.batch_size * d.reshape(-1, cfg.batch_size).sum(axis=1)
+    dhat = np.add.reduce(d.reshape(-1, cfg.batch_size), axis=1) * (dataset.n / cfg.batch_size)
     factors = (dhat - cfg.bound) / lam
-    if np.any(factors == 0.0):
+    if (factors == 0.0).any():
         return -np.inf, 0
-    log_abs = cache.sum_values(theta) + cfg.bound + lam
-    # one at a time in mini-batch order: a pairwise np.sum would round differently
-    for term in np.log(np.abs(factors)).tolist():
-        log_abs += term
+    logs = np.empty(factors.size + 1)
+    logs[0] = cache.sum_values(theta) + cfg.bound + lam
+    np.log(np.abs(factors), out=logs[1:])
     sign = -1 if np.count_nonzero(factors < 0.0) % 2 else 1
-    return float(log_abs), sign
+    # one at a time in mini-batch order: a pairwise np.sum would round differently
+    return float(np.add.accumulate(logs)[-1]), sign
 
 
 def block_poisson_estimate(model: ModelSpec, cache, dataset: Dataset, theta,

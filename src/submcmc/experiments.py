@@ -16,7 +16,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -648,7 +648,8 @@ def run_experiment(cfg: dict, out_dir) -> dict:
         for key in sorted(resolved):
             fh.write(f"{key} = {resolved[key]}\n")
     paths["config"] = echo_path
-    write_manifest(out_dir, resolved, time.perf_counter() - t0)
+    write_manifest(out_dir, resolved, time.perf_counter() - t0,
+                   {"chains": [trace.meta for trace in traces]})
     return paths
 
 
@@ -690,14 +691,16 @@ def figure234_tables(cv_kind: str = "param", radius_list=(0.025, 0.1, 0.25),
     model = MODELS["poisson"]()
     dataset = dataset if dataset is not None else example_dataset(seed=seed)
     # the full-data mode, by Newton steps on cache totals from the pilot mode
-    center = _centred_cache(model, dataset, select_expansion_point(
-        model, dataset, seed=chain_seed(seed, _TAG_EXPANSION)), None, {}).expansion_point
+    centred = _centred_cache(model, dataset, select_expansion_point(
+        model, dataset, seed=chain_seed(seed, _TAG_EXPANSION)), None, {})
+    center = centred.expansion_point
     direction = sphere_direction(model.dim(dataset), chain_seed(seed, _TAG_DIRECTIONS))
 
     caches = {}
     if cv_kind == "param":
+        # every order reads the moments of the last centring build
         for order in order_list:
-            caches[(order, 0)] = build_param_expanded(model, dataset, center, order=order)
+            caches[(order, 0)] = replace(centred, order=order)
     else:
         for K in K_list:
             clustering = kmeans_cluster(dataset, K, seed=seed)

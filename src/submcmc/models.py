@@ -98,11 +98,13 @@ class GaussianPrior:
     def bind(self):
         """(logpdf, grad) of float arrays with the constants bound once, for
         a sampler's per-iteration calls; the methods below delegate to them."""
-        mean, sd, var, log_norm = self.mean, self.sd, self.sd**2, self._log_norm
+        # 0-d arrays, the scalar operands numpy dispatches fastest, to the same bits
+        mean, sd, var = (np.array(c, dtype=float) for c in (self.mean, self.sd, self.sd**2))
+        log_norm = float(self._log_norm)
 
         def logpdf(theta):
             z = (theta - mean) / sd
-            return float(-0.5 * np.add.reduce(z * z) - z.size * log_norm)
+            return -0.5 * float(np.add.reduce(z * z)) - z.size * log_norm
 
         def grad(theta):
             # mean - theta is -(theta - mean) to the bit, one operation fewer
@@ -473,7 +475,7 @@ class PoissonRegression(GlmModel):
             s = neg_mu0 * e
         else:
             r1 = e - a
-            d = neg_mu0 * (r1 - 0.5 * a * a)
+            d = neg_mu0 * (r1 - a * 0.5 * a)
             s = neg_mu0 * r1
         return (d, s) if grad else d
 
@@ -517,7 +519,7 @@ class LogisticRegression(GlmModel):
             d, s = p0 * a - dsp, -dp
         else:
             c0 = p0 * q0
-            d, s = (p0 + 0.5 * c0 * a) * a - dsp, c0 * a - dp
+            d, s = (p0 + c0 * 0.5 * a) * a - dsp, c0 * a - dp
         return (d, s) if grad else d
 
 
@@ -569,9 +571,9 @@ class NormalMeanModel(GlmModel):
         # ell is quadratic in eta, so the second-order expansion is exact
         if order == 0:
             r = y - eta0
-            d, s = (r - 0.5 * a) * a, r - a
+            d, s = (r - a * 0.5) * a, r - a
         elif order == 1:
-            d, s = -0.5 * a * a, -a
+            d, s = a * -0.5 * a, -a
         else:
             d, s = np.zeros_like(a), np.zeros_like(a)
         return (d, s) if grad else d

@@ -18,6 +18,11 @@ of size K k returns the same values as K calls of size k.  A stream that
 interleaves bounded integers with whole-word draws would be reordered by
 chunking, so it stays per call: the Pois(1) counts of the product
 estimator, the Gaussian codes of cpm and the u-move uniform of HMC-ECS.
+
+Per-iteration products on operands of at most m rows use `ndarray.dot`,
+never `@`, put arrays before scalars, and take a chain's constant scalars as
+0-d arrays: the same BLAS calls and IEEE operations, so the same bits, at
+less of numpy's per-call dispatch.
 """
 
 from __future__ import annotations
@@ -203,10 +208,10 @@ class _IndexChunks:
     as one rng.integers(0, n, size=k) call per request (see the module
     docstring).  A request may straddle two chunks.
 
-    With `views`, each chunk's rows are gathered once by `differ`, and
-    `rows(idx)` returns views of them when `idx` is the array the last
-    request returned and it lies within one chunk; any other array is
-    gathered when asked for.
+    With `views`, each chunk's rows are gathered once by `differ`, and a
+    request within one chunk makes the views of them that `rows(idx)` returns
+    for the array it returned; any other array, and the rows of differences
+    that gather nothing (`SubsampleRows.y` None), are gathered when asked for.
     """
 
     def __init__(self, rng: np.random.Generator, differ, size: int, views: bool):
@@ -214,33 +219,34 @@ class _IndexChunks:
         self.n = differ.n
         self._idx = np.empty(0, dtype=np.int64)
         self._pos = 0
-        self._chunk_rows = self._last = None
+        self._chunk = self._last = None
 
     def integers(self, low, high, size):
         if low != 0 or high != self.n:
             raise SamplerError("a chunked subsampling stream serves integers(0, n) only")
         lo, hi = self._pos, self._pos + size
-        if hi <= self._idx.size:
-            self._pos = hi
-            return self._serve(lo, hi)
-        tail = self._idx[lo:]
-        self._refill(max(self._size, size - tail.size))
-        self._pos = size - tail.size
-        if not tail.size:
-            return self._serve(0, self._pos)
-        return np.concatenate([tail, self._idx[:self._pos]])
-
-    def _serve(self, lo, hi):
-        if self._chunk_rows is None:
+        if hi > self._idx.size:
+            tail = self._idx[lo:]
+            self._refill(max(self._size, size - tail.size))
+            if tail.size:
+                self._pos = size - tail.size
+                return np.concatenate([tail, self._idx[:self._pos]])
+            lo, hi = 0, size
+        self._pos = hi
+        if self._chunk is None:
             return self._idx[lo:hi]
-        self._last = self._chunk_rows.span(lo, hi)
-        return self._last.idx
+        y, W, terms = self._chunk
+        self._last = last = SubsampleRows(self._idx[lo:hi], self._differ, y[lo:hi], W[lo:hi],
+                                          terms[lo:hi])
+        return last.idx
 
     def _refill(self, size):
-        self._chunk_rows = self._last = None
+        self._chunk = self._last = None
         self._idx = self._rng.integers(0, self.n, size=size)
         if self._views:
-            self._chunk_rows = self._differ.gather(self._idx)
+            rows = self._differ.gather(self._idx)
+            if rows.y is not None:
+                self._chunk = rows.y, rows.W, rows.terms
 
     def rows(self, idx):
         last = self._last
@@ -250,7 +256,8 @@ class _IndexChunks:
 class _Proposer:
     def __init__(self, cfg: ProposalConfig, d: int, theta0: np.ndarray):
         self.rwm = cfg.kind == "rwm"
-        self.scale = cfg.step_scale if cfg.step_scale is not None else 2.38 / np.sqrt(d)
+        scale = cfg.step_scale if cfg.step_scale is not None else 2.38 / np.sqrt(d)
+        self.scale = np.array(scale, dtype=float)
         shape = np.asarray(cfg.shape, dtype=float) if cfg.shape is not None else np.eye(d)
         self.chol = np.linalg.cholesky(shape)
         self.chol_inv = np.linalg.inv(self.chol)
@@ -261,14 +268,14 @@ class _Proposer:
         """Return (proposal, log q(theta|theta') - log q(theta'|theta)) from
         the standard-normal vector z."""
         if self.rwm:
-            return theta + self.scale * (self.chol @ z), 0.0
-        prop = self.center + self.scale * (self.chol @ z)
+            return theta + self.chol.dot(z) * self.scale, 0.0
+        prop = self.center + self.chol.dot(z) * self.scale
         corr = self._logq(theta) - self._logq(prop)
         return prop, corr
 
     def _logq(self, v: np.ndarray) -> float:
-        w = self.chol_inv @ (v - self.center) / self.scale
-        return -0.5 * float(w @ w)
+        w = self.chol_inv.dot(v - self.center) / self.scale
+        return -0.5 * float(w.dot(w))
 
 
 def log_accept_ratio(log_target_prop: float, log_target_cur: float,
@@ -483,16 +490,16 @@ def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: floa
     (U, grad U, log-likelihood) is returned as a third item, so the caller
     need not evaluate there again.
     """
-    theta = theta.copy()
-    mom = mom - 0.5 * step_size * (grad_potential(theta) if grad0 is None else grad0)
+    theta, half = theta.copy(), 0.5 * step_size
+    mom = mom - (grad_potential(theta) if grad0 is None else grad0) * half
     for step in range(1, n_steps):
-        theta = theta + step_size * (mom if mass_inv is None else mass_inv @ mom)
-        mom = mom - step_size * grad_potential(theta)
-    theta = theta + step_size * (mom if mass_inv is None else mass_inv @ mom)
+        theta = theta + (mom if mass_inv is None else mass_inv.dot(mom)) * step_size
+        mom = mom - grad_potential(theta) * step_size
+    theta = theta + (mom if mass_inv is None else mass_inv.dot(mom)) * step_size
     if evaluate is None:
-        return theta, mom - 0.5 * step_size * grad_potential(theta)
+        return theta, mom - grad_potential(theta) * half
     U, g, loglik = evaluate(theta)
-    return theta, mom - 0.5 * step_size * g, (U, g, loglik)
+    return theta, mom - g * half, (U, g, loglik)
 
 
 def _hmc_machinery(cfg: HmcConfig):
@@ -505,7 +512,7 @@ def _hmc_machinery(cfg: HmcConfig):
 
 
 def _kinetic(mom: np.ndarray, M_inv: np.ndarray | None) -> float:
-    return 0.5 * float(mom @ (mom if M_inv is None else M_inv @ mom))
+    return 0.5 * float(mom.dot(mom if M_inv is None else M_inv.dot(mom)))
 
 
 def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
@@ -561,12 +568,12 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
             u = rng_sub.random()
             rows_prop = _rows_of(state_prop, rows, gather)
             U_prop, g_prop, loglik_prop = evaluate(theta, rows_prop)
-            if np.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
+            if math.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
                 state, rows, U, g, loglik = state_prop, rows_prop, U_prop, g_prop, loglik_prop
                 trace.u_accept[i] = True
             else:
                 state.cursor = state_prop.cursor
-        mom = next(normals) if chol_M is None else chol_M @ next(normals)
+        mom = next(normals) if chol_M is None else chol_M.dot(next(normals))
         u = next(uniforms)
         K = _kinetic(mom, M_inv)
         # trajectories are allowed to blow up; the divergence guard below
@@ -577,7 +584,7 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
                 M_inv, partial(evaluate, rows=rows), g)
             K_prop = _kinetic(mom_prop, M_inv)
         dH = (U_prop + K_prop) - (U + K)
-        if not np.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
+        if not math.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
             diverged += 1
         elif np.log(u) < -dH:
             theta, U, g, loglik = theta_prop, U_prop, g_prop, loglik_prop

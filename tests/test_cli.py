@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,22 @@ class TestRunCommand:
         header = [line for line in (out / "trace.csv").read_text().splitlines()
                   if not line.startswith("#")][0]
         assert header == "iter,theta_1,theta_2,accept,loglik_est,sign"
+
+    @pytest.mark.parametrize("sampler, counter", [("mh", "invalid_proposals"),
+                                                  ("hmc", "divergences")])
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_manifest_records_each_chains_meta(self, tmp_path, sampler, counter, chains):
+        hmc = {"epsilon": "0.05", "leapfrog_steps": "3"} if sampler == "hmc" else {}
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE_RUN, **hmc, "sampler": sampler,
+                                                    "chains": str(chains)})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["chains"]) == chains
+        for meta in manifest["chains"]:
+            assert set(meta) == {"wall_time", counter, "cost_proxy"}
+            assert 0.0 < meta["wall_time"] < manifest["wall_time_seconds"]
+            assert meta[counter] == 0 and meta["cost_proxy"] > 0
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)
@@ -698,6 +716,43 @@ class TestFigure234:
         assert (f"config error: {flag[2:]}: expected comma-separated integers, got '{value}'"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
+
+    def test_param_tables_make_only_the_centring_passes(self, monkeypatch):
+        # every order reads the moments of the last centring build, so the
+        # tables make no full-data pass of their own
+        passes = []
+        real_sums = PoissonRegression.taylor_sums
+
+        def counting_sums(self, theta, dataset, **kwargs):
+            passes.append(theta.copy())
+            return real_sums(self, theta, dataset, **kwargs)
+
+        monkeypatch.setattr(PoissonRegression, "taylor_sums", counting_sums)
+        figure234_tables(cv_kind="param", radius_list=(0.025,), order_list=(0, 1, 2))
+        figure_passes, passes[:] = list(passes), []
+        model, data = PoissonRegression(), example_dataset()
+        pilot = experiments.select_expansion_point(
+            model, data, seed=experiments.chain_seed(experiments.EXAMPLE_SEED,
+                                                     experiments._TAG_EXPANSION))
+        experiments._centred_cache(model, data, pilot, None, {})
+        assert len(figure_passes) == len(passes) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(figure_passes, passes))
+
+    def test_param_csv_bytes_match_a_build_per_order(self, tmp_path, monkeypatch):
+        # the tables as they were made before: one order-2 pass per order at
+        # the centre, labelled with the order
+        assert main(["figure234", "--cv", "param", "--out", str(tmp_path / "one")]) == 0
+
+        def build_per_order(cache, order):
+            return experiments.build_param_expanded(cache._model, cache._dataset,
+                                                    cache.expansion_point, order=order)
+
+        monkeypatch.setattr(experiments, "replace", build_per_order)
+        assert main(["figure234", "--cv", "param", "--out", str(tmp_path / "each")]) == 0
+        for table in ("pairs", "panels"):
+            name = f"figure234_param_{table}.csv"
+            assert (tmp_path / "one" / name).read_bytes() == (
+                tmp_path / "each" / name).read_bytes(), table
 
     def test_cli_writes_both_tables(self, tmp_path):
         assert main(["figure234", "--cv", "param", "--radii", "0.025",

@@ -1,0 +1,201 @@
+"""The per-iteration products keep the bits of their `@` and scalar-first forms.
+
+The chain step computes its small products with `ndarray.dot` and puts
+arrays before Python scalars, which skips numpy's slower dispatch.  Each
+product here is checked, bit for bit, against the form it replaced, on
+operands in the layouts the samplers use: the moments in the column-stacked
+array `ParamExpandedCache.__post_init__` builds, and gathered design rows.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submcmc import (
+    BlockPoissonConfig,
+    Dataset,
+    ParamExpandedCache,
+    PoissonRegression,
+    ProposalConfig,
+    build_param_expanded,
+    draw_block_poisson,
+)
+from submcmc.control_variates import bind_differences, difference_total
+from submcmc.estimators import block_poisson_value
+from submcmc.samplers import _Proposer, leapfrog
+
+SETTINGS = settings(max_examples=60, deadline=None)
+dims = st.integers(1, 8)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def moment_cache(d, rng, order=2):
+    """A cache holding random moments in the layout every cache holds."""
+    A = rng.standard_normal((d, d))
+    return ParamExpandedCache(
+        expansion_point=rng.standard_normal(d), order=order, sum_ell=float(rng.normal()),
+        sum_grad=rng.standard_normal(d) * 1e3, sum_hess=-(A @ A.T) * 1e3,
+        eta0=np.zeros(1), n=1, d=d)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds)
+def test_cache_totals_equal_their_matmul_forms(d, seed):
+    rng = np.random.default_rng(seed)
+    cache = moment_cache(d, rng)
+    # the layout the products run on
+    assert cache.sum_hess.base is cache.sum_grad.base
+    for _ in range(20):
+        delta = rng.standard_normal(d) * 10.0 ** rng.integers(-6, 1)
+        want = cache.sum_ell + float(cache.sum_grad @ delta)
+        want += 0.5 * float(delta @ cache.sum_hess @ delta)
+        assert cache._total(delta) == want
+        grad = cache._grad_total(delta)
+        assert grad.tobytes() == (cache.sum_grad + cache.sum_hess @ delta).tobytes()
+
+
+@SETTINGS
+@given(m=st.integers(1, 300), seed=seeds)
+def test_difference_total_equals_its_matmul_form(m, seed):
+    rng = np.random.default_rng(seed)
+    d, n, q_total = rng.standard_normal(m) * 1e-3, int(rng.integers(m, 10**7)), rng.normal()
+    value, variance, centered = difference_total(q_total, d, n)
+    total = float(np.add.reduce(d))
+    want_centered = d - total / m
+    assert value == q_total + n / m * total
+    assert variance == n * n / m * (float(want_centered @ want_centered) / m)
+    assert centered.tobytes() == want_centered.tobytes()
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, kind=st.sampled_from(["rwm", "independence"]))
+def test_proposer_equals_its_matmul_form(d, seed, kind):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    shape = A @ A.T + d * np.eye(d)
+    center = rng.standard_normal(d)
+    cfg = ProposalConfig(kind=kind, shape=shape, center=center)
+    theta = rng.standard_normal(d)
+    propose = _Proposer(cfg, d, theta)
+    chol, scale = np.linalg.cholesky(shape), 2.38 / np.sqrt(d)
+    chol_inv = np.linalg.inv(chol)
+
+    def logq(v):
+        w = chol_inv @ (v - center) / scale
+        return -0.5 * float(w @ w)
+
+    for _ in range(20):
+        z = rng.standard_normal(d)
+        got, corr = propose(theta, z)
+        base = theta if kind == "rwm" else center
+        want = base + scale * (chol @ z)
+        assert got.tobytes() == want.tobytes()
+        assert corr == (0.0 if kind == "rwm" else logq(theta) - logq(want))
+
+
+def glm_case(d, n, rng):
+    """Poisson data with d - 1 covariates, a cache at a point near the
+    generating one, and the bound differences."""
+    model = PoissonRegression()
+    theta = rng.normal(0.0, 0.3, d)
+    X = rng.standard_normal((n, d - 1))
+    y = rng.poisson(np.exp(theta[0] + X @ theta[1:])).astype(float)
+    data = Dataset.from_rows(np.column_stack([y, X]))
+    cache = build_param_expanded(model, data, theta + rng.normal(0.0, 0.01, d))
+    return model, data, cache, bind_differences(model, cache, data)
+
+
+@SETTINGS
+@given(d=dims, m=st.integers(2, 80), seed=seeds, variance_grad=st.booleans())
+def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
+    rng = np.random.default_rng(seed)
+    model, data, cache, differ = glm_case(d, 200, rng)
+    idx = rng.integers(0, data.n, m)
+    rows = differ.gather(idx)
+    theta = cache.expansion_point + rng.normal(0.0, 0.02, d)
+    U, grad, log_phat = differ.potential(theta, rows, variance_grad)
+
+    n, W = data.n, model.design(data, idx)
+    delta = theta - cache.expansion_point
+    dv, s = model.remainder(data.y[idx], cache.eta0[idx], W @ delta, cache.order, True)
+    q_total = cache.sum_ell + float(cache.sum_grad @ delta)
+    q_total += 0.5 * float(delta @ cache.sum_hess @ delta)
+    value, variance, centered = difference_total(q_total, dv, n)
+    weights = n / m - n * n / (m * m) * centered if variance_grad else np.full(m, n / m)
+    prior = model.prior
+    want = -((cache.sum_grad + cache.sum_hess @ delta) + (weights * s) @ W
+             + (prior.mean - theta) / prior.sd**2)
+    assert grad.tobytes() == want.tobytes()
+    assert log_phat == value - variance / 2.0
+    z = (theta - prior.mean) / prior.sd
+    log_prior = float(-0.5 * np.add.reduce(z * z)
+                      - z.size * np.log(prior.sd * np.sqrt(2.0 * np.pi)))
+    assert U == -(log_phat + log_prior)
+    assert differ.grad_potential(theta, rows, variance_grad).tobytes() == grad.tobytes()
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_theta_side_terms_follow_the_theta_bytes(seed):
+    # the u-step reuses the terms of the last theta; a theta changed in place
+    # must not read them
+    rng = np.random.default_rng(seed)
+    model, data, cache, differ = glm_case(3, 200, rng)
+    rows = [differ.gather(rng.integers(0, data.n, 30)) for _ in range(2)]
+    theta = cache.expansion_point + rng.normal(0.0, 0.02, 3)
+    before = theta.copy()
+    differ.potential(theta, rows[0])
+    again = differ.potential(theta, rows[1])
+    theta += 0.01
+    moved = differ.potential(theta, rows[1])
+    for got, t in ((again, before), (moved, theta)):
+        want = bind_differences(model, cache, data).potential(t, rows[1])
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, steps=st.integers(1, 4), dense=st.booleans())
+def test_leapfrog_equals_its_scalar_first_form(d, seed, steps, dense):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    mass_inv = np.linalg.inv(A @ A.T + d * np.eye(d)) if dense else None
+    H = -(A @ A.T) - np.eye(d)
+
+    def grad_potential(t):
+        return -(H @ t)
+
+    theta, mom, eps = rng.standard_normal(d), rng.standard_normal(d), float(rng.uniform(0.01, 0.2))
+    got = leapfrog(grad_potential, theta, mom, eps, steps, mass_inv)
+    t, p = theta.copy(), mom - 0.5 * eps * grad_potential(theta)
+    M_inv = np.eye(d) if mass_inv is None else mass_inv
+    for _ in range(1, steps):
+        t = t + eps * (M_inv @ p)
+        p = p - eps * grad_potential(t)
+    t = t + eps * (M_inv @ p)
+    p = p - 0.5 * eps * grad_potential(t)
+    assert got[0].tobytes() == t.tobytes() and got[1].tobytes() == p.tobytes()
+
+
+@SETTINGS
+@given(seed=seeds, products=st.integers(1, 60), batch=st.integers(1, 6),
+       bound=st.floats(-60.0, 5.0))
+def test_block_poisson_sums_its_log_factors_in_order(poisson_model, poisson_example,
+                                                     param_caches, seed, products,
+                                                     batch, bound):
+    cache, data = param_caches[1], poisson_example
+    cfg = BlockPoissonConfig(n_products=products, batch_size=batch, bound=bound)
+    state = draw_block_poisson(data.n, products, batch, np.random.default_rng(seed))
+    theta = cache.expansion_point + 0.01
+    got = block_poisson_value(poisson_model, cache, data, cfg, theta, state.indices)
+    d = poisson_model.remainder(data.y[state.indices], cache.eta0[state.indices],
+                                poisson_model.design(data, state.indices)
+                                @ (theta - cache.expansion_point), cache.order)
+    factors = (data.n / batch * d.reshape(-1, batch).sum(axis=1) - bound) / products
+    if np.any(factors == 0.0):
+        assert got == (-np.inf, 0)
+        return
+    log_abs = cache.sum_values(theta) + bound + products
+    for term in np.log(np.abs(factors)).tolist():
+        log_abs += term
+    assert got == (float(log_abs), -1 if np.count_nonzero(factors < 0.0) % 2 else 1)
