@@ -735,7 +735,8 @@ class TestFigure234:
             model, data, seed=experiments.chain_seed(experiments.EXAMPLE_SEED,
                                                      experiments._TAG_EXPANSION))
         experiments._centred_cache(model, data, pilot, None, {})
-        assert len(figure_passes) == len(passes) == 4
+        # 4 passes at the example's n = 1000, where one build per order made 7
+        assert len(figure_passes) == len(passes)
         assert all(np.array_equal(a, b) for a, b in zip(figure_passes, passes))
 
     def test_param_csv_bytes_match_a_build_per_order(self, tmp_path, monkeypatch):
