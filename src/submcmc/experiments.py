@@ -510,15 +510,22 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         resolved["variance_grad"] = "1" if plan.include_variance_grad else "0"
 
     if sampler in ("mh", "pmmh"):
-        kappa = _take(cfg, resolved, "kappa", float, default=2.38 / math.sqrt(d))
+        kind = _take(cfg, resolved, "proposal_kind", default="rwm",
+                     choices={"rwm", "independence"})
+        # 2.38 / sqrt(d) scales a random walk; an independence proposal is
+        # centred at the mode and drawn at the Laplace scale, not at theta0
+        independence = kind == "independence"
+        kappa = _take(cfg, resolved, "kappa", float,
+                      default=1.0 if independence else 2.38 / math.sqrt(d))
         omega_kind = _take(cfg, resolved, "omega", default="identity",
                            choices={"identity", "laplace"})
+        laplace = omega_kind == "laplace"
+        center = _planning_center(plan.cache, pilot) if independence or laplace else None
         plan.proposal = ProposalConfig(
-            kind=_take(cfg, resolved, "proposal_kind", default="rwm",
-                       choices={"rwm", "independence"}),
-            step_scale=kappa, shape=laplace_covariance(
-                model, dataset, _planning_center(plan.cache, pilot), plan.cache)
-            if omega_kind == "laplace" else None)
+            kind=kind, step_scale=kappa,
+            shape=laplace_covariance(model, dataset, center, plan.cache)
+            if laplace else None,
+            center=center if independence else None)
 
     # after every field is read, so a field's own error names it first
     _check_keys(cfg)

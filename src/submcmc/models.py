@@ -99,12 +99,14 @@ class GaussianPrior:
         """(logpdf, grad) of float arrays with the constants bound once, for
         a sampler's per-iteration calls; the methods below delegate to them."""
         # 0-d arrays, the scalar operands numpy dispatches fastest, to the same bits
-        mean, sd, var = (np.array(c, dtype=float) for c in (self.mean, self.sd, self.sd**2))
-        log_norm = float(self._log_norm)
+        mean, var = (np.array(c, dtype=float) for c in (self.mean, self.sd**2))
+        log_norm, half_prec, centred = float(self._log_norm), 0.5 / self.sd**2, self.mean != 0
 
         def logpdf(theta):
-            z = (theta - mean) / sd
-            return -0.5 * float(np.add.reduce(z * z)) - z.size * log_norm
+            # one ddot; its last bits differ from sum(((theta - mean) / sd)^2),
+            # which is fine for a value that enters only accept/reject tests
+            z = theta - mean if centred else theta
+            return -half_prec * float(z.dot(z)) - z.size * log_norm
 
         def grad(theta):
             # mean - theta is -(theta - mean) to the bit, one operation fewer
@@ -882,10 +884,19 @@ def write_csv(path, header, columns, comment=None):
 
 
 def _cells(values: np.ndarray):
-    """The text of each value of one column."""
+    """The text of each value of one column.  A float is formatted once per
+    run of equal bit patterns, so 0.0 and -0.0 keep their own text; most
+    trace rows are rejections that repeat the row before."""
     if values.dtype.kind == "b":
         values = values.astype(np.int8)
-    return map(repr if values.dtype.kind == "f" else str, values.tolist())
+    if values.dtype.kind != "f":
+        return map(str, values.tolist())
+    texts, prev = [], None
+    for bits, value in zip(values.view(f"i{values.itemsize}").tolist(), values.tolist()):
+        if bits != prev:
+            text, prev = repr(value), bits
+        texts.append(text)
+    return texts
 
 
 COVARIATE_LAWS = ("standard_normal", "uniform")

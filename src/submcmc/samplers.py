@@ -7,7 +7,13 @@ draw.  Each kernel derives three child RNG streams from the seed (theta
 proposals, acceptance uniforms, subsampling), so kernels sharing a seed
 share their theta-proposal and acceptance streams exactly; identical seed
 and config give bitwise-identical traces.  The theta-proposal and
-acceptance streams serve nothing else, so they are drawn in chunks.
+acceptance streams serve nothing else, so they are drawn in chunks of
+_CHUNK, and what depends on those draws alone is computed a chunk at a
+time: the random-walk increment chol.dot(z) * scale, the independence
+proposal and its log q, the dense-mass momentum, and log u.  Each product
+is a stacked np.matmul, which makes the same BLAS gemv or ddot call per
+vector as ndarray.dot and so keeps its bits; one GEMM over the chunk
+(Z @ chol.T) would round differently.
 
 The subsampling stream is drawn in chunks where it serves only bounded
 integers: pmmh with the difference estimator under independent or
@@ -31,6 +37,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -183,18 +190,25 @@ def chain_seed(seed: int, chain_id: int):
 _CHUNK = 1024
 
 
-def _chunked_normals(rng: np.random.Generator, d: int):
-    """Standard-normal d-vectors, drawn _CHUNK at a time: the same values in
-    the same order as one rng.standard_normal(d) call each."""
+def _normal_chunks(rng: np.random.Generator, d: int, factor: np.ndarray | None = None):
+    """Chunks of _CHUNK standard-normal d-vectors z, or of factor.dot(z): the
+    same values in the same order as one rng.standard_normal(d) call each."""
     while True:
-        yield from rng.standard_normal((_CHUNK, d))
+        Z = rng.standard_normal((_CHUNK, d))
+        yield Z if factor is None else _stacked_dot(factor, Z)
 
 
-def _chunked_uniforms(rng: np.random.Generator):
-    """Uniforms on [0, 1) as floats, drawn _CHUNK at a time: the same values
-    in the same order as one rng.random() call each."""
+def _stacked_dot(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A.dot(v) for each row v of V, to the bit: stacked matmul makes the same
+    BLAS gemv call per row, where V @ A.T, one GEMM, rounds differently."""
+    return np.matmul(A, V[:, :, None])[:, :, 0]
+
+
+def _chunked_log_uniforms(rng: np.random.Generator):
+    """Logs of uniforms on [0, 1) as floats, drawn _CHUNK at a time: the same
+    values in the same order as np.log of one rng.random() call each."""
     while True:
-        yield from rng.random(_CHUNK).tolist()
+        yield from np.log(rng.random(_CHUNK)).tolist()
 
 
 # indices per refill of a chunked subsampling stream; a chunk's gathered
@@ -255,7 +269,7 @@ class _IndexChunks:
 
 class _Proposer:
     def __init__(self, cfg: ProposalConfig, d: int, theta0: np.ndarray):
-        self.rwm = cfg.kind == "rwm"
+        self.rwm, self.d = cfg.kind == "rwm", d
         scale = cfg.step_scale if cfg.step_scale is not None else 2.38 / np.sqrt(d)
         self.scale = np.array(scale, dtype=float)
         shape = np.asarray(cfg.shape, dtype=float) if cfg.shape is not None else np.eye(d)
@@ -264,18 +278,22 @@ class _Proposer:
         self.center = (np.asarray(cfg.center, dtype=float)
                        if cfg.center is not None else theta0.copy())
 
-    def __call__(self, theta: np.ndarray, z: np.ndarray):
-        """Return (proposal, log q(theta|theta') - log q(theta'|theta)) from
-        the standard-normal vector z."""
-        if self.rwm:
-            return theta + self.chol.dot(z) * self.scale, 0.0
-        prop = self.center + self.chol.dot(z) * self.scale
-        corr = self._logq(theta) - self._logq(prop)
-        return prop, corr
+    def steps(self, rng: np.random.Generator):
+        """Per iteration, from one standard-normal vector z of `rng`: the
+        increment chol.dot(z) * scale and 0.0 under rwm, else the proposal
+        center + increment and its log q.  Drawn a chunk at a time."""
+        for inc in _normal_chunks(rng, self.d, self.chol):
+            inc = inc * self.scale
+            if self.rwm:
+                yield from zip(inc, repeat(0.0))
+            else:
+                prop = self.center + inc
+                yield from zip(prop, self.log_q(prop))
 
-    def _logq(self, v: np.ndarray) -> float:
-        w = self.chol_inv.dot(v - self.center) / self.scale
-        return -0.5 * float(w.dot(w))
+    def log_q(self, V: np.ndarray) -> list:
+        """-w.w / 2 for w = chol_inv.dot(v - center) / scale, per row v of V."""
+        W = _stacked_dot(self.chol_inv, V - self.center) / self.scale
+        return (np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0] * -0.5).tolist()
 
 
 def log_accept_ratio(log_target_prop: float, log_target_cur: float,
@@ -430,6 +448,7 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
     propose = _Proposer(proposal, d, theta)
+    log_q = 0.0 if propose.rwm else propose.log_q(theta[None])[0]
     rows = None if state is None else gather(state.indices)
     log_est, sign = evaluate(theta, rows)
     log_target = log_est + log_prior(theta)
@@ -438,22 +457,23 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
 
     trace = _empty_trace(n_iter, d)
     invalid = 0
-    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
+    steps, log_uniforms = propose.steps(rng_prop), _chunked_log_uniforms(rng_accept)
     t_start = time.perf_counter()
     state_prop = rows_prop = None
     for i in range(n_iter):
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
             rows_prop = _rows_of(state_prop, rows, gather)
-        theta_prop, corr = propose(theta, next(normals))
-        u = next(uniforms)
+        step, log_q_p = next(steps)
+        theta_prop = theta + step if propose.rwm else step
+        log_u = next(log_uniforms)
         log_est_p, sign_p = evaluate(theta_prop, rows_prop)
         log_target_p = log_est_p + log_prior(theta_prop)
         if sign_p == 0 or not math.isfinite(log_target_p):
             invalid += 1
-        elif np.log(u) < log_accept_ratio(log_target_p, log_target, corr):
+        elif log_u < log_accept_ratio(log_target_p, log_target, log_q - log_q_p):
             theta, state, rows = theta_prop, state_prop, rows_prop
-            log_target, log_est, sign = log_target_p, log_est_p, sign_p
+            log_target, log_est, sign, log_q = log_target_p, log_est_p, sign_p, log_q_p
             trace.accept[i] = True
         if state is not state_prop:
             # rejected: carry the cursor forward so the refresh cycle keeps rotating
@@ -560,7 +580,8 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
     diverged = 0
-    normals, uniforms = _chunked_normals(rng_prop, d), _chunked_uniforms(rng_accept)
+    momenta = chain.from_iterable(_normal_chunks(rng_prop, d, chol_M))
+    log_uniforms = _chunked_log_uniforms(rng_accept)
     t_start = time.perf_counter()
     for i in range(n_iter):
         if state is not None:
@@ -573,8 +594,8 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
                 trace.u_accept[i] = True
             else:
                 state.cursor = state_prop.cursor
-        mom = next(normals) if chol_M is None else chol_M.dot(next(normals))
-        u = next(uniforms)
+        mom = next(momenta)
+        log_u = next(log_uniforms)
         K = _kinetic(mom, M_inv)
         # trajectories are allowed to blow up; the divergence guard below
         # is the designed response, so silence the intermediate overflow
@@ -586,7 +607,7 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
         dH = (U_prop + K_prop) - (U + K)
         if not math.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
             diverged += 1
-        elif np.log(u) < -dH:
+        elif log_u < -dH:
             theta, U, g, loglik = theta_prop, U_prop, g_prop, loglik_prop
             trace.accept[i] = True
         trace.draws[i] = theta

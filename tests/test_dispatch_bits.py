@@ -5,15 +5,23 @@ arrays before Python scalars, which skips numpy's slower dispatch.  Each
 product here is checked, bit for bit, against the form it replaced, on
 operands in the layouts the samplers use: the moments in the column-stacked
 array `ParamExpandedCache.__post_init__` builds, and gathered design rows.
+The state-free quantities the samplers compute a chunk at a time by stacked
+`np.matmul` (proposal increments, independence log q, dense-mass momenta)
+and the chunked log-uniforms are checked against their per-vector forms
+over runs that cross a chunk boundary.
 """
 
+from itertools import chain, islice
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submcmc import (
     BlockPoissonConfig,
     Dataset,
+    GaussianPrior,
     ParamExpandedCache,
     PoissonRegression,
     ProposalConfig,
@@ -22,6 +30,7 @@ from submcmc import (
 )
 from submcmc.control_variates import bind_differences, difference_total
 from submcmc.estimators import block_poisson_value
+from submcmc import samplers
 from submcmc.samplers import _Proposer, leapfrog
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -67,30 +76,72 @@ def test_difference_total_equals_its_matmul_form(m, seed):
     assert centered.tobytes() == want_centered.tobytes()
 
 
-@SETTINGS
-@given(d=dims, seed=seeds, kind=st.sampled_from(["rwm", "independence"]))
-def test_proposer_equals_its_matmul_form(d, seed, kind):
-    rng = np.random.default_rng(seed)
+def spd(d, rng):
     A = rng.standard_normal((d, d))
-    shape = A @ A.T + d * np.eye(d)
-    center = rng.standard_normal(d)
-    cfg = ProposalConfig(kind=kind, shape=shape, center=center)
-    theta = rng.standard_normal(d)
-    propose = _Proposer(cfg, d, theta)
-    chol, scale = np.linalg.cholesky(shape), 2.38 / np.sqrt(d)
+    return A @ A.T + d * np.eye(d)
+
+
+# draws that cross a chunk boundary
+crossing = st.integers(1, 40).map(lambda k: samplers._CHUNK + k)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, count=crossing, kind=st.sampled_from(["rwm", "independence"]))
+def test_proposer_chunks_equal_their_per_vector_form(d, seed, count, kind):
+    rng = np.random.default_rng(seed)
+    shape, center, theta = spd(d, rng), rng.standard_normal(d), rng.standard_normal(d)
+    propose = _Proposer(ProposalConfig(kind=kind, shape=shape, center=center), d, theta)
+    chol, scale = np.linalg.cholesky(shape), np.array(2.38 / np.sqrt(d))
     chol_inv = np.linalg.inv(chol)
 
-    def logq(v):
-        w = chol_inv @ (v - center) / scale
-        return -0.5 * float(w @ w)
+    def log_q(v):
+        w = chol_inv.dot(v - center) / scale
+        return -0.5 * float(w.dot(w))
 
-    for _ in range(20):
-        z = rng.standard_normal(d)
-        got, corr = propose(theta, z)
-        base = theta if kind == "rwm" else center
-        want = base + scale * (chol @ z)
-        assert got.tobytes() == want.tobytes()
-        assert corr == (0.0 if kind == "rwm" else logq(theta) - logq(want))
+    assert propose.log_q(theta[None]) == [log_q(theta)]
+    ref = np.random.default_rng(seed + 1)
+    steps = islice(propose.steps(np.random.default_rng(seed + 1)), count)
+    for step, got_log_q in steps:
+        inc = chol.dot(ref.standard_normal(d)) * scale
+        if kind == "rwm":
+            assert step.tobytes() == inc.tobytes() and got_log_q == 0.0
+        else:
+            assert step.tobytes() == (center + inc).tobytes()
+            assert got_log_q == log_q(center + inc)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, count=crossing, dense=st.booleans())
+def test_momentum_chunks_equal_their_per_vector_form(d, seed, count, dense):
+    chol_M = np.linalg.cholesky(spd(d, np.random.default_rng(seed))) if dense else None
+    ref = np.random.default_rng(seed + 1)
+    momenta = chain.from_iterable(samplers._normal_chunks(np.random.default_rng(seed + 1), d,
+                                                          chol_M))
+    for mom in islice(momenta, count):
+        z = ref.standard_normal(d)
+        assert mom.tobytes() == (z if chol_M is None else chol_M.dot(z)).tobytes()
+
+
+@SETTINGS
+@given(seed=seeds, count=crossing)
+def test_log_uniform_chunks_equal_their_per_draw_form(seed, count):
+    ref = np.random.default_rng(seed)
+    got = list(islice(samplers._chunked_log_uniforms(np.random.default_rng(seed)), count))
+    want = [float(np.log(ref.random())) for _ in range(count)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, mean=st.sampled_from([0.0, 0.3]))
+def test_prior_is_one_ddot_within_rounding_of_its_summed_form(d, seed, mean):
+    prior = GaussianPrior(mean=mean, sd=2.5)
+    logpdf = prior.bind()[0]
+    theta = np.random.default_rng(seed).normal(0.0, 5.0, d)
+    z, log_norm = theta - mean, float(np.log(2.5 * np.sqrt(2.0 * np.pi)))
+    assert logpdf(theta) == -0.5 / 2.5**2 * float(z.dot(z)) - d * log_norm
+    scaled = z / 2.5
+    assert logpdf(theta) == pytest.approx(
+        float(-0.5 * np.add.reduce(scaled * scaled) - d * log_norm), rel=1e-14)
 
 
 def glm_case(d, n, rng):
@@ -127,9 +178,9 @@ def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
              + (prior.mean - theta) / prior.sd**2)
     assert grad.tobytes() == want.tobytes()
     assert log_phat == value - variance / 2.0
-    z = (theta - prior.mean) / prior.sd
-    log_prior = float(-0.5 * np.add.reduce(z * z)
-                      - z.size * np.log(prior.sd * np.sqrt(2.0 * np.pi)))
+    z = theta - prior.mean
+    log_prior = (-0.5 / prior.sd**2 * float(z.dot(z))
+                 - z.size * float(np.log(prior.sd * np.sqrt(2.0 * np.pi))))
     assert U == -(log_phat + log_prior)
     assert differ.grad_potential(theta, rows, variance_grad).tobytes() == grad.tobytes()
 

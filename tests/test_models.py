@@ -1,5 +1,6 @@
 import math
 import pickle
+import struct
 import subprocess
 import sys
 import tempfile
@@ -127,8 +128,12 @@ class TestBoundEvaluation:
         logpdf, grad = prior.bind()
         log_norm = np.log(2.5 * np.sqrt(2.0 * np.pi))
         for theta in (np.array([0.1, -0.4, 2.0]), np.array([7.0])):
-            z = (theta - 0.3) / 2.5
-            assert logpdf(theta) == float(-0.5 * (z * z).sum() - z.size * log_norm)
+            z = theta - 0.3
+            assert logpdf(theta) == -0.5 / 2.5**2 * float(z.dot(z)) - z.size * float(log_norm)
+            # the summed form it replaced, to within its rounding
+            scaled = z / 2.5
+            assert logpdf(theta) == pytest.approx(
+                float(-0.5 * (scaled * scaled).sum() - z.size * log_norm), rel=1e-14)
             assert logpdf(theta) == prior.logpdf(list(theta))
             np.testing.assert_array_equal(grad(theta), -(theta - 0.3) / 2.5**2)
             np.testing.assert_array_equal(grad(theta), prior.grad(list(theta)))
@@ -522,6 +527,38 @@ class TestWriteCsv:
         monkeypatch.setattr(models, "_WRITE_ROWS", 3)
         models.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def per_cell_lines(columns):
+    """The rows as the writer once wrote them: every cell formatted on its own."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind == "b":
+            column = column.astype(np.int8)
+        cells.append(list(map(repr if column.dtype.kind == "f" else str, column.tolist())))
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+# 0.0 and -0.0 compare equal but print apart; NaNs of any payload print alike
+FLOAT_POOL = [0.0, -0.0, np.nan, np.frombuffer(struct.pack("<q", 0x7FF8000000000001))[0],
+              -np.nan, 1.5, -1e-300, np.inf, 0.1 + 0.2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, len(FLOAT_POOL) - 1), st.booleans(),
+                                st.sampled_from([-1, 1])), max_size=40),
+       block=st.sampled_from([1, 3, 64]))
+def test_repeated_floats_are_written_as_cell_by_cell(tmp_path_factory, picks, block):
+    floats = np.array([FLOAT_POOL[k] for k, _, _ in picks], dtype=float)
+    # a strided column, as trace.draws.T gives
+    draws = np.column_stack([floats, -floats])
+    columns = [range(1, len(picks) + 1), *draws.T, np.array([a for _, a, _ in picks]),
+               floats[::-1].copy(), np.array([s for _, _, s in picks], dtype=np.int8)]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with mock.patch.object(models, "_WRITE_ROWS", block):
+        models.write_csv(path, ["i", "a", "b", "acc", "r", "s"], columns)
+    assert path.read_text() == "i,a,b,acc,r,s\n" + per_cell_lines(columns)
 
 
 class CsvCases:
