@@ -15,8 +15,6 @@ from .control_variates import (
     build_param_expanded,
     differences,
     kmeans_cluster,
-    load_cache,
-    save_cache,
     select_expansion_point,
 )
 from .diagnostics import (
@@ -42,10 +40,7 @@ from .estimators import (
     BlockPoissonConfig,
     LogLikEstimate,
     PlanningInputs,
-    SignedLogEstimate,
     SubsampleState,
-    bias_corrected_likelihood,
-    block_poisson_estimate,
     block_poisson_evaluate,
     default_soft_bound,
     difference_estimate,

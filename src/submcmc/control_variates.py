@@ -10,7 +10,6 @@ is what the difference estimator needs.  Their per-iteration products use
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -623,87 +622,3 @@ def select_expansion_point(model: ModelSpec, dataset: Dataset, seed: int = 0,
             break
     return theta
 
-
-# ---------------------------------------------------------------------------
-# Cache serialization (versioned binary: magic, version, kind, shape, payload)
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"SMCV"
-# version 2: parameter-expanded caches hold eta0, not per-observation terms;
-# version 3: they hold the gradient and Hessian sums at every order
-_VERSION = 3
-_KIND_PARAM = 1
-_KIND_DATA = 2
-_HEADER = struct.Struct("<4sIBQQQB")
-_PAYLOAD_ARRAYS = {_KIND_PARAM: 5, _KIND_DATA: 6}
-
-
-def save_cache(cache, path):
-    """Persist a built cache so expensive passes are reusable across runs."""
-    if isinstance(cache, ParamExpandedCache):
-        header = _HEADER.pack(_MAGIC, _VERSION, _KIND_PARAM, cache.n, cache.d, 0, cache.order)
-        arrays = [cache.expansion_point, np.asarray(cache.sum_ell), cache.sum_grad,
-                  cache.sum_hess, cache.eta0]
-    elif isinstance(cache, DataExpandedCache):
-        header = _HEADER.pack(_MAGIC, _VERSION, _KIND_DATA, cache.n,
-                              cache.centroids.shape[1], cache.n_clusters, cache.order)
-        arrays = [cache.centroids, cache.assignment, cache.dev, cache.counts,
-                  cache.sum_dev, cache.sum_outer]
-    else:
-        raise DomainError(f"cannot serialize cache of type {type(cache).__name__}")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays:
-            np.save(fh, np.asarray(arr), allow_pickle=False)
-
-
-def load_cache(path, model: ModelSpec | None = None, dataset: Dataset | None = None):
-    """Load a cache written by save_cache.
-
-    Both kinds evaluate through the model at read time, so `model` is
-    required; a parameter-expanded cache also reads y_i and w_i from the
-    dataset it was built on, and either kind is checked against a given one.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise DomainError(f"{path}: truncated cache file")
-        magic, version, kind, n, dim, K, order = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise DomainError(f"{path}: not a cache file (bad magic)")
-        if version != _VERSION:
-            raise DomainError(f"{path}: unsupported cache version {version}")
-        if kind not in _PAYLOAD_ARRAYS:
-            raise DomainError(f"{path}: unknown cache kind {kind}")
-        arrays = []
-        for _ in range(_PAYLOAD_ARRAYS[kind]):
-            try:
-                arrays.append(np.load(fh, allow_pickle=False))
-            except (EOFError, ValueError, OSError):
-                raise DomainError(f"{path}: truncated cache payload") from None
-    if dataset is not None and dataset.n != n:
-        raise DomainError(f"{path}: cache built on {n} observations, dataset has {dataset.n}")
-    if kind == _KIND_PARAM:
-        if not isinstance(model, GlmModel) or dataset is None:
-            raise DomainError("loading a parameter-expanded cache requires the GLM model "
-                              "and the dataset it was built on")
-        if model.dim(dataset) != dim:
-            raise DomainError(f"{path}: cache built at d = {dim}, the model has "
-                              f"d = {model.dim(dataset)} on this dataset")
-        point, sum_ell, sum_grad, sum_hess, eta0 = arrays
-        return ParamExpandedCache(
-            expansion_point=point, order=int(order), sum_ell=float(sum_ell),
-            sum_grad=sum_grad, sum_hess=sum_hess, eta0=eta0, n=int(n), d=int(dim),
-            _model=model, _dataset=dataset,
-        )
-    if model is None:
-        raise DomainError("loading a data-expanded cache requires the model")
-    if dataset is not None and dataset.p + 1 != dim:
-        raise DomainError(f"{path}: cache built on points of {dim} coordinates, "
-                          f"dataset has {dataset.p + 1}")
-    centroids, assignment, dev, counts, sum_dev, sum_outer = arrays
-    return DataExpandedCache(
-        centroids=centroids, assignment=assignment.astype(int), dev=dev,
-        counts=counts, sum_dev=sum_dev, sum_outer=sum_outer,
-        order=int(order), n=int(n), n_clusters=int(K), _model=model,
-    )

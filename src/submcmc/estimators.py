@@ -163,16 +163,6 @@ def difference_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
                           theta=theta)
 
 
-def bias_corrected_likelihood(est: LogLikEstimate) -> float:
-    """Log-domain value of the bias-corrected likelihood estimate.
-
-    Exactly unbiased when the log-likelihood estimate is normal with known
-    variance; plugging the sample variance makes it approximately unbiased
-    (the residual bias vanishes as m grows).
-    """
-    return est.value - est.sample_variance / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Block-Poisson product estimator
 # ---------------------------------------------------------------------------
@@ -189,13 +179,6 @@ class BlockPoissonConfig:
     def __post_init__(self):
         if self.n_products < 1 or self.batch_size < 1:
             raise DomainError("need n_products >= 1 and batch_size >= 1")
-
-
-@dataclass
-class SignedLogEstimate:
-    log_abs: float
-    sign: int
-    state: SubsampleState
 
 
 def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,
@@ -229,13 +212,6 @@ def block_poisson_value(model: ModelSpec, cache, dataset: Dataset, cfg: BlockPoi
     sign = -1 if np.count_nonzero(factors < 0.0) % 2 else 1
     # one at a time in mini-batch order: a pairwise np.sum would round differently
     return float(np.add.accumulate(logs)[-1]), sign
-
-
-def block_poisson_estimate(model: ModelSpec, cache, dataset: Dataset, theta,
-                           cfg: BlockPoissonConfig, rng: np.random.Generator) -> SignedLogEstimate:
-    state = draw_block_poisson(dataset.n, cfg.n_products, cfg.batch_size, rng)
-    log_abs, sign = block_poisson_evaluate(model, cache, dataset, theta, cfg, state)
-    return SignedLogEstimate(log_abs=log_abs, sign=sign, state=state)
 
 
 def default_soft_bound(model: ModelSpec, cache, dataset: Dataset, theta,

@@ -517,7 +517,8 @@ def resolve(cfg: dict) -> tuple[RunPlan, dict]:
         independence = kind == "independence"
         kappa = _take(cfg, resolved, "kappa", float,
                       default=1.0 if independence else 2.38 / math.sqrt(d))
-        omega_kind = _take(cfg, resolved, "omega", default="identity",
+        omega_kind = _take(cfg, resolved, "omega",
+                           default="laplace" if independence else "identity",
                            choices={"identity", "laplace"})
         laplace = omega_kind == "laplace"
         center = _planning_center(plan.cache, pilot) if independence or laplace else None

@@ -155,6 +155,22 @@ def test_an_independence_proposal_is_centred_at_the_cache_not_at_theta0():
     assert np.mean(trace.accept[plan.burn_in:]) > 0.3
 
 
+def test_an_independence_proposal_takes_the_laplace_shape_by_default():
+    """With omega = identity, an N(mode, I) proposal hundreds of posterior
+    sds wide, this chain accepts 0 of 400 proposals; with the Laplace
+    shape, 0.86 after burn-in."""
+    cfg = {k: v for k, v in MOVED.items() if k != "omega"}
+    plan, resolved = resolve({**cfg, "proposal_kind": "independence"})
+    assert resolved["omega"] == "laplace"
+    laplace, _ = resolve({**MOVED, "proposal_kind": "independence"})
+    assert plan.proposal.shape.tobytes() == laplace.proposal.shape.tobytes()
+    trace = run_chain(plan, 0)
+    assert np.mean(trace.accept[plan.burn_in:]) > 0.3
+    # written out, identity still runs as written
+    plan, resolved = resolve({**cfg, "proposal_kind": "independence", "omega": "identity"})
+    assert resolved["omega"] == "identity" and plan.proposal.shape is None
+
+
 def test_planned_variance_meets_the_variance_at_the_chains_draws():
     """At d = 6 the planner's Var(log L-hat) at the resolved m is within
     a factor of 10 of the variance at the chain's own draws.  At the pilot

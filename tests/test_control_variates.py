@@ -19,8 +19,6 @@ from submcmc import (
     difference_estimate,
     differences,
     kmeans_cluster,
-    load_cache,
-    save_cache,
     select_expansion_point,
     simulate_poisson,
 )
@@ -493,101 +491,29 @@ class TestCachedTotal:
         assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
 
 
-class TestSerialization:
-    def test_param_cache_round_trip(self, poisson_model, poisson_example, example_center,
-                                    param_caches, tmp_path):
-        path = tmp_path / "param.cvc"
-        save_cache(param_caches[2], path)
-        back = load_cache(path, model=poisson_model, dataset=poisson_example)
-        theta = example_center + 0.04
-        idx = np.arange(0, poisson_example.n, 13)
-        assert back.sum_values(theta) == param_caches[2].sum_values(theta)
-        np.testing.assert_array_equal(back.values_at(theta, idx),
-                                      param_caches[2].values_at(theta, idx))
-
-    def test_data_cache_round_trip(self, poisson_model, poisson_example,
-                                   example_center, tmp_path):
-        clustering = kmeans_cluster(poisson_example, n_clusters=20, seed=3)
-        cache = build_data_expanded(poisson_model, poisson_example, clustering, order=2)
-        path = tmp_path / "data.cvc"
-        save_cache(cache, path)
-        back = load_cache(path, model=poisson_model)
-        theta = example_center + 0.04
-        idx = np.arange(0, poisson_example.n, 13)
-        assert back.sum_values(theta) == cache.sum_values(theta)
-        np.testing.assert_array_equal(back.values_at(theta, idx),
-                                      cache.values_at(theta, idx))
-
-    def test_data_cache_requires_model(self, poisson_model, poisson_example, tmp_path):
-        clustering = kmeans_cluster(poisson_example, n_clusters=5, seed=3)
-        cache = build_data_expanded(poisson_model, poisson_example, clustering, order=1)
-        path = tmp_path / "data.cvc"
-        save_cache(cache, path)
-        with pytest.raises(DomainError, match="model"):
-            load_cache(path)
-
-    def test_param_cache_requires_model_and_dataset(self, poisson_model, poisson_example,
-                                                    param_caches, tmp_path):
-        path = tmp_path / "param.cvc"
-        save_cache(param_caches[2], path)
-        with pytest.raises(DomainError, match="dataset"):
-            load_cache(path, model=poisson_model)
-        small = Dataset(y=poisson_example.y[:10], X=poisson_example.X[:10])
-        with pytest.raises(DomainError, match="1000 observations"):
-            load_cache(path, model=poisson_model, dataset=small)
-
-    def test_param_cache_of_another_dimension_rejected(self, poisson_model, poisson_example,
-                                                       param_caches, tmp_path):
-        # a d = 2 cache beside d = 3 data of as many rows: its first
-        # evaluation would fail to broadcast
-        path = tmp_path / "param.cvc"
-        save_cache(param_caches[2], path)
-        wide = Dataset(y=poisson_example.y, X=np.column_stack([poisson_example.X] * 2))
-        with pytest.raises(DomainError, match="cache built at d = 2, the model has d = 3"):
-            load_cache(path, model=poisson_model, dataset=wide)
-
-    @pytest.fixture
-    def narrow_cache(self, poisson_model, poisson_example, tmp_path):
-        """A saved 300-row, 5-centroid cache on points (y, x), the rows it was
-        built on, and points (y, x, x) of as many rows."""
-        small = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
-        path = tmp_path / "data.cvc"
-        save_cache(build_data_expanded(poisson_model, small, kmeans_cluster(small, 5, seed=3)),
-                   path)
-        return path, small, Dataset(y=small.y, X=np.column_stack([small.X] * 2))
-
-    def test_data_cache_of_another_width_rejected_at_load(self, poisson_model, narrow_cache):
-        path, small, wide = narrow_cache
-        with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
-            load_cache(path, model=poisson_model, dataset=wide)
-        with pytest.raises(DomainError, match="300 observations, dataset has 100"):
-            load_cache(path, model=poisson_model,
-                       dataset=Dataset(y=small.y[:100], X=small.X[:100]))
-
+class TestCacheMatchesDataset:
     def test_data_cache_of_another_width_rejected_at_evaluation(self, poisson_model,
-                                                                narrow_cache):
-        # loaded without the dataset, the first estimate would fail in a matmul
-        path, _, wide = narrow_cache
-        cache = load_cache(path, model=poisson_model)
+                                                                poisson_example):
+        # a 300-row cache on points (y, x) beside points (y, x, x) of as many
+        # rows: the first estimate would otherwise fail in a matmul
+        small = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
+        cache = build_data_expanded(poisson_model, small, kmeans_cluster(small, 5, seed=3))
+        wide = Dataset(y=small.y, X=np.column_stack([small.X] * 2))
         with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
             difference_estimate(poisson_model, cache, wide, np.zeros(3), np.arange(20))
 
     @pytest.mark.parametrize("entry", ["difference_estimate", "differences",
                                        "block_poisson_evaluate", "pmmh_run", "hmc_ecs_run"])
     def test_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
-                                                example_center, tmp_path, entry):
-        # a data-expanded cache of 300 rows loaded beside 100 of them: an
-        # estimate would mix ell_i of 100 rows with q_i and sum q_i of 300
+                                                example_center, entry):
+        # a data-expanded cache of 300 rows beside 100 of them: an estimate
+        # would mix ell_i of 100 rows with q_i and sum q_i of 300
         from submcmc import (BlockPoissonConfig, DependenceConfig, DifferenceConfig,
                              HmcConfig, ProposalConfig, block_poisson_evaluate,
                              draw_block_poisson, hmc_ecs_run, pmmh_run)
         big = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
         small = Dataset(y=poisson_example.y[:100], X=poisson_example.X[:100])
-        path = tmp_path / "data.cvc"
-        save_cache(build_data_expanded(poisson_model, big, kmeans_cluster(big, 10, seed=3)),
-                   path)
-        # loaded without the dataset, which load_cache would check
-        cache = load_cache(path, model=poisson_model)
+        cache = build_data_expanded(poisson_model, big, kmeans_cluster(big, 10, seed=3))
         idx, theta = np.arange(20), example_center
         run = {
             "difference_estimate": lambda: difference_estimate(
@@ -606,23 +532,6 @@ class TestSerialization:
         with pytest.raises(DomainError, match="300 observations, dataset has 100"):
             run()
 
-    @staticmethod
-    def assert_same_bits(back, cache, theta, n):
-        assert back.sum_values(theta) == cache.sum_values(theta)
-        idx = np.arange(n)
-        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
-        if isinstance(cache, ParamExpandedCache):
-            np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
-
-    @settings(max_examples=25, deadline=None)
-    @given(**RANDOM_CACHES)
-    def test_round_trip_is_bit_exact(self, tmp_path_factory, n, d, order, kind, seed):
-        model, data, cache, rng = random_cache(n, d, order, kind, seed)
-        path = tmp_path_factory.mktemp("cache") / "cache.cvc"
-        save_cache(cache, path)
-        back = load_cache(path, model=model, dataset=data)
-        self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
-
     # a multi-chain run pickles the plan, cache included, into its workers;
     # the pinned case rounded its order-2 totals differently once unpickled
     @settings(max_examples=25, deadline=None)
@@ -633,36 +542,12 @@ class TestSerialization:
         import pickle
         _, _, cache, rng = random_cache(n, d, order, kind, seed)
         back = pickle.loads(pickle.dumps(cache))
-        self.assert_same_bits(back, cache, rng.normal(0.0, 0.4, size=d), n)
-
-    # version 1 stored per-observation value, gradient and Hessian arrays;
-    # version 2 stored zero moments below order 2
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_older_version_files_rejected(self, param_caches, tmp_path, version):
-        import struct
-
-        path = tmp_path / "old.cvc"
-        save_cache(param_caches[2], path)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", version)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DomainError, match=f"unsupported cache version {version}"):
-            load_cache(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.cvc"
-        path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
-        with pytest.raises(DomainError, match="magic"):
-            load_cache(path)
-
-    def test_truncated_payload_rejected(self, poisson_example, example_center,
-                                        param_caches, tmp_path):
-        path = tmp_path / "param.cvc"
-        save_cache(param_caches[2], path)
-        clipped = path.read_bytes()[:len(path.read_bytes()) // 2]
-        path.write_bytes(clipped)
-        with pytest.raises(DomainError, match="truncated"):
-            load_cache(path)
+        theta = rng.normal(0.0, 0.4, size=d)
+        assert back.sum_values(theta) == cache.sum_values(theta)
+        idx = np.arange(n)
+        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
+        if isinstance(cache, ParamExpandedCache):
+            np.testing.assert_array_equal(back.grad_sum(theta), cache.grad_sum(theta))
 
 
 class TestExpansionPoint:
