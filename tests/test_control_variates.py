@@ -491,46 +491,100 @@ class TestCachedTotal:
         assert cache.sum_values(theta) == pytest.approx(brute, rel=1e-9)
 
 
+def run_entry(entry, model, cache, data, theta, hmc_cache=None):
+    """A 10-iteration call of `entry` on (model, cache, data) at theta; the
+    HMC-ECS run takes `hmc_cache`, else `cache`."""
+    from submcmc import (BlockPoissonConfig, DependenceConfig, DifferenceConfig,
+                         HmcConfig, ProposalConfig, block_poisson_evaluate,
+                         draw_block_poisson, hmc_ecs_run, pmmh_run)
+    idx = np.arange(20)
+    return {
+        "difference_estimate": lambda: difference_estimate(model, cache, data, theta, idx),
+        "differences": lambda: differences(model, cache, data, theta, idx),
+        "block_poisson_evaluate": lambda: block_poisson_evaluate(
+            model, cache, data, theta, BlockPoissonConfig(2, 5, bound=-2.0),
+            draw_block_poisson(data.n, 2, 5, np.random.default_rng(0))),
+        "pmmh_run": lambda: pmmh_run(
+            model, data, cache, DifferenceConfig(m=20), ProposalConfig(step_scale=0.02),
+            DependenceConfig(), theta, 10, seed=1),
+        "hmc_ecs_run": lambda: hmc_ecs_run(
+            model, data, cache if hmc_cache is None else hmc_cache,
+            HmcConfig(step_size=0.01, n_steps=2), 20, theta, 10, seed=1),
+    }[entry]()
+
+
+ENTRIES = ["difference_estimate", "differences", "block_poisson_evaluate", "pmmh_run",
+           "hmc_ecs_run"]
+
+
 class TestCacheMatchesDataset:
-    def test_data_cache_of_another_width_rejected_at_evaluation(self, poisson_model,
-                                                                poisson_example):
-        # a 300-row cache on points (y, x) beside points (y, x, x) of as many
-        # rows: the first estimate would otherwise fail in a matmul
+    @pytest.fixture
+    def narrow_cache(self, poisson_model, poisson_example):
+        """A 300-row, 5-centroid cache on points (y, x), and points (y, x, x)
+        of as many rows."""
         small = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
         cache = build_data_expanded(poisson_model, small, kmeans_cluster(small, 5, seed=3))
-        wide = Dataset(y=small.y, X=np.column_stack([small.X] * 2))
+        return cache, Dataset(y=small.y, X=np.column_stack([small.X] * 2))
+
+    def test_data_cache_of_another_width_rejected_at_evaluation(self, poisson_model,
+                                                                narrow_cache):
+        # a cache on points (y, x) beside points (y, x, x) of as many rows:
+        # the first estimate would otherwise fail in a matmul
+        cache, wide = narrow_cache
         with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
             difference_estimate(poisson_model, cache, wide, np.zeros(3), np.arange(20))
 
-    @pytest.mark.parametrize("entry", ["difference_estimate", "differences",
-                                       "block_poisson_evaluate", "pmmh_run", "hmc_ecs_run"])
+    # the other entries that take a data-expanded cache; HMC-ECS needs
+    # gradients, which such a cache has not
+    @pytest.mark.parametrize("entry", ["differences", "block_poisson_evaluate", "pmmh_run"])
+    def test_data_cache_of_another_width_rejected_by_every_entry(self, poisson_model,
+                                                                 narrow_cache, entry):
+        cache, wide = narrow_cache
+        with pytest.raises(DomainError, match="points of 2 coordinates, dataset has 3"):
+            run_entry(entry, poisson_model, cache, wide, np.zeros(3))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
                                                 example_center, entry):
         # a data-expanded cache of 300 rows beside 100 of them: an estimate
         # would mix ell_i of 100 rows with q_i and sum q_i of 300
-        from submcmc import (BlockPoissonConfig, DependenceConfig, DifferenceConfig,
-                             HmcConfig, ProposalConfig, block_poisson_evaluate,
-                             draw_block_poisson, hmc_ecs_run, pmmh_run)
         big = Dataset(y=poisson_example.y[:300], X=poisson_example.X[:300])
         small = Dataset(y=poisson_example.y[:100], X=poisson_example.X[:100])
         cache = build_data_expanded(poisson_model, big, kmeans_cluster(big, 10, seed=3))
-        idx, theta = np.arange(20), example_center
-        run = {
-            "difference_estimate": lambda: difference_estimate(
-                poisson_model, cache, small, theta, idx),
-            "differences": lambda: differences(poisson_model, cache, small, theta, idx),
-            "block_poisson_evaluate": lambda: block_poisson_evaluate(
-                poisson_model, cache, small, theta, BlockPoissonConfig(2, 5, bound=-2.0),
-                draw_block_poisson(small.n, 2, 5, np.random.default_rng(0))),
-            "pmmh_run": lambda: pmmh_run(
-                poisson_model, small, cache, DifferenceConfig(m=20),
-                ProposalConfig(step_scale=0.02), DependenceConfig(), theta, 10, seed=1),
-            "hmc_ecs_run": lambda: hmc_ecs_run(
-                poisson_model, small, ExactControlVariate(poisson_model, big),
-                HmcConfig(step_size=0.01, n_steps=2), 20, theta, 10, seed=1),
-        }[entry]
         with pytest.raises(DomainError, match="300 observations, dataset has 100"):
-            run()
+            run_entry(entry, poisson_model, cache, small, example_center,
+                      hmc_cache=ExactControlVariate(poisson_model, big))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_param_cache_built_on_other_rows_rejected(self, poisson_model, poisson_example,
+                                                      example_center, param_caches, entry):
+        # the 1000-row cache beside its first 100 rows: the GLM remainder would
+        # read eta0_i of rows the dataset does not hold
+        small = Dataset(y=poisson_example.y[:100], X=poisson_example.X[:100])
+        with pytest.raises(DomainError, match="1000 observations, dataset has 100"):
+            run_entry(entry, poisson_model, param_caches[2], small, example_center)
+
+    # what a multi-chain worker does with the plan's cache: unpickle it and
+    # estimate on the dataset
+    @pytest.mark.parametrize("kind", ["param", "data"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_unpickled_example_cache_estimates_the_same_bits(self, poisson_model,
+                                                             poisson_example, example_center,
+                                                             param_caches, kind, order):
+        import pickle
+        if kind == "param":
+            cache = param_caches[order]
+        else:
+            clustering = kmeans_cluster(poisson_example, n_clusters=20, seed=3)
+            cache = build_data_expanded(poisson_model, poisson_example, clustering, order)
+        back = pickle.loads(pickle.dumps(cache))
+        theta = example_center + 0.04
+        idx = np.arange(0, poisson_example.n, 13)
+        assert back.sum_values(theta) == cache.sum_values(theta)
+        np.testing.assert_array_equal(back.values_at(theta, idx), cache.values_at(theta, idx))
+        est = difference_estimate(poisson_model, cache, poisson_example, theta, idx)
+        est_back = difference_estimate(poisson_model, back, poisson_example, theta, idx)
+        assert (est_back.value, est_back.sample_variance) == (est.value, est.sample_variance)
 
     # a multi-chain run pickles the plan, cache included, into its workers;
     # the pinned case rounded its order-2 totals differently once unpickled
