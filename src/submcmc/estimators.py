@@ -179,6 +179,8 @@ class BlockPoissonConfig:
     def __post_init__(self):
         if self.n_products < 1 or self.batch_size < 1:
             raise DomainError("need n_products >= 1 and batch_size >= 1")
+        if not np.isfinite(self.bound):
+            raise DomainError("the soft bound must be finite")
 
 
 def block_poisson_evaluate(model: ModelSpec, cache, dataset: Dataset, theta,

@@ -619,9 +619,8 @@ MODELS = {
 _MIN_PART_BYTES = 16 << 20
 # the first part, parsed in this process, is longer than each worker's by
 # about what this process parses while a worker starts Python and numpy
-# (0.3 s) and skips the lines before its part; on a 103 MB file on a 2-core
-# host, equal parts loaded slower than this in 9 of 10 alternating pairs
-# (median ratio 1.12)
+# (0.3 s); on a 103 MB file on a 2-core host, equal parts loaded slower
+# than this in 9 of 10 alternating pairs (median ratio 1.12)
 _FIRST_PART_EXTRA_BYTES = 8 << 20
 _WORKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_csvpart.py")
 
@@ -633,9 +632,9 @@ def load_dataset(path) -> Dataset:
     A large file is cut at line ends into one part per usable core.  This
     process parses the first part while worker processes (`_csvpart.py`)
     parse the others, and their rows are read straight into place.  Each
-    part is parsed by `np.loadtxt` from the file path, told the lines
-    before it and the rows in it, so the values are those of one pass over
-    the file, to the bit.
+    part is its byte span of the file, parsed by `np.loadtxt` under the
+    decoding and newlines of the one-part parse from the path, so the
+    values are those of one pass over the file, to the bit.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -651,13 +650,12 @@ def load_dataset(path) -> Dataset:
         raise CsvParseError(f"{path}: header has no columns")
     workers = []
     try:
-        for skip, rows in parts[1:]:
-            workers.append(_start_worker(path, skip, rows) if rows != 0 else None)
+        workers.extend(_start_worker(path, span) for span in parts[1:])
         # each part as parsed rows, or as the (rows, cols) its worker announced
-        results = [_parse_or_raise(path, width, *parts[0])]
-        for proc, part in zip(workers, parts[1:]):
+        results = [_parse_or_raise(path, width, parts[0])]
+        for proc, span in zip(workers, parts[1:]):
             shape = _worker_shape(proc)
-            results.append(_parse_or_raise(path, width, *part) if shape is None else shape)
+            results.append(_parse_or_raise(path, width, span) if shape is None else shape)
         shapes = [r.shape if isinstance(r, np.ndarray) else r for r in results]
         n_rows = sum(rows for rows, _ in shapes)
         if n_rows == 0:
@@ -673,13 +671,13 @@ def load_dataset(path) -> Dataset:
         # with no other copy.
         data = np.empty((n_rows, width))
         at = 0
-        for result, (rows, _), proc, part in zip(results, shapes, [None] + workers, parts):
+        for result, (rows, _), proc, span in zip(results, shapes, [None] + workers, parts):
             block = data[at:at + rows]
             at += rows
             if isinstance(result, np.ndarray):
                 block[...] = result
             elif not _fill(proc.stdout, block.reshape(-1).view(np.uint8)):
-                block[...] = _parse_or_raise(path, width, *part)
+                block[...] = _parse_or_raise(path, width, span)
     finally:
         for proc in workers:
             if proc is not None:
@@ -716,16 +714,18 @@ def _after_newline(raw, pos: int, size: int) -> int:
     return size
 
 
-def _parts(raw) -> list[tuple[int, int | None]]:
-    """(skip, rows) of each part of the binary file `raw`: the lines before
-    the part and the data rows in it, None in the last part.
+def _parts(raw) -> list[tuple[int, int] | None]:
+    """The byte span (start, stop) of the data rows in each part of the
+    binary file `raw`; [None] if the file is one part, parsed from its path.
 
     There is one part per usable core, none under _MIN_PART_BYTES, each
-    ending at a '\\n' or at the end of the file, and the first part is
-    _FIRST_PART_EXTRA_BYTES longer than the others.  Lines end at '\\n' or
-    '\\r\\n', and only lines of no characters are not rows.  A file is
-    one part if a lone '\\r' ends a line before its last part, or if a '"'
-    follows its first line, since a quoted cell may hold a line break.
+    ending just after a '\\n' or at the end of the file, and the first part
+    is _FIRST_PART_EXTRA_BYTES longer than the others.  A '\\n' ends a line
+    whether alone or after a '\\r', so each part starts on a line of the
+    one-part parse.  A file is one part if a lone '\\r' ends a line before
+    its first '\\n', since the one-part parse skips only that line as the
+    header, or if a '"' follows its header line, since a quoted cell may
+    hold a line break.
     """
     size = os.fstat(raw.fileno()).st_size
     k = _usable_cores()
@@ -734,16 +734,9 @@ def _parts(raw) -> list[tuple[int, int | None]]:
     first_line = _after_newline(raw, 0, size) if k > 1 else size
     if (first_line == size or any(b"\r" in block for block in _blocks(raw, 0, first_line - 2))
             or any(b'"' in block for block in _blocks(raw, first_line, size))):
-        return [(1, None)]
+        return [None]
     starts = _part_starts(raw, first_line, size, k)
-    parts, skip = [], 1
-    for start, stop in zip(starts, starts[1:]):
-        counts = _count_lines(raw, start, stop)
-        if counts is None:
-            return [(1, None)]
-        parts.append((skip, counts[0] - counts[1]))
-        skip += counts[0]
-    return parts + [(skip, None)]
+    return list(zip(starts, starts[1:] + [size]))
 
 
 def _part_starts(raw, first_line: int, size: int, k: int) -> list[int]:
@@ -760,37 +753,14 @@ def _part_starts(raw, first_line: int, size: int, k: int) -> list[int]:
     return starts
 
 
-def _count_lines(raw, start: int, stop: int) -> tuple[int, int] | None:
-    """(lines, empty lines) in bytes [start, stop) of the binary file `raw`,
-    whole lines after a '\\n'; None if a lone '\\r' ends one of them."""
-    lines = empty = 0
-    tail = b"\n\n"  # as if after an empty line: only the last byte matters
-    for block in _blocks(raw, start, stop):
-        window = tail + block
-        codes = np.frombuffer(window, np.uint8)
-        newline = codes == ord("\n")
-        ends = newline[2:]
-        after_end = newline[1:-1]
-        if b"\r" in window:
-            cr = codes == ord("\r")
-            if np.any(cr[1:-1] & ~newline[2:]):
-                return None
-            after_end = after_end | (cr[1:-1] & newline[:-2])
-        lines += int(np.count_nonzero(ends))
-        empty += int(np.count_nonzero(ends & after_end))
-        tail = window[-2:]
-    return lines, empty
-
-
-def _start_worker(path, skip: int, rows: int | None):
-    """A worker process parsing `rows` rows (None: all the rest) after the
-    first `skip` lines, or None if none starts."""
+def _start_worker(path, span: tuple[int, int]):
+    """A worker process parsing the rows in the byte span `span`, or None
+    if none starts."""
     if not sys.executable:
         return None
     try:
         return subprocess.Popen(
-            [sys.executable, _WORKER, os.fspath(path), str(skip),
-             str(-1 if rows is None else rows)],
+            [sys.executable, _WORKER, os.fspath(path), *map(str, span)],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             bufsize=0)
     except OSError:
@@ -817,13 +787,11 @@ def _fill(stream, buf) -> bool:
     return True
 
 
-def _parse_or_raise(path, width: int, skip: int, rows: int | None) -> np.ndarray:
-    """The part of `rows` rows after `skip` lines; a parse error is raised
-    naming its file line."""
-    if rows == 0:
-        return np.empty((0, width))
+def _parse_or_raise(path, width: int, span: tuple[int, int] | None) -> np.ndarray:
+    """The rows in the byte span `span` (None: all after the header line);
+    a parse error is raised naming its file line."""
     try:
-        return parse(path, skip, rows)
+        return parse(path, span=span)
     except ValueError as exc:
         _raise_first_bad_row(path, width, str(exc))
 

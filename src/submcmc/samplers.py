@@ -94,8 +94,10 @@ class ProposalConfig:
     def __post_init__(self):
         if self.kind not in ("rwm", "independence"):
             raise ConfigError("proposal_kind", f"unknown proposal kind {self.kind!r}")
-        if self.step_scale is not None and self.step_scale <= 0:
-            raise ConfigError("kappa", "step scale must be positive")
+        if self.kind == "independence" and self.center is None:
+            raise ConfigError("proposal_kind", "an independence proposal needs a center")
+        if self.step_scale is not None and not 0 < self.step_scale < math.inf:
+            raise ConfigError("kappa", "step scale must be finite and positive")
         if self.shape is not None:
             _check_spd(self.shape, "omega", "proposal shape")
 
@@ -107,8 +109,8 @@ class HmcConfig:
     mass: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ConfigError("epsilon", "leapfrog step size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ConfigError("epsilon", "leapfrog step size must be finite and positive")
         if self.n_steps < 1:
             raise ConfigError("leapfrog_steps", "need at least one leapfrog step")
         if self.mass is not None:
@@ -268,15 +270,14 @@ class _IndexChunks:
 
 
 class _Proposer:
-    def __init__(self, cfg: ProposalConfig, d: int, theta0: np.ndarray):
+    def __init__(self, cfg: ProposalConfig, d: int):
         self.rwm, self.d = cfg.kind == "rwm", d
         scale = cfg.step_scale if cfg.step_scale is not None else 2.38 / np.sqrt(d)
         self.scale = np.array(scale, dtype=float)
         shape = np.asarray(cfg.shape, dtype=float) if cfg.shape is not None else np.eye(d)
         self.chol = np.linalg.cholesky(shape)
         self.chol_inv = np.linalg.inv(self.chol)
-        self.center = (np.asarray(cfg.center, dtype=float)
-                       if cfg.center is not None else theta0.copy())
+        self.center = None if cfg.center is None else np.asarray(cfg.center, dtype=float)
 
     def steps(self, rng: np.random.Generator):
         """Per iteration, from one standard-normal vector z of `rng`: the
@@ -447,7 +448,7 @@ def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int,
     rng_prop, rng_accept, rng_sub = streams
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
-    propose = _Proposer(proposal, d, theta)
+    propose = _Proposer(proposal, d)
     log_q = 0.0 if propose.rwm else propose.log_q(theta[None])[0]
     rows = None if state is None else gather(state.indices)
     log_est, sign = evaluate(theta, rows)

@@ -147,7 +147,7 @@ def test_an_independence_proposal_is_centred_at_the_cache_not_at_theta0():
     plan, resolved = resolve({**MOVED, "proposal_kind": "independence",
                               "theta0": ",".join(map(repr, theta0.tolist()))})
     assert plan.theta0.tobytes() == theta0.tobytes()
-    propose = samplers._Proposer(plan.proposal, 6, plan.theta0)
+    propose = samplers._Proposer(plan.proposal, 6)
     assert propose.center.tobytes() == plan.cache.expansion_point.tobytes()
     # the Laplace scale, not the random walk's 2.38 / sqrt(d)
     assert resolved["kappa"] == "1.0"

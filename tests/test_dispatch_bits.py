@@ -90,7 +90,7 @@ crossing = st.integers(1, 40).map(lambda k: samplers._CHUNK + k)
 def test_proposer_chunks_equal_their_per_vector_form(d, seed, count, kind):
     rng = np.random.default_rng(seed)
     shape, center, theta = spd(d, rng), rng.standard_normal(d), rng.standard_normal(d)
-    propose = _Proposer(ProposalConfig(kind=kind, shape=shape, center=center), d, theta)
+    propose = _Proposer(ProposalConfig(kind=kind, shape=shape, center=center), d)
     chol, scale = np.linalg.cholesky(shape), np.array(2.38 / np.sqrt(d))
     chol_inv = np.linalg.inv(chol)
 

@@ -575,6 +575,11 @@ class TestStateConstruction:
         with pytest.raises(DomainError):
             draw_block_poisson(10, 0, 3, rng)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_block_poisson_bound_must_be_finite(self, bound):
+        with pytest.raises(DomainError, match="finite"):
+            BlockPoissonConfig(n_products=2, batch_size=5, bound=bound)
+
 
 # ---------------------------------------------------------------------------
 # Planning

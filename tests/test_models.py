@@ -687,6 +687,7 @@ CUT_CASES = {
     "whitespace-line": "y,x1\n1,0.5\n   \n2,0.5\n",
     "bad-cell": "y,x1\n1,0.5\n2,0.5\n3,x\n4,0\n",
     "ragged": "y,x1\n1,0.5\n\n2\n3,1\n",
+    "lone-cr": "y,x1\n1,0.5\r2,-1e-3\n3,4\r\n\n5,6\n",
 }
 
 
@@ -695,7 +696,7 @@ def test_every_cut_gives_the_one_part_result(tmp_path, monkeypatch, split, text)
     """This process parses the lines before a cut and a worker the rest,
     for every cut just after a '\\n': the rows, or the error and the file
     line it names, are those of the file parsed in one part.  A worker's
-    part of blank lines has no rows, and no worker starts for it."""
+    part of blank lines starts a worker and has no rows."""
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
     monkeypatch.setattr(models, "_MIN_PART_BYTES", 1 << 30)
@@ -719,31 +720,33 @@ def test_every_cut_gives_the_one_part_result(tmp_path, monkeypatch, split, text)
     assert split
 
 
-@pytest.mark.parametrize("text", [
-    "y,x1\n1,0.5\r2,-1e-3\n" + "3,4\n" * 8,
-    "y,x1\r\r\n1,0.5\n2,-1e-3\n" + "3,4\n" * 8,
-    'y,x1\n1,0.5\n2,"-1e-3"\n' + "3,4\n" * 8,
+@pytest.mark.parametrize("text, parts", [
+    ("y,x1\n1,0.5\r2,-1e-3\n" + "3,4\n" * 8, 3),
+    ("y,x1\r\r\n1,0.5\n2,-1e-3\n" + "3,4\n" * 8, 1),
+    ('y,x1\n1,0.5\n2,"-1e-3"\n' + "3,4\n" * 8, 1),
 ], ids=["lone-cr", "lone-cr-in-header", "quoted-cell"])
-def test_lone_carriage_return_or_quote_keeps_one_part(tmp_path, monkeypatch, split, text):
+def test_only_header_carriage_return_or_quote_keeps_one_part(tmp_path, monkeypatch, split,
+                                                             text, parts):
+    """A lone '\\r' in the data is a line end the parts share with the
+    one-part parse; one in the header line, or a '"', keeps the file whole."""
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
     got = load_dataset(path)
-    assert not split
+    assert len(split) == parts - 1
     monkeypatch.setattr(models, "_MIN_PART_BYTES", 1 << 30)
     want = load_dataset(path)
     assert np.array_equal(got.y, want.y) and np.array_equal(got.X, want.X)
 
 
-def test_blank_line_across_read_blocks(tmp_path, monkeypatch, split):
-    """The rows of this process's part are counted 1 MB at a time; a blank
-    line whose '\\n's fall in two blocks is one blank line."""
+def test_cut_through_a_long_file(tmp_path, monkeypatch, split):
+    """This process parses a 1 MB span that ends in a long row, and a worker
+    the span after it, which starts with a blank line."""
     head = b"y\n" + b"2\n" * 300_000 + b"7."
-    text = head + b"0" * (2 + 2**20 - 1 - len(head)) + b"\n\n5\n6\n"
-    assert text[2 + 2**20 - 1:2 + 2**20 + 1] == b"\n\n"
+    cut = 2 + 2**20
+    text = head + b"0" * (cut - 1 - len(head)) + b"\n\n5\n6\n"
     path = tmp_path / "in.csv"
     path.write_bytes(text)
-    monkeypatch.setattr(models, "_part_starts",
-                        lambda raw, first_line, size, k: [first_line, len(text) - 2])
+    monkeypatch.setattr(models, "_part_starts", lambda raw, first_line, size, k: [first_line, cut])
     ds = load_dataset(path)
     assert len(split) == 1 and ds.n == 300_003
     assert np.array_equal(ds.y[-4:], [2.0, 7.0, 5.0, 6.0])
@@ -767,8 +770,7 @@ def test_failed_worker_part_is_parsed_here(tmp_path, monkeypatch, split, how):
             f"spec = importlib.util.spec_from_file_location('part', {models._WORKER!r})\n"
             "part = importlib.util.module_from_spec(spec)\n"
             "spec.loader.exec_module(part)\n"
-            "skip, rows = int(sys.argv[2]), int(sys.argv[3])\n"
-            "rows = part.parse(sys.argv[1], skip, None if rows < 0 else rows)\n"
+            "rows = part.parse(sys.argv[1], span=(int(sys.argv[2]), int(sys.argv[3])))\n"
             "sys.stdout.buffer.write(part.SHAPE.pack(*rows.shape) + rows.tobytes()[:8])\n")
         monkeypatch.setattr(models, "_WORKER", str(script))
     back = load_dataset(path)

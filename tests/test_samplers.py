@@ -190,6 +190,19 @@ class TestMh:
         assert abs(x.mean() - exact_mean) < 4 * x.std() / math.sqrt(len(x) / 10)
         assert x.var(ddof=1) == pytest.approx(exact_var, rel=0.15)
 
+    def test_independence_proposal_needs_a_center(self):
+        # centred at theta0 instead, an n = 1000 chain accepted 2 of 300 proposals
+        with pytest.raises(ConfigError, match="needs a center") as err:
+            ProposalConfig(kind="independence", step_scale=0.05)
+        assert err.value.field == "proposal_kind"
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_scale_must_be_finite_and_positive(self, scale):
+        # a NaN scale once made every proposal invalid and raised nothing
+        with pytest.raises(ConfigError) as err:
+            ProposalConfig(step_scale=scale)
+        assert err.value.field == "kappa"
+
 
 # ---------------------------------------------------------------------------
 # Subsample proposals
@@ -618,6 +631,13 @@ class TestHmc:
             HmcConfig(step_size=-0.1, n_steps=5)
         with pytest.raises(ConfigError):
             HmcConfig(step_size=0.1, n_steps=0)
+
+    @pytest.mark.parametrize("step_size", [math.nan, math.inf])
+    def test_step_size_must_be_finite(self, step_size):
+        # a NaN step size once made every trajectory diverge and raised nothing
+        with pytest.raises(ConfigError) as err:
+            HmcConfig(step_size=step_size, n_steps=5)
+        assert err.value.field == "epsilon"
 
 
 # ---------------------------------------------------------------------------
