@@ -420,81 +420,96 @@ class _Differences:
     def __init__(self, model: ModelSpec, cache, dataset: Dataset):
         self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
         self.log_prior, self.grad_log_prior = model.prior.bind()
-        self._at_theta = None, None
 
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self)
 
-    def differences(self, theta, rows: SubsampleRows, grad: bool = False):
-        _, d, s = self._terms(theta, rows, True, grad)
-        return (d, s) if grad else d
-
     def estimate(self, theta, rows: SubsampleRows) -> tuple[float, float]:
         """(value, sample variance) of the difference estimator at gathered
-        rows: the one evaluation pmmh and difference_estimate both make."""
+        rows, as difference_estimate reports them."""
         at, d, _ = self._terms(theta, rows, True, False)
         value, sample_variance, _ = difference_total(self._total(at), d, self.n)
         return value, sample_variance
 
-    def potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
-        """(U, grad U, log_phat) of the HMC-ECS potential at gathered rows:
-        U = -(log_phat + log prior) with log_phat the difference estimate
-        less half its sample variance."""
-        at, d, s = self._terms(theta, rows, True, True)
-        q_total, log_prior, grad_total, grad_log_prior = self._theta_terms(theta, at)
-        value, sample_variance, centered = difference_total(q_total, d, self.n)
-        log_phat = value - sample_variance / 2.0
-        grad = self._gradient(rows, s, centered if include_variance_grad else None,
-                              grad_total, grad_log_prior)
-        return -(log_phat + log_prior), grad, log_phat
+    def log_estimate(self, theta, rows: SubsampleRows) -> float:
+        """pmmh's bias-corrected log estimate, value - sample variance / 2."""
+        value, sample_variance = self.estimate(theta, rows)
+        return value - sample_variance / 2.0
 
-    def _theta_terms(self, theta, at):
-        """(sum_i q_i, log prior, sum_i grad q_i, grad log prior) at theta.
-        The last theta's are kept: the HMC-ECS u-step evaluates a proposed
-        subsample at the theta the previous evaluation ended on."""
-        key = theta.tobytes()
-        if key != self._at_theta[0]:
-            self._at_theta = key, (self._total(at), self.log_prior(theta), self._grad_total(at),
-                                   self.grad_log_prior(theta))
-        return self._at_theta[1]
+    def bind_potential(self, include_variance_grad: bool = True):
+        """rows -> (evaluate, grad_potential), the HMC-ECS potential at gathered
+        rows as functions of theta, bound once per chain: evaluate(theta) gives
+        (U, grad U, log_phat), U = -(log_phat + log prior), log_phat the
+        estimate less half its sample variance; grad_potential grad U alone, to
+        the same bits, with the variance term unless include_variance_grad is
+        False.  The theta-side terms of the last theta evaluated are kept: the
+        u-step evaluates a proposed subsample at the theta before it."""
+        n, terms, weighted = self.n, self._terms, self._weighted
+        total, grad_total = self._total, self._grad_total
+        log_prior, grad_log_prior = self.log_prior, self.grad_log_prior
+        last = [None, None]
 
-    def grad_potential(self, theta, rows: SubsampleRows, include_variance_grad: bool = True):
-        """grad U of `potential` to the bit, without sum_i q_i, the sample
-        variance or the prior density; the differences are computed only
-        for the variance term."""
-        at, d, s = self._terms(theta, rows, include_variance_grad, True)
-        return self._gradient(rows, s,
-                              _centered_differences(d)[1] if include_variance_grad else None,
-                              self._grad_total(at), self.grad_log_prior(theta))
+        def potential_at(rows):
+            # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i;
+            # without the variance term the weights are n/m
+            m = rows.idx.size
+            scale, var_scale = n / m, n * n / (m * m)
+            flat = None if include_variance_grad else np.full(m, scale)
 
-    def _gradient(self, rows, s, centered, grad_total, grad_log_prior):
-        # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i;
-        # without the variance term (centered None) the weights are n/m
-        n, m = self.n, rows.idx.size
-        weights = np.full(m, n / m) if centered is None else n / m - centered * (n * n / (m * m))
-        return -(grad_total + self._weighted(weights, s, rows) + grad_log_prior)
+            def gradient(s, centered, grad_sum, grad_prior):
+                weights = scale - centered * var_scale if include_variance_grad else flat
+                return -(grad_sum + weighted(weights, s, rows) + grad_prior)
+
+            def evaluate(theta):
+                at, d, s = terms(theta, rows, True, True)
+                key = theta.tobytes()
+                if key != last[0]:
+                    last[:] = key, (total(at), log_prior(theta), grad_total(at),
+                                    grad_log_prior(theta))
+                q_total, prior, grad_sum, grad_prior = last[1]
+                value, sample_variance, centered = difference_total(q_total, d, n)
+                log_phat = value - sample_variance / 2.0
+                return -(log_phat + prior), gradient(s, centered, grad_sum, grad_prior), log_phat
+
+            def grad_potential(theta):
+                at, d, s = terms(theta, rows, include_variance_grad, True)
+                centered = _centered_differences(d)[1] if include_variance_grad else None
+                return gradient(s, centered, grad_total(at), grad_log_prior(theta))
+            return evaluate, grad_potential
+        return potential_at
 
 
 class _GlmDifferences(_Differences):
     """A parameter-expanded cache takes d_i from the model's Taylor
     remainder at a_i = w_i'(theta - theta0), free of the cancellation in
-    ell - q, and the theta-gradient of d_i is s_i * w_i."""
+    ell - q, and the theta-gradient of d_i is s_i * w_i.  `_terms` and
+    pmmh's `log_estimate` are bound at construction with the constants, the
+    cache total and the family's remainder in locals: at small m the hops
+    through methods and attributes cost more than their arithmetic."""
 
     def __init__(self, model: GlmModel, cache: ParamExpandedCache, dataset: Dataset):
         super().__init__(model, cache, dataset)
-        self._y, self._eta0, self._theta0 = dataset.y, cache.eta0, cache.expansion_point
-        self._order, self._design, self._remainder = cache.order, model.design, model.row_remainder
+        self._y, self._eta0, self._design = dataset.y, cache.eta0, model.design
         self._total, self._grad_total = cache._total, cache._grad_total
+        theta0, order, remainder, total, n = (cache.expansion_point, cache.order,
+                                              model.row_remainder, cache._total, self.n)
+
+        def terms(theta, rows, need_d, need_s):
+            # the remainder gives d whether asked or not; the totals take theta - theta0
+            delta = theta - theta0
+            out = remainder(rows.y, rows.terms, rows.W.dot(delta), order, need_s)
+            return (delta, *out) if need_s else (delta, out, None)
+
+        def log_estimate(theta, rows):
+            delta = theta - theta0
+            value, sample_variance, _ = difference_total(
+                total(delta), remainder(rows.y, rows.terms, rows.W.dot(delta), order), n)
+            return value - sample_variance / 2.0
+        self._terms, self.log_estimate = terms, log_estimate
 
     def gather(self, idx) -> SubsampleRows:
         return SubsampleRows(idx, self, self._y[idx], self._design(self.dataset, idx),
                              self.model.row_terms(self._eta0[idx]))
-
-    def _terms(self, theta, rows, need_d, need_s):
-        # the remainder gives d whether asked or not; the totals take theta - theta0
-        delta = theta - self._theta0
-        out = self._remainder(rows.y, rows.terms, rows.W.dot(delta), self._order, need_s)
-        return (delta, *out) if need_s else (delta, out, None)
 
     @staticmethod
     def _weighted(weights, s, rows):
@@ -555,7 +570,8 @@ def differences(model: ModelSpec, cache, dataset: Dataset, theta, idx, grad: boo
     row i of s otherwise.
     """
     rows = idx if isinstance(idx, SubsampleRows) else gather_rows(model, cache, dataset, idx)
-    return rows.differ.differences(np.asarray(theta, dtype=float), rows, grad)
+    _, d, s = rows.differ._terms(np.asarray(theta, dtype=float), rows, True, grad)
+    return (d, s) if grad else d
 
 
 def check_indices(idx, n: int) -> np.ndarray:

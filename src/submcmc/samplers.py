@@ -225,9 +225,9 @@ class _IndexChunks:
     docstring).  A request may straddle two chunks.
 
     With `views`, each chunk's rows are gathered once by `differ`, and a
-    request within one chunk makes the views of them that `rows(idx)` returns
-    for the array it returned; any other array, and the rows of differences
-    that gather nothing (`SubsampleRows.y` None), are gathered when asked for.
+    request within one chunk makes the views of them that `rows_of` returns
+    for a proposal of the array it returned; any other, and the rows of
+    differences that gather nothing (`SubsampleRows.y` None), are gathered.
     """
 
     def __init__(self, rng: np.random.Generator, differ, size: int, views: bool):
@@ -249,12 +249,11 @@ class _IndexChunks:
                 return np.concatenate([tail, self._idx[:self._pos]])
             lo, hi = 0, size
         self._pos = hi
-        if self._chunk is None:
-            return self._idx[lo:hi]
-        y, W, terms = self._chunk
-        self._last = last = SubsampleRows(self._idx[lo:hi], self._differ, y[lo:hi], W[lo:hi],
-                                          terms[lo:hi])
-        return last.idx
+        idx = self._idx[lo:hi]
+        if self._chunk is not None:
+            y, W, terms = self._chunk
+            self._last = SubsampleRows(idx, self._differ, y[lo:hi], W[lo:hi], terms[lo:hi])
+        return idx
 
     def _refill(self, size):
         self._chunk = self._last = None
@@ -264,8 +263,8 @@ class _IndexChunks:
             if rows.y is not None:
                 self._chunk = rows.y, rows.W, rows.terms
 
-    def rows(self, idx):
-        last = self._last
+    def rows_of(self, proposed: SubsampleState, rows=None) -> SubsampleRows:
+        idx, last = proposed.indices, self._last
         return last if last is not None and last.idx is idx else self._differ.gather(idx)
 
 
@@ -338,7 +337,7 @@ def propose_u(current: SubsampleState, dependence: DependenceConfig,
         raise ConfigError("dependence", "cpm dependence needs a Gaussian-coded subsample")
     G = dependence.n_blocks if dependence.kind == "bpm" else 1
     if G == 1 and current.batch_size is None:
-        return SubsampleState(n, rng.integers(0, n, size=current.m), bounds)
+        return SubsampleState(n, rng.integers(0, n, size=current.indices.size), bounds)
     if (bounds.size - 1) % G != 0:
         raise ConfigError("blocks", "block count must divide the number of segments")
     per = (bounds.size - 1) // G
@@ -356,11 +355,14 @@ def propose_u(current: SubsampleState, dependence: DependenceConfig,
                           (lo, hi, hi + indices.size - current.m) if G > 1 else None)
 
 
-def _rows_of(proposed: SubsampleState, rows, gather):
-    """The proposal's rows: `rows` spliced where it records a replaced slice."""
-    if proposed.replaced is None:
-        return gather(proposed.indices)
-    return rows.splice(proposed.indices, *proposed.replaced)
+def _rows_of(gather):
+    """(proposed, rows) -> the proposal's rows: the current state's `rows`
+    spliced where it records a replaced slice, else gather(proposed.indices)."""
+    def rows_of(proposed: SubsampleState, rows):
+        if proposed.replaced is None:
+            return gather(proposed.indices)
+        return rows.splice(proposed.indices, *proposed.replaced)
+    return rows_of
 
 
 def initial_subsample(est_cfg, dependence: DependenceConfig, n: int,
@@ -394,26 +396,24 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
     """
     rng_prop, rng_accept, rng_sub = _streams(seed)
     differ = bind_differences(model, cache, dataset)
-    gather = differ.gather
+    rows_of = _rows_of(differ.gather)
 
     if isinstance(est_cfg, DifferenceConfig):
         if dependence.kind != "cpm":
             # the stream serves only integers(0, n, ·), so it is drawn in chunks;
             # independent proposals are evaluated on views of each chunk's rows
-            m = est_cfg.m
-            rng_sub = _IndexChunks(rng_sub, differ, m * max(1, _INDEX_CHUNK // m),
-                                   views=dependence.kind == "independent")
-            gather = rng_sub.rows
+            m, views = est_cfg.m, dependence.kind == "independent"
+            rng_sub = _IndexChunks(rng_sub, differ, m * max(1, _INDEX_CHUNK // m), views)
+            if views:
+                rows_of = rng_sub.rows_of
 
-        def evaluate(t, rows):
-            value, sample_variance = differ.estimate(t, rows)
-            return value - sample_variance / 2.0, 1
+        evaluate, signed = differ.log_estimate, False
     else:
-        evaluate = partial(block_poisson_value, model, cache, dataset, est_cfg)
+        evaluate, signed = partial(block_poisson_value, model, cache, dataset, est_cfg), True
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
     trace = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
-                     (rng_prop, rng_accept, rng_sub), state, dependence, gather)
+                     (rng_prop, rng_accept, rng_sub), state, dependence, rows_of, signed)
     trace.meta["cost_proxy"] = (est_cfg.m if isinstance(est_cfg, DifferenceConfig)
                                 else est_cfg.n_products * est_cfg.batch_size)
     return trace
@@ -425,63 +425,64 @@ def mh_run(model: ModelSpec, dataset: Dataset, proposal: ProposalConfig,
     loop with the exact log-likelihood as its estimate and no subsample."""
     loglik_sum = model.bind_sums(dataset)[0]
 
-    def evaluate(t, rows):
-        return loglik_sum(t), 1
-
-    trace = _mh_loop(evaluate, model.prior.bind()[0], proposal, theta0, n_iter,
-                     _streams(seed))
+    trace = _mh_loop(lambda t, rows: loglik_sum(t), model.prior.bind()[0], proposal, theta0,
+                     n_iter, _streams(seed))
     trace.meta["cost_proxy"] = dataset.n
     return trace
 
 
 def _mh_loop(evaluate, log_prior, proposal: ProposalConfig, theta0, n_iter: int, streams,
              state=None, dependence: DependenceConfig | None = None,
-             gather=None) -> ChainTrace:
+             rows_of=None, signed: bool = False) -> ChainTrace:
     """Shared MH loop on the extended state (theta, u).  `evaluate(theta,
-    rows)` returns (log-likelihood estimate, sign), where rows =
-    gather(state.indices), or None when `state` is None (full-data MH).
-    Each iteration moves u by `propose_u` on the third of `streams` and
-    gathers the rows it drew (`_rows_of`).  A proposal with sign 0 or a
-    non-finite log target is rejected; trace.meta counts them next to the wall time."""
+    rows)` returns the log-likelihood estimate, or (log |estimate|, sign) if
+    `signed`, at rows = rows_of(state, None), or None when `state` is None
+    (full-data MH).  Each iteration moves u by `propose_u` on the third of
+    `streams` and takes its rows from `rows_of(proposal, rows)`.  A proposal
+    with sign 0 or a non-finite log target is rejected; trace.meta counts them
+    next to the wall time.  The trace is filled from the accepted iterations."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
     rng_prop, rng_accept, rng_sub = streams
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
     propose = _Proposer(proposal, d)
-    log_q = 0.0 if propose.rwm else propose.log_q(theta[None])[0]
-    rows = None if state is None else gather(state.indices)
-    log_est, sign = evaluate(theta, rows)
+    rwm, isfinite = propose.rwm, math.isfinite
+    log_q = 0.0 if rwm else propose.log_q(theta[None])[0]
+    rows = None if state is None else rows_of(state, None)
+    log_est, sign = evaluate(theta, rows) if signed else (evaluate(theta, rows), 1)
     log_target = log_est + log_prior(theta)
     if sign == 0 or not np.isfinite(log_target):
         raise SamplerError("unusable likelihood estimate at the initial point")
 
-    trace = _empty_trace(n_iter, d)
     invalid = 0
-    steps, log_uniforms = propose.steps(rng_prop), _chunked_log_uniforms(rng_accept)
+    accepted, kept = [], [(theta, log_est, sign)]
     t_start = time.perf_counter()
     state_prop = rows_prop = None
-    for i in range(n_iter):
+    for i, (step, log_q_p), log_u in zip(range(n_iter), propose.steps(rng_prop),
+                                          _chunked_log_uniforms(rng_accept)):
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
-            rows_prop = _rows_of(state_prop, rows, gather)
-        step, log_q_p = next(steps)
-        theta_prop = theta + step if propose.rwm else step
-        log_u = next(log_uniforms)
-        log_est_p, sign_p = evaluate(theta_prop, rows_prop)
+            rows_prop = rows_of(state_prop, rows)
+        theta_prop = theta + step if rwm else step
+        log_est_p, sign_p = (evaluate(theta_prop, rows_prop) if signed
+                             else (evaluate(theta_prop, rows_prop), 1))
         log_target_p = log_est_p + log_prior(theta_prop)
-        if sign_p == 0 or not math.isfinite(log_target_p):
+        if sign_p == 0 or not isfinite(log_target_p):
             invalid += 1
         elif log_u < log_accept_ratio(log_target_p, log_target, log_q - log_q_p):
             theta, state, rows = theta_prop, state_prop, rows_prop
-            log_target, log_est, sign, log_q = log_target_p, log_est_p, sign_p, log_q_p
-            trace.accept[i] = True
+            log_target, log_q = log_target_p, log_q_p
+            accepted.append(i)
+            kept.append((theta_prop, log_est_p, sign_p))
         if state is not state_prop:
             # rejected: carry the cursor forward so the refresh cycle keeps rotating
             state.cursor = state_prop.cursor
-        trace.draws[i] = theta
-        trace.loglik_est[i] = log_est
-        trace.sign[i] = sign
+    trace = _empty_trace(n_iter, d)
+    trace.accept[accepted] = True
+    at = np.cumsum(trace.accept)  # iteration i keeps the at[i]-th accepted state
+    for column, out in zip(zip(*kept), (trace.draws, trace.loglik_est, trace.sign)):
+        out[:] = np.array(column)[at]
     trace.meta = {"wall_time": time.perf_counter() - t_start, "invalid_proposals": invalid}
     return trace
 
@@ -542,29 +543,29 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
     loglik_sum, grad_sum = model.bind_sums(dataset)
     log_prior, grad_log_prior = model.prior.bind()
 
-    def grad_potential(t, rows):
+    def grad_potential(t):
         return -(grad_sum(t) + grad_log_prior(t))
 
-    def evaluate(t, rows):
+    def evaluate(t):
         loglik = loglik_sum(t)
-        return -(loglik + log_prior(t)), grad_potential(t, rows), loglik
+        return -(loglik + log_prior(t)), grad_potential(t), loglik
 
-    trace = _hmc_loop(evaluate, grad_potential, cfg, theta0, n_iter, _streams(seed))
+    trace = _hmc_loop(lambda rows: (evaluate, grad_potential), cfg, theta0, n_iter, _streams(seed))
     trace.meta["cost_proxy"] = dataset.n * cfg.n_steps
     return trace
 
 
-def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, streams,
+def _hmc_loop(potential_at, cfg: HmcConfig, theta0, n_iter: int, streams,
               state=None, dependence: DependenceConfig | None = None,
-              gather=None) -> ChainTrace:
-    """Shared HMC loop on the extended state (theta, u).  `evaluate(theta,
-    rows)` returns (U, grad U, log-likelihood) and `grad_potential(theta,
-    rows)` grad U alone, to the same bits, where rows = gather(state.indices),
-    or None when `state` is None (full-data HMC).  With a subsample, each
-    iteration first moves u given theta (the energy conserving subsampling
-    Gibbs block): `propose_u`, one uniform on the third of `streams`, the
-    rows drawn (`_rows_of`), and acceptance on the ratio of the likelihood
-    estimates.  The triple at the
+              rows_of=None) -> ChainTrace:
+    """Shared HMC loop on the extended state (theta, u).  `potential_at(rows)`
+    returns `evaluate(theta)` -> (U, grad U, log-likelihood) and
+    `grad_potential(theta)` -> grad U, to the same bits, at rows =
+    rows_of(state, None), or None when `state` is None (full-data HMC).
+    With a subsample, each iteration first moves u given theta (the energy
+    conserving subsampling Gibbs block): `propose_u`, one uniform on the
+    third of `streams`, the proposal's rows and acceptance on the ratio of
+    the likelihood estimates.  The triple at the
     current point is carried, so a trajectory opens on the carried gradient
     and makes n_steps - 1 `grad_potential` calls and one `evaluate` call at
     its end.  The recorded log-likelihood is the one the draw was accepted
@@ -575,8 +576,9 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
     chol_M, M_inv = _hmc_machinery(cfg)
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
-    rows = None if state is None else gather(state.indices)
-    U, g, loglik = evaluate(theta, rows)
+    rows = None if state is None else rows_of(state, None)
+    evaluate, grad_potential = potential_at(rows)
+    U, g, loglik = evaluate(theta)
     if not np.isfinite(U):
         raise SamplerError("non-finite potential at the initial point")
     trace = _empty_trace(n_iter, d)
@@ -588,10 +590,12 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
             u = rng_sub.random()
-            rows_prop = _rows_of(state_prop, rows, gather)
-            U_prop, g_prop, loglik_prop = evaluate(theta, rows_prop)
+            rows_prop = rows_of(state_prop, rows)
+            potential = potential_at(rows_prop)
+            U_prop, g_prop, loglik_prop = potential[0](theta)
             if math.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
                 state, rows, U, g, loglik = state_prop, rows_prop, U_prop, g_prop, loglik_prop
+                evaluate, grad_potential = potential
                 trace.u_accept[i] = True
             else:
                 state.cursor = state_prop.cursor
@@ -602,8 +606,7 @@ def _hmc_loop(evaluate, grad_potential, cfg: HmcConfig, theta0, n_iter: int, str
         # is the designed response, so silence the intermediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
             theta_prop, mom_prop, (U_prop, g_prop, loglik_prop) = leapfrog(
-                partial(grad_potential, rows=rows), theta, mom, cfg.step_size, cfg.n_steps,
-                M_inv, partial(evaluate, rows=rows), g)
+                grad_potential, theta, mom, cfg.step_size, cfg.n_steps, M_inv, evaluate, g)
             K_prop = _kinetic(mom_prop, M_inv)
         dH = (U_prop + K_prop) - (U + K)
         if not math.isfinite(dH) or abs(dH) > DIVERGENCE_THRESHOLD:
@@ -635,7 +638,8 @@ def subsampled_potential(model: ModelSpec, cache, dataset: Dataset, theta,
     """
     rows = (indices if isinstance(indices, SubsampleRows)
             else gather_rows(model, cache, dataset, indices))
-    return rows.differ.potential(np.asarray(theta, dtype=float), rows, include_variance_grad)
+    return rows.differ.bind_potential(include_variance_grad)(rows)[0](
+        np.asarray(theta, dtype=float))
 
 
 def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
@@ -646,8 +650,8 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     theta whose trajectory gradients and acceptance Hamiltonian come from
     the same estimated potential at the just-updated subsample.
 
-    The potential is bound once per chain (control_variates.bind_differences)
-    and each proposed subsample's rows are gathered once.  The current
+    The potential is bound once per chain, and at each proposed subsample's
+    rows, gathered once, into functions of theta alone.  The current
     point's potential, gradient and log-likelihood estimate are carried over
     from the previous iteration, so an iteration makes two full evaluations,
     (U, grad U, log-likelihood) for the proposed subsample and at the
@@ -657,9 +661,7 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     *streams, rng_init = _streams(seed, 4)
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, rng_init)
     differ = bind_differences(model, cache, dataset)
-    trace = _hmc_loop(
-        partial(differ.potential, include_variance_grad=include_variance_grad),
-        partial(differ.grad_potential, include_variance_grad=include_variance_grad),
-        cfg, theta0, n_iter, streams, state, dependence, differ.gather)
+    trace = _hmc_loop(differ.bind_potential(include_variance_grad), cfg, theta0, n_iter,
+                      streams, state, dependence, _rows_of(differ.gather))
     trace.meta["cost_proxy"] = m * cfg.n_steps
     return trace

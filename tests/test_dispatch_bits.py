@@ -164,7 +164,8 @@ def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
     idx = rng.integers(0, data.n, m)
     rows = differ.gather(idx)
     theta = cache.expansion_point + rng.normal(0.0, 0.02, d)
-    U, grad, log_phat = differ.potential(theta, rows, variance_grad)
+    evaluate, grad_potential = differ.bind_potential(variance_grad)(rows)
+    U, grad, log_phat = evaluate(theta)
 
     n, W = data.n, model.design(data, idx)
     delta = theta - cache.expansion_point
@@ -182,7 +183,7 @@ def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
     log_prior = (-0.5 / prior.sd**2 * float(z.dot(z))
                  - z.size * float(np.log(prior.sd * np.sqrt(2.0 * np.pi))))
     assert U == -(log_phat + log_prior)
-    assert differ.grad_potential(theta, rows, variance_grad).tobytes() == grad.tobytes()
+    assert grad_potential(theta).tobytes() == grad.tobytes()
 
 
 @SETTINGS
@@ -193,14 +194,16 @@ def test_theta_side_terms_follow_the_theta_bytes(seed):
     rng = np.random.default_rng(seed)
     model, data, cache, differ = glm_case(3, 200, rng)
     rows = [differ.gather(rng.integers(0, data.n, 30)) for _ in range(2)]
+    potential_at = differ.bind_potential()
+    evaluate = [potential_at(r)[0] for r in rows]
     theta = cache.expansion_point + rng.normal(0.0, 0.02, 3)
     before = theta.copy()
-    differ.potential(theta, rows[0])
-    again = differ.potential(theta, rows[1])
+    evaluate[0](theta)
+    again = evaluate[1](theta)
     theta += 0.01
-    moved = differ.potential(theta, rows[1])
+    moved = evaluate[1](theta)
     for got, t in ((again, before), (moved, theta)):
-        want = bind_differences(model, cache, data).potential(t, rows[1])
+        want = bind_differences(model, cache, data).bind_potential()(rows[1])[0](t)
         assert got[0] == want[0] and got[2] == want[2]
         assert got[1].tobytes() == want[1].tobytes()
 

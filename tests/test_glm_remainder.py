@@ -223,3 +223,17 @@ def test_remainder_from_row_terms_equals_the_reference_bit_for_bit(name, n, p, s
     ref = reference_remainder(name, ds.y, cache.eta0, model.design(ds) @ (theta - theta0),
                               order)
     assert d.tobytes() == ref[0].tobytes() and s.tobytes() == ref[1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from([1e-6, 0.1, 1.0, 5.0]), **problem_args)
+def test_remainder_without_gradient_is_the_first_item_with_it(name, n, p, seed, order,
+                                                               scale):
+    # a family skips the gradient term s when it is not asked for; d keeps
+    # every bit, whichever branch of the family's remainder a_i falls in
+    model, ds, theta0, rng = make_problem(name, n, p, seed)
+    terms = model.row_terms(model.design(ds) @ theta0)
+    a = scale * rng.standard_normal(n)
+    d = model.row_remainder(ds.y, terms, a, order)
+    want = model.row_remainder(ds.y, terms, a, order, grad=True)[0]
+    assert d.dtype == want.dtype and d.tobytes() == want.tobytes()

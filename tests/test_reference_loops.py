@@ -21,9 +21,12 @@ from submcmc import (
     ExactControlVariate,
     HmcConfig,
     LogisticRegression,
+    NormalMeanModel,
     ParamExpandedCache,
     ProposalConfig,
     build_data_expanded,
+    build_param_expanded,
+    difference_estimate,
     hmc_ecs_run,
     hmc_run,
     kmeans_cluster,
@@ -31,8 +34,10 @@ from submcmc import (
     pmmh_run,
     propose_u,
     select_expansion_point,
+    subsampled_potential,
 )
 from submcmc import experiments, samplers
+from submcmc.control_variates import bind_differences
 from submcmc.samplers import DIVERGENCE_THRESHOLD, _empty_trace, _streams, initial_subsample
 
 # two whole chunks and part of a third
@@ -411,16 +416,72 @@ def test_hmc_ecs_bpm(poisson_model, poisson_example, example_center, param_cache
     assert 0 < got.u_accept.sum() < got.n_iter
 
 
-@pytest.fixture(scope="module")
-def logistic_case(poisson_example):
-    """Binary responses on the example's covariate, with an order-2 cache at
-    the full-data mode; near the mode every |a_i| <= 1, the remainder's
-    cancellation-free branch."""
-    model = LogisticRegression()
-    data = Dataset(y=(poisson_example.y > 2).astype(float), X=poisson_example.X)
+def centred_caches(model, data):
+    """(model, data, caches by order, centre): the order-2 cache at the
+    full-data mode, and the order-0 and order-1 caches built there."""
     cache = experiments._centred_cache(model, data, select_expansion_point(model, data),
                                        None, {})
-    return model, data, cache, cache.expansion_point
+    center = cache.expansion_point
+    caches = {order: build_param_expanded(model, data, center, order=order)
+              for order in (0, 1)}
+    return model, data, {**caches, 2: cache}, center
+
+
+@pytest.fixture(scope="module")
+def family_cases(poisson_model, poisson_example, example_center, param_caches):
+    """Each GLM family with caches of every order at its full-data mode.
+    Logistic takes binary responses on the example's covariate; near the
+    mode every |a_i| <= 1, the remainder's cancellation-free branch.  The
+    normal mean takes 1000 draws of N(0.3, 1)."""
+    y = np.random.default_rng(48).normal(0.3, 1.0, size=1000)
+    return {
+        "poisson": (poisson_model, poisson_example, param_caches, example_center),
+        "logistic": centred_caches(LogisticRegression(), Dataset(
+            y=(poisson_example.y > 2).astype(float), X=poisson_example.X)),
+        "normal_mean": centred_caches(NormalMeanModel(), Dataset(y=y, X=np.empty((1000, 0)))),
+    }
+
+
+@pytest.fixture(scope="module")
+def logistic_case(family_cases):
+    model, data, caches, center = family_cases["logistic"]
+    return model, data, caches[2], center
+
+
+# per family, a random-walk step and a subsample size that take both
+# branches of the acceptance step at every order
+FAMILY_PMMH = {"logistic": (0.02, 100), "normal_mean": (0.03, 30)}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("family", list(FAMILY_PMMH))
+def test_pmmh_difference_estimator_families(family_cases, family, order):
+    model, data, caches, center = family_cases[family]
+    step, m = FAMILY_PMMH[family]
+    args = (model, data, caches[order], DifferenceConfig(m=m), ProposalConfig(step_scale=step),
+            DependenceConfig(), center, N_ITER, 48)
+    assert_same_trace(pmmh_run(*args), ref_pmmh(*args))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("family", ["poisson", "logistic", "normal_mean"])
+def test_potential_log_phat_is_the_bound_estimate(family_cases, family, order):
+    # pmmh's bound log estimate and the HMC-ECS potential's log_phat are
+    # computed apart; they agree to the bit, and with the reference
+    model, data, caches, center = family_cases[family]
+    cache = caches[order]
+    differ = bind_differences(model, cache, data)
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        idx = rng.integers(0, data.n, size=int(rng.integers(1, 60)))
+        theta = center + rng.normal(0.0, 0.05, size=center.size)
+        _, _, log_phat = subsampled_potential(model, cache, data, theta, idx)
+        estimate = differ.log_estimate(theta, differ.gather(idx))
+        public = difference_estimate(model, cache, data, theta, idx)
+        value, svar, _ = ref_difference_total(
+            cache, theta, ref_differences(model, cache, data, theta, idx), data.n)
+        assert log_phat == estimate == value - svar / 2.0
+        assert (public.value, public.sample_variance) == (value, svar)
 
 
 BPM4 = DependenceConfig(kind="bpm", n_blocks=4)

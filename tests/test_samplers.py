@@ -19,6 +19,7 @@ from submcmc import (
     PoissonRegression,
     ProposalConfig,
     SamplerError,
+    SubsampleState,
     difference_estimate,
     draw_bpm,
     draw_cpm,
@@ -282,12 +283,14 @@ class TestChunkedIndexStream:
         # four requests fit the first chunk of 50; the next two straddle refills
         for k in (12, 12, 12, 12, 30, 25, 7):
             idx = stream.integers(0, n, size=k)
-            got, want = stream.rows(idx), differ.gather(idx)
+            proposal = SubsampleState(n, idx, np.array([0, k]))
+            got, want = stream.rows_of(proposal), differ.gather(idx)
             for name in ("idx", "y", "W", "terms"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
             # any other array with the same indices is gathered afresh
-            assert stream.rows(idx.copy()).idx is not idx
+            copy = SubsampleState(n, idx.copy(), np.array([0, k]))
+            assert stream.rows_of(copy).idx is not idx
 
     def test_serves_integers_from_zero_to_n_only(self):
         stream = _IndexChunks(np.random.default_rng(0), SimpleNamespace(n=10), 8, views=False)
@@ -720,18 +723,25 @@ class TestHmcEcs:
                                                  param_caches):
         from submcmc.control_variates import _Differences
         full, grad_only = [], []
-        real_full, real_grad = _Differences.potential, _Differences.grad_potential
+        real_bind = _Differences.bind_potential
 
-        def counting_full(*args, **kwargs):
-            full.append(1)
-            return real_full(*args, **kwargs)
+        def counting_bind(self, *args, **kwargs):
+            potential_at = real_bind(self, *args, **kwargs)
 
-        def counting_grad(*args, **kwargs):
-            grad_only.append(1)
-            return real_grad(*args, **kwargs)
+            def counting_at(rows):
+                evaluate, grad_potential = potential_at(rows)
 
-        monkeypatch.setattr(_Differences, "potential", counting_full)
-        monkeypatch.setattr(_Differences, "grad_potential", counting_grad)
+                def counting_full(theta):
+                    full.append(1)
+                    return evaluate(theta)
+
+                def counting_grad(theta):
+                    grad_only.append(1)
+                    return grad_potential(theta)
+                return counting_full, counting_grad
+            return counting_at
+
+        monkeypatch.setattr(_Differences, "bind_potential", counting_bind)
         n_iter, n_steps = 10, 5
         hmc_ecs_run(poisson_model, poisson_example, param_caches[2],
                     HmcConfig(step_size=0.005, n_steps=n_steps), 50, example_center,
