@@ -414,8 +414,9 @@ class _Differences:
 
     A subclass supplies `_terms(theta, rows, need_d, need_s) -> (at, d, s)`,
     with d_i and their gradients s each None unless asked for and `at` what
-    `_total(at)` and `_grad_total(at)` take for sum_i q_i and sum_i grad q_i,
-    and `_weighted(weights, s, rows)`, the weighted sum of the gradients of d_i."""
+    `_total(at)` takes for sum_i q_i, and `_bind_gradient()`, which returns
+    `gradient(theta, at, weights, s, rows)`: grad U for the weights of the
+    gradients of d_i, bound once per chain."""
 
     def __init__(self, model: ModelSpec, cache, dataset: Dataset):
         self.model, self.cache, self.dataset, self.n = model, cache, dataset, dataset.n
@@ -442,39 +443,39 @@ class _Differences:
         (U, grad U, log_phat), U = -(log_phat + log prior), log_phat the
         estimate less half its sample variance; grad_potential grad U alone, to
         the same bits, with the variance term unless include_variance_grad is
-        False.  The theta-side terms of the last theta evaluated are kept: the
-        u-step evaluates a proposed subsample at the theta before it."""
-        n, terms, weighted = self.n, self._terms, self._weighted
-        total, grad_total = self._total, self._grad_total
-        log_prior, grad_log_prior = self.log_prior, self.grad_log_prior
+        False.  The gradient is the subclass's `_bind_gradient`: for a
+        parameter-expanded cache one affine term in theta - theta0 that folds
+        in the prior.  The cache total and log prior of the last theta
+        evaluated are kept: the u-step evaluates a proposed subsample at the
+        theta before it."""
+        n, terms, total, log_prior = self.n, self._terms, self._total, self.log_prior
+        gradient = self._bind_gradient()
         last = [None, None]
 
         def potential_at(rows):
             # grad of value - svar/2 is grad_sum + sum_i (n/m - n^2/m^2 centered_i) grad d_i;
             # without the variance term the weights are n/m
             m = rows.idx.size
-            scale, var_scale = n / m, n * n / (m * m)
+            # 0-d arrays, the scalar operands numpy dispatches fastest, to the same bits
+            scale, var_scale = np.array(n / m), np.array(n * n / (m * m))
             flat = None if include_variance_grad else np.full(m, scale)
-
-            def gradient(s, centered, grad_sum, grad_prior):
-                weights = scale - centered * var_scale if include_variance_grad else flat
-                return -(grad_sum + weighted(weights, s, rows) + grad_prior)
 
             def evaluate(theta):
                 at, d, s = terms(theta, rows, True, True)
                 key = theta.tobytes()
                 if key != last[0]:
-                    last[:] = key, (total(at), log_prior(theta), grad_total(at),
-                                    grad_log_prior(theta))
-                q_total, prior, grad_sum, grad_prior = last[1]
+                    last[:] = key, (total(at), log_prior(theta))
+                q_total, prior = last[1]
                 value, sample_variance, centered = difference_total(q_total, d, n)
                 log_phat = value - sample_variance / 2.0
-                return -(log_phat + prior), gradient(s, centered, grad_sum, grad_prior), log_phat
+                weights = scale - centered * var_scale if include_variance_grad else flat
+                return -(log_phat + prior), gradient(theta, at, weights, s, rows), log_phat
 
             def grad_potential(theta):
                 at, d, s = terms(theta, rows, include_variance_grad, True)
-                centered = _centered_differences(d)[1] if include_variance_grad else None
-                return gradient(s, centered, grad_total(at), grad_log_prior(theta))
+                weights = (scale - _centered_differences(d)[1] * var_scale
+                           if include_variance_grad else flat)
+                return gradient(theta, at, weights, s, rows)
             return evaluate, grad_potential
         return potential_at
 
@@ -490,7 +491,7 @@ class _GlmDifferences(_Differences):
     def __init__(self, model: GlmModel, cache: ParamExpandedCache, dataset: Dataset):
         super().__init__(model, cache, dataset)
         self._y, self._eta0, self._design = dataset.y, cache.eta0, model.design
-        self._total, self._grad_total = cache._total, cache._grad_total
+        self._total = cache._total
         theta0, order, remainder, total, n = (cache.expansion_point, cache.order,
                                               model.row_remainder, cache._total, self.n)
 
@@ -511,9 +512,25 @@ class _GlmDifferences(_Differences):
         return SubsampleRows(idx, self, self._y[idx], self._design(self.dataset, idx),
                              self.model.row_terms(self._eta0[idx]))
 
-    @staticmethod
-    def _weighted(weights, s, rows):
-        return (weights * s).dot(rows.W)
+    def _bind_gradient(self):
+        """grad U = -(b + A delta + sum_k w_k s_k w_k) at delta = theta - theta0:
+        the cache's gradient total g_q + H_q delta and the prior's
+        (mu - theta) / sigma^2 are one affine term, A = H_q - I / sigma^2 (H_q
+        the summed Hessian at order 2, 0 below) and b = g_q + (mu - theta0) /
+        sigma^2 (g_q 0 at order 0), with -b bound once.  Its last bits differ
+        from the unfolded sum's."""
+        cache, prior = self.cache, self.model.prior
+        order, theta0 = cache.order, cache.expansion_point
+        A = posterior_hessian(self.model, cache.sum_hess if order >= 2
+                              else np.zeros((cache.d, cache.d)))
+        b = (prior.mean - theta0) / prior.sd**2
+        if order >= 1:
+            b = cache.sum_grad + b
+        neg_b = -b
+
+        def gradient(theta, delta, weights, s, rows):
+            return neg_b - A.dot(delta) - (weights * s).dot(rows.W)
+        return gradient
 
 
 class _PlainDifferences(_Differences):
@@ -531,12 +548,12 @@ class _PlainDifferences(_Differences):
     def _total(self, theta):
         return self.cache.sum_values(theta)
 
-    def _grad_total(self, theta):
-        return self.cache.grad_sum(theta)
+    def _bind_gradient(self):
+        cache, grad_log_prior = self.cache, self.grad_log_prior
 
-    @staticmethod
-    def _weighted(weights, s, rows):
-        return weights @ s
+        def gradient(theta, at, weights, s, rows):
+            return -(cache.grad_sum(at) + weights @ s + grad_log_prior(theta))
+        return gradient
 
 
 def bind_differences(model: ModelSpec, cache, dataset: Dataset) -> _Differences:

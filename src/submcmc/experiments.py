@@ -603,11 +603,14 @@ def read_trace_csv(path) -> ChainTrace:
 
 
 def _git_hash() -> str:
+    """The commit of the checkout this package runs from, whatever the
+    working directory; "unknown" outside a git checkout."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=10)
+                             text=True, timeout=10,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 

@@ -3,27 +3,30 @@ dependent subsample proposals and sign recording, Hamiltonian Monte Carlo,
 and HMC with energy conserving subsampling.
 
 All acceptance computations happen in the log domain against a log-uniform
-draw.  Each kernel derives three child RNG streams from the seed (theta
-proposals, acceptance uniforms, subsampling), so kernels sharing a seed
-share their theta-proposal and acceptance streams exactly; identical seed
-and config give bitwise-identical traces.  The theta-proposal and
+draw.  Each kernel derives child RNG streams from the seed, the first two
+for theta proposals (or momenta) and acceptance uniforms, so kernels sharing
+a seed share those streams exactly; identical seed and config give
+bitwise-identical traces.  pmmh takes a third for subsampling; hmc_ecs takes
+one stream per kind of draw: subsample indices (or cpm's Gaussian codes),
+the initial subsample and the u-move uniforms.  The theta-proposal and
 acceptance streams serve nothing else, so they are drawn in chunks of
 _CHUNK, and what depends on those draws alone is computed a chunk at a
 time: the random-walk increment chol.dot(z) * scale, the independence
 proposal and its log q, the dense-mass momentum, and log u.  Each product
 is a stacked np.matmul, which makes the same BLAS gemv or ddot call per
 vector as ndarray.dot and so keeps its bits; one GEMM over the chunk
-(Z @ chol.T) would round differently.
+(Z @ chol.T) would round differently.  HMC-ECS's u-move log-uniforms are
+drawn in chunks the same way.
 
 The subsampling stream is drawn in chunks where it serves only bounded
-integers: pmmh with the difference estimator under independent or
-block-wise refresh.  Generator.integers(0, n) takes its words from PCG64
-without resetting a buffer between calls (32-bit halves, buffered by the
-bit generator itself, for n <= 2^32; whole 64-bit words above), so one call
-of size K k returns the same values as K calls of size k.  A stream that
-interleaves bounded integers with whole-word draws would be reordered by
-chunking, so it stays per call: the Pois(1) counts of the product
-estimator, the Gaussian codes of cpm and the u-move uniform of HMC-ECS.
+integers: pmmh with the difference estimator and hmc_ecs, each under
+independent or block-wise refresh.  Generator.integers(0, n) takes its
+words from PCG64 without resetting a buffer between calls (32-bit halves,
+buffered by the bit generator itself, for n <= 2^32; whole 64-bit words
+above), so one call of size K k returns the same values as K calls of size
+k.  A stream that interleaves bounded integers with whole-word draws would
+be reordered by chunking, so it stays per call: the Pois(1) counts of the
+product estimator and the Gaussian codes of cpm.
 
 Per-iteration products on operands of at most m rows use `ndarray.dot`,
 never `@`, put arrays before scalars, and take a chain's constant scalars as
@@ -550,7 +553,8 @@ def hmc_run(model: ModelSpec, dataset: Dataset, cfg: HmcConfig, theta0,
         loglik = loglik_sum(t)
         return -(loglik + log_prior(t)), grad_potential(t), loglik
 
-    trace = _hmc_loop(lambda rows: (evaluate, grad_potential), cfg, theta0, n_iter, _streams(seed))
+    trace = _hmc_loop(lambda rows: (evaluate, grad_potential), cfg, theta0, n_iter,
+                      _streams(seed, 2))
     trace.meta["cost_proxy"] = dataset.n * cfg.n_steps
     return trace
 
@@ -562,17 +566,20 @@ def _hmc_loop(potential_at, cfg: HmcConfig, theta0, n_iter: int, streams,
     returns `evaluate(theta)` -> (U, grad U, log-likelihood) and
     `grad_potential(theta)` -> grad U, to the same bits, at rows =
     rows_of(state, None), or None when `state` is None (full-data HMC).
-    With a subsample, each iteration first moves u given theta (the energy
-    conserving subsampling Gibbs block): `propose_u`, one uniform on the
-    third of `streams`, the proposal's rows and acceptance on the ratio of
-    the likelihood estimates.  The triple at the
-    current point is carried, so a trajectory opens on the carried gradient
-    and makes n_steps - 1 `grad_potential` calls and one `evaluate` call at
-    its end.  The recorded log-likelihood is the one the draw was accepted
-    or kept under; trace.meta counts divergences next to the wall time."""
+    `streams` holds the momentum and acceptance streams, then with a
+    subsample the subsampling stream and the u-move's.  Each iteration then
+    first moves u given theta (the energy conserving subsampling Gibbs
+    block): `propose_u` on the subsampling stream, the proposal's rows, and
+    acceptance on the ratio of the likelihood estimates against one
+    log-uniform of the u-move stream, drawn a chunk at a time.  The triple
+    at the current point is carried, so a trajectory opens on the carried
+    gradient and makes n_steps - 1 `grad_potential` calls and one `evaluate`
+    call at its end.  The recorded log-likelihood is the one the draw was
+    accepted or kept under; trace.meta counts divergences next to the wall
+    time."""
     if n_iter < 1:
         raise SamplerError("need n_iter >= 1")
-    rng_prop, rng_accept, rng_sub = streams
+    rng_prop, rng_accept, *subsampling = streams
     chol_M, M_inv = _hmc_machinery(cfg)
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
@@ -585,15 +592,18 @@ def _hmc_loop(potential_at, cfg: HmcConfig, theta0, n_iter: int, streams,
     diverged = 0
     momenta = chain.from_iterable(_normal_chunks(rng_prop, d, chol_M))
     log_uniforms = _chunked_log_uniforms(rng_accept)
+    if state is not None:
+        rng_sub, rng_u = subsampling
+        u_move_log_uniforms = _chunked_log_uniforms(rng_u)
     t_start = time.perf_counter()
     for i in range(n_iter):
         if state is not None:
             state_prop = propose_u(state, dependence, rng_sub)
-            u = rng_sub.random()
+            log_u = next(u_move_log_uniforms)
             rows_prop = rows_of(state_prop, rows)
             potential = potential_at(rows_prop)
             U_prop, g_prop, loglik_prop = potential[0](theta)
-            if math.isfinite(loglik_prop) and np.log(u) < loglik_prop - loglik:
+            if math.isfinite(loglik_prop) and log_u < loglik_prop - loglik:
                 state, rows, U, g, loglik = state_prop, rows_prop, U_prop, g_prop, loglik_prop
                 evaluate, grad_potential = potential
                 trace.u_accept[i] = True
@@ -651,17 +661,28 @@ def hmc_ecs_run(model: ModelSpec, dataset: Dataset, cache, cfg: HmcConfig,
     the same estimated potential at the just-updated subsample.
 
     The potential is bound once per chain, and at each proposed subsample's
-    rows, gathered once, into functions of theta alone.  The current
-    point's potential, gradient and log-likelihood estimate are carried over
-    from the previous iteration, so an iteration makes two full evaluations,
+    rows, gathered once, into functions of theta alone; with a parameter-
+    expanded cache its gradient is one affine term in theta - theta0 with the
+    prior folded in (`_Differences.bind_potential`).  The current point's
+    potential, gradient and log-likelihood estimate are carried over from
+    the previous iteration, so an iteration makes two full evaluations,
     (U, grad U, log-likelihood) for the proposed subsample and at the
     trajectory's end, and n_steps - 1 gradient-only ones inside the
-    trajectory."""
+    trajectory.
+
+    The seed's five child streams serve one kind of draw each: momenta,
+    acceptance uniforms, subsample indices (or cpm's Gaussian codes), the
+    initial subsample and the u-move's log-uniforms.  Under independent and
+    block-wise refresh the index stream serves only integers(0, n, ·), so it
+    is drawn in chunks; under cpm it is drawn per call."""
     dependence = dependence if dependence is not None else DependenceConfig()
-    *streams, rng_init = _streams(seed, 4)
+    rng_prop, rng_accept, rng_sub, rng_init, rng_u = _streams(seed, 5)
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, rng_init)
     differ = bind_differences(model, cache, dataset)
+    if dependence.kind != "cpm":
+        rng_sub = _IndexChunks(rng_sub, differ, m * max(1, _INDEX_CHUNK // m), False)
     trace = _hmc_loop(differ.bind_potential(include_variance_grad), cfg, theta0, n_iter,
-                      streams, state, dependence, _rows_of(differ.gather))
+                      (rng_prop, rng_accept, rng_sub, rng_u), state, dependence,
+                      _rows_of(differ.gather))
     trace.meta["cost_proxy"] = m * cfg.n_steps
     return trace

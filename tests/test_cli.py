@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -152,6 +154,26 @@ class TestRunCommand:
             assert set(meta) == {"wall_time", counter, "cost_proxy"}
             assert 0.0 < meta["wall_time"] < manifest["wall_time_seconds"]
             assert meta[counter] == 0 and meta["cost_proxy"] > 0
+
+    def test_manifest_hash_is_the_packages_not_the_working_directorys(self, tmp_path,
+                                                                       monkeypatch):
+        # run from inside another git repository, with a commit of its own
+        repo = tmp_path / "elsewhere"
+        repo.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "x"]):
+            subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+        elsewhere = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                                   capture_output=True, text=True).stdout.strip()
+        package = os.path.dirname(os.path.abspath(experiments.__file__))
+        own = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package,
+                             capture_output=True, text=True)
+        monkeypatch.chdir(repo)
+        experiments.write_manifest(tmp_path, {}, 0.0)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["git_hash"] != elsewhere
+        assert manifest["git_hash"] == (own.stdout.strip() if own.returncode == 0
+                                        else "unknown")
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE_RUN)

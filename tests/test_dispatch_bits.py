@@ -8,7 +8,10 @@ array `ParamExpandedCache.__post_init__` builds, and gathered design rows.
 The state-free quantities the samplers compute a chunk at a time by stacked
 `np.matmul` (proposal increments, independence log q, dense-mass momenta)
 and the chunked log-uniforms are checked against their per-vector forms
-over runs that cross a chunk boundary.
+over runs that cross a chunk boundary.  The one product pinned to a new
+form is the HMC-ECS gradient of a parameter-expanded cache: its cache and
+prior terms are one affine term in theta - theta0, bit for bit, and within
+rounding of the unfolded sum they replaced.
 """
 
 from itertools import chain, islice
@@ -22,6 +25,8 @@ from submcmc import (
     BlockPoissonConfig,
     Dataset,
     GaussianPrior,
+    LogisticRegression,
+    NormalMeanModel,
     ParamExpandedCache,
     PoissonRegression,
     ProposalConfig,
@@ -144,16 +149,38 @@ def test_prior_is_one_ddot_within_rounding_of_its_summed_form(d, seed, mean):
         float(-0.5 * np.add.reduce(scaled * scaled) - d * log_norm), rel=1e-14)
 
 
-def glm_case(d, n, rng):
-    """Poisson data with d - 1 covariates, a cache at a point near the
-    generating one, and the bound differences."""
-    model = PoissonRegression()
+def glm_case(d, n, rng, family="poisson", order=2, prior=None):
+    """Data of a GLM family with d - 1 covariates (the normal mean takes
+    d = 1), its model under `prior` (the family's default if None), a cache
+    of `order` at a point near the generating one, and the bound
+    differences."""
     theta = rng.normal(0.0, 0.3, d)
     X = rng.standard_normal((n, d - 1))
-    y = rng.poisson(np.exp(theta[0] + X @ theta[1:])).astype(float)
+    eta = theta[0] + X @ theta[1:]
+    if family == "poisson":
+        model = PoissonRegression(prior)
+        y = rng.poisson(np.exp(eta)).astype(float)
+    elif family == "logistic":
+        model = LogisticRegression(prior)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        model = NormalMeanModel() if prior is None else NormalMeanModel(prior.mean, prior.sd)
+        y = rng.normal(theta[0], 1.0, n)
     data = Dataset.from_rows(np.column_stack([y, X]))
-    cache = build_param_expanded(model, data, theta + rng.normal(0.0, 0.01, d))
+    cache = build_param_expanded(model, data, theta + rng.normal(0.0, 0.01, d), order=order)
     return model, data, cache, bind_differences(model, cache, data)
+
+
+def affine_gradient(cache, prior, theta, weighted):
+    """grad U as hmc_ecs states it: -(b + A delta + weighted) at delta =
+    theta - theta0, A = H_q - I / sd^2 (H_q the summed Hessian at order 2, 0
+    below) and b = g_q + (mean - theta0) / sd^2 (g_q 0 at order 0)."""
+    d, theta0 = theta.size, cache.expansion_point
+    H = cache.sum_hess if cache.order == 2 else np.zeros((d, d))
+    g = cache.sum_grad if cache.order >= 1 else np.zeros(d)
+    A = H - np.eye(d) / prior.sd**2
+    b = g + (prior.mean - theta0) / prior.sd**2
+    return -(b + A @ (theta - theta0) + weighted)
 
 
 @SETTINGS
@@ -175,8 +202,7 @@ def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
     value, variance, centered = difference_total(q_total, dv, n)
     weights = n / m - n * n / (m * m) * centered if variance_grad else np.full(m, n / m)
     prior = model.prior
-    want = -((cache.sum_grad + cache.sum_hess @ delta) + (weights * s) @ W
-             + (prior.mean - theta) / prior.sd**2)
+    want = affine_gradient(cache, prior, theta, (weights * s) @ W)
     assert grad.tobytes() == want.tobytes()
     assert log_phat == value - variance / 2.0
     z = theta - prior.mean
@@ -184,6 +210,41 @@ def test_glm_gradient_equals_its_matmul_form(d, m, seed, variance_grad):
                  - z.size * float(np.log(prior.sd * np.sqrt(2.0 * np.pi))))
     assert U == -(log_phat + log_prior)
     assert grad_potential(theta).tobytes() == grad.tobytes()
+
+
+@SETTINGS
+@given(family=st.sampled_from(["poisson", "logistic", "normal_mean"]), order=st.integers(0, 2),
+       d=dims, m=st.integers(2, 80), seed=seeds, variance_grad=st.booleans(),
+       prior_mean=st.sampled_from([0.0, 0.3]))
+def test_glm_gradient_is_its_affine_form_near_the_unfolded_sum(family, order, d, m, seed,
+                                                                variance_grad, prior_mean):
+    # the cache's gradient total and the prior's are one affine term in
+    # theta - theta0; the gradient is that form to the bit and the unfolded
+    # sum within rounding, while U and log_phat keep their bits
+    rng = np.random.default_rng(seed)
+    d = 1 if family == "normal_mean" else d
+    model, data, cache, differ = glm_case(d, 200, rng, family, order,
+                                          GaussianPrior(mean=prior_mean, sd=2.5))
+    idx = rng.integers(0, data.n, m)
+    theta = cache.expansion_point + rng.normal(0.0, 0.02, d)
+    evaluate, grad_potential = differ.bind_potential(variance_grad)(differ.gather(idx))
+    U, grad, log_phat = evaluate(theta)
+
+    n, W, prior = data.n, model.design(data, idx), model.prior
+    delta = theta - cache.expansion_point
+    dv, s = model.remainder(data.y[idx], cache.eta0[idx], W @ delta, order, True)
+    value, variance, centered = difference_total(cache._total(delta), dv, n)
+    weights = n / m - n * n / (m * m) * centered if variance_grad else np.full(m, n / m)
+    weighted = (weights * s) @ W
+    unfolded = -(cache._grad_total(delta) + weighted + (prior.mean - theta) / prior.sd**2)
+    assert np.max(np.abs(grad - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+    assert grad.tobytes() == affine_gradient(cache, prior, theta, weighted).tobytes()
+    assert grad_potential(theta).tobytes() == grad.tobytes()
+    assert log_phat == value - variance / 2.0
+    z = theta - prior.mean
+    log_prior = (-0.5 / prior.sd**2 * float(z.dot(z))
+                 - z.size * float(np.log(prior.sd * np.sqrt(2.0 * np.pi))))
+    assert U == -(log_phat + log_prior)
 
 
 @SETTINGS

@@ -7,7 +7,11 @@ methods, and the prior evaluated per call.  The kernels now bind their
 constants once per chain and draw proposals, momenta and acceptance
 uniforms in chunks, and pmmh with the difference estimator draws and
 gathers its subsamples in chunks; every trace column must still come out
-equal, bit for bit, for runs that cross two chunk boundaries.
+equal, bit for bit, for runs that cross two chunk boundaries.  HMC-ECS's
+reference follows the stream layout and gradient that `hmc_ecs_run` states:
+one stream per kind of draw, u-move uniforms on their own, and a parameter-
+expanded gradient whose cache and prior terms are one affine term in
+theta - theta0, written here from that formula.
 """
 
 import numpy as np
@@ -225,7 +229,7 @@ def ref_leapfrog(grad_potential, theta, mom, step_size, n_steps, mass_inv, evalu
 
 
 def ref_hmc_loop(grad_potential, evaluate, cfg, theta0, n_iter, seed, d, u_step=None):
-    rng_prop, rng_accept, rng_sub = _streams(seed)
+    rng_prop, rng_accept = _streams(seed, 2)
     M = np.asarray(cfg.mass, dtype=float) if cfg.mass is not None else np.eye(d)
     chol_M, M_inv = np.linalg.cholesky(M), np.linalg.inv(M)
     theta = theta0.copy()
@@ -234,7 +238,7 @@ def ref_hmc_loop(grad_potential, evaluate, cfg, theta0, n_iter, seed, d, u_step=
     for i in range(n_iter):
         if u_step is not None:
             grad_potential, evaluate, trace.u_accept[i], U, g, loglik = u_step(
-                theta, U, g, loglik, rng_sub)
+                theta, U, g, loglik)
         mom = chol_M @ rng_prop.standard_normal(d)
         u = rng_accept.random()
         K = 0.5 * float(mom @ (M_inv @ mom))
@@ -273,20 +277,29 @@ def ref_potential(model, cache, dataset, theta, idx, include_variance_grad):
     value, svar, centered = ref_difference_total(cache, theta, d_vals, n)
     weights = (n / m - n * n / (m * m) * centered if include_variance_grad
                else np.full(m, n / m))
-    if isinstance(cache, ParamExpandedCache):
-        weighted = (weights * s) @ model.design(dataset, idx)
-    else:
-        weighted = weights @ s
-    grad_log_phat = ref_grad_sum(model, dataset, cache, theta) + weighted
     log_phat = value - svar / 2.0
-    return (-(log_phat + ref_log_prior(model, theta)),
-            -(grad_log_phat + ref_grad_log_prior(model, theta)), log_phat)
+    U = -(log_phat + ref_log_prior(model, theta))
+    if not isinstance(cache, ParamExpandedCache):
+        grad_log_phat = ref_grad_sum(model, dataset, cache, theta) + weights @ s
+        return U, -(grad_log_phat + ref_grad_log_prior(model, theta)), log_phat
+    # the cache's gradient total g_q + H_q delta and the prior's gradient as
+    # one affine term: grad U = -(b + A delta + sum_k w_k s_k w_k) with
+    # A = H_q - I / sd^2 and b = g_q + (mean - theta0) / sd^2
+    prior, d, theta0 = model.prior, theta.size, cache.expansion_point
+    H = cache.sum_hess if cache.order == 2 else np.zeros((d, d))
+    g = cache.sum_grad if cache.order >= 1 else np.zeros(d)
+    A = H - np.eye(d) / prior.sd**2
+    b = g + (prior.mean - theta0) / prior.sd**2
+    weighted = (weights * s) @ model.design(dataset, idx)
+    return U, -(b + A @ (theta - theta0) + weighted), log_phat
 
 
 def ref_hmc_ecs(model, dataset, cache, cfg, m, theta0, n_iter, seed, dependence,
                 include_variance_grad=True):
     theta_arr = np.asarray(theta0, dtype=float)
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[3]))
+    # one stream per kind of draw: momenta, acceptance, subsample indices,
+    # the initial subsample and the u-move uniforms
+    _, _, rng_sub, init_rng, rng_u = _streams(seed, 5)
     state = initial_subsample(DifferenceConfig(m), dependence, dataset.n, init_rng)
 
     def potential_at(idx):
@@ -299,10 +312,10 @@ def ref_hmc_ecs(model, dataset, cache, cfg, m, theta0, n_iter, seed, dependence,
 
     box = {"state": state, "fns": potential_at(state.indices)}
 
-    def u_step(theta, U_cur, g_cur, log_cur, rng_sub):
+    def u_step(theta, U_cur, g_cur, log_cur):
         cur = box["state"]
         prop = propose_u(cur, dependence, rng_sub)
-        u = rng_sub.random()
+        u = rng_u.random()
         U_prop, g_prop, log_prop = ref_potential(model, cache, dataset, theta, prop.indices,
                                                  include_variance_grad)
         if np.isfinite(log_prop) and np.log(u) < log_prop - log_cur:
@@ -405,13 +418,18 @@ def test_hmc(poisson_model, poisson_example, example_center, mass):
     assert_same_trace(hmc_run(*args), ref_hmc(*args))
 
 
+# an order-2 cache rejects about one u-move in 1000; at this seed each
+# order-2 case rejects at least one, so both branches of the u-step are taken
+ECS_SEED = 47
+
+
 def test_hmc_ecs_bpm(poisson_model, poisson_example, example_center, param_caches):
     cfg = HmcConfig(step_size=0.005, n_steps=3)
     dep = DependenceConfig(kind="bpm", n_blocks=4)
     got = hmc_ecs_run(poisson_model, poisson_example, param_caches[2], cfg, 40,
-                      example_center, N_ITER, 46, dependence=dep)
+                      example_center, N_ITER, ECS_SEED, dependence=dep)
     want = ref_hmc_ecs(poisson_model, poisson_example, param_caches[2], cfg, 40,
-                       example_center, N_ITER, 46, dep)
+                       example_center, N_ITER, ECS_SEED, dep)
     assert_same_trace(got, want)
     assert 0 < got.u_accept.sum() < got.n_iter
 
@@ -509,9 +527,9 @@ def test_hmc_ecs_variants(poisson_model, poisson_example, example_center, param_
     else:
         cache = param_caches[which]
     cfg = HmcConfig(step_size=step, n_steps=3)
-    got = hmc_ecs_run(model, data, cache, cfg, 40, center, N_ITER, 46,
+    got = hmc_ecs_run(model, data, cache, cfg, 40, center, N_ITER, ECS_SEED,
                       dependence=dependence, include_variance_grad=include_variance_grad)
-    want = ref_hmc_ecs(model, data, cache, cfg, 40, center, N_ITER, 46, dependence,
+    want = ref_hmc_ecs(model, data, cache, cfg, 40, center, N_ITER, ECS_SEED, dependence,
                        include_variance_grad)
     assert_same_trace(got, want)
     if which == "exact":
