@@ -25,8 +25,13 @@ words from PCG64 without resetting a buffer between calls (32-bit halves,
 buffered by the bit generator itself, for n <= 2^32; whole 64-bit words
 above), so one call of size K k returns the same values as K calls of size
 k.  A stream that interleaves bounded integers with whole-word draws would
-be reordered by chunking, so it stays per call: the Pois(1) counts of the
-product estimator and the Gaussian codes of cpm.
+be reordered by chunking: block-Poisson pmmh's, whose Pois(1) counts take
+whole words while a buffered half waits for the next indices.  Its stream,
+_BlockPoissonStream, reads PCG64's raw words a chunk at a time instead and
+computes both kinds of draw from them by numpy's own algorithms, so every
+call returns what the Generator's would (for 2 <= n <= 2^32 and a fresh
+PCG64; otherwise the Generator is drawn per call).  cpm's Gaussian codes
+are drawn per call.
 
 Per-iteration products on operands of at most m rows use `ndarray.dot`,
 never `@`, put arrays before scalars, and take a chain's constant scalars as
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -271,6 +277,99 @@ class _IndexChunks:
         return last if last is not None and last.idx is idx else self._differ.gather(idx)
 
 
+# raw 64-bit words per refill of a block-Poisson stream, 64 kB
+_WORD_CHUNK = 1 << 13
+# numpy's Pois(lam < 10) multiplies uniforms while the product exceeds exp(-lam)
+_EXP_M1 = math.exp(-1.0)
+
+
+class _BlockPoissonStream:
+    """The subsampling stream of block-Poisson pmmh, which serves only the
+    draws of `draw_products`: `poisson(1.0)` and `integers(0, n, size=k)`.
+    Both are computed from PCG64's raw words, drawn _WORD_CHUNK at a time,
+    by numpy's own algorithms, so they return the same values in the same
+    order as those calls on the Generator (see the module docstring):
+
+    - a Pois(1) count multiplies uniforms (w >> 11) * 2^-53 of whole words
+      while the product exceeds exp(-1);
+    - an index takes the next 32-bit half h, a word's low half first, with a
+      high half left over held across Pois(1) draws for the next request; h
+      is rejected when (h n) mod 2^32 < (2^32 - n) mod n, else gives
+      (h n) >> 32 (numpy's buffered Lemire rule for n <= 2^32).
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._bits, self.n = rng.bit_generator, n
+        self._threshold = (2**32 - n) % n
+        self._held = None
+        self._refill()
+
+    @staticmethod
+    def serves(rng: np.random.Generator, n: int) -> bool:
+        """True for a fresh PCG64 Generator (no 32-bit half buffered) and
+        2 <= n <= 2^32; numpy draws nothing for n = 1 and whole words above."""
+        bits = rng.bit_generator
+        return (2 <= n <= 2**32 and type(bits) is np.random.PCG64
+                and not bits.state["has_uint32"])
+
+    def poisson(self, lam):
+        if lam != 1.0:
+            raise SamplerError("a block-Poisson stream serves poisson(1.0) only")
+        words, pos, count, product = self._words, self._pos, -1, 1.0
+        while product > _EXP_M1:
+            if pos == _WORD_CHUNK:
+                self._refill()
+                words, pos = self._words, 0
+            product *= (words[pos] >> 11) * (1.0 / 9007199254740992.0)
+            pos += 1
+            count += 1
+        self._pos = pos
+        return count
+
+    def integers(self, low, high, size):
+        if low != 0 or high != self.n or size < 1:
+            raise SamplerError("a block-Poisson stream serves integers(0, n, size >= 1) only")
+        parts = []
+        if self._held is not None:
+            parts.append(self._held)
+            size -= self._held.size
+            self._held = None
+        while size > 0:
+            s, vals, bad = 2 * self._pos, self._vals, self._bad
+            j = bisect_left(bad, s)
+            left = vals.size - s - (len(bad) - 1 - j)
+            if left < size:
+                # every half to the end of the chunk, the rejected ones too
+                parts.append(np.delete(vals[s:], [b - s for b in bad[j:-1]]))
+                size -= left
+                self._refill()
+                continue
+            k, e = j, s + size
+            while bad[k] < e:
+                k, e = k + 1, e + 1
+            got = vals[s:e]
+            parts.append(got if k == j else np.delete(got, [b - s for b in bad[j:k]]))
+            self._pos = (e + 1) >> 1
+            if e & 1:
+                # the high half left over: its index, or none if it is rejected
+                self._held = vals[e:e + (bad[k] != e)]
+            break
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _refill(self):
+        """Draw the next words; per 32-bit half, its index and, in `_bad`,
+        the rejected halves' positions and then the number of halves."""
+        words = self._bits.random_raw(_WORD_CHUNK)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        vals = np.multiply(halves, np.uint64(self.n), dtype=np.uint64)
+        self._vals = np.right_shift(vals, np.uint64(32), out=vals).view(np.int64)
+        bad = []
+        if self._threshold:
+            bad = np.flatnonzero(halves * np.uint32(self.n) < self._threshold).tolist()
+        self._bad = bad + [halves.size]
+        self._words, self._pos = memoryview(words), 0
+
+
 class _Proposer:
     def __init__(self, cfg: ProposalConfig, d: int):
         self.rwm, self.d = cfg.kind == "rwm", d
@@ -413,6 +512,8 @@ def pmmh_run(model: ModelSpec, dataset: Dataset, cache, est_cfg,
         evaluate, signed = differ.log_estimate, False
     else:
         evaluate, signed = partial(block_poisson_value, model, cache, dataset, est_cfg), True
+        if _BlockPoissonStream.serves(rng_sub, dataset.n):
+            rng_sub = _BlockPoissonStream(rng_sub, dataset.n)
 
     state = initial_subsample(est_cfg, dependence, dataset.n, rng_sub)
     trace = _mh_loop(evaluate, differ.log_prior, proposal, theta0, n_iter,
@@ -513,9 +614,10 @@ def leapfrog(grad_potential, theta: np.ndarray, mom: np.ndarray, step_size: floa
     not evaluated again.  Given `evaluate(theta) -> (U, grad U,
     log-likelihood)`, the last gradient comes from it and the end point's
     (U, grad U, log-likelihood) is returned as a third item, so the caller
-    need not evaluate there again.
+    need not evaluate there again.  The step sizes are 0-d arrays, the
+    cheaper operand (see the module docstring).
     """
-    theta, half = theta.copy(), 0.5 * step_size
+    theta, step_size, half = theta.copy(), np.array(step_size), np.array(0.5 * step_size)
     mom = mom - (grad_potential(theta) if grad0 is None else grad0) * half
     for step in range(1, n_steps):
         theta = theta + (mom if mass_inv is None else mass_inv.dot(mom)) * step_size

@@ -394,6 +394,17 @@ def test_pmmh_block_poisson_bpm(poisson_model, poisson_example, example_center, 
     assert (got.sign == -1).any()
 
 
+def test_pmmh_block_poisson_independent(poisson_model, poisson_example, example_center,
+                                        param_caches):
+    # each iteration redraws all 20 products' Pois(1) counts and indices
+    cfg = BlockPoissonConfig(n_products=20, batch_size=5, bound=-20.0)
+    args = (poisson_model, poisson_example, param_caches[1], cfg,
+            ProposalConfig(step_scale=0.02), DependenceConfig(), example_center, N_ITER, 42)
+    got = pmmh_run(*args)
+    assert_same_trace(got, ref_pmmh(*args))
+    assert (got.sign == -1).any()
+
+
 def test_pmmh_data_expanded_cache(poisson_model, poisson_example, example_center):
     clusters = kmeans_cluster(poisson_example, 12, seed=3)
     cache = build_data_expanded(poisson_model, poisson_example, clusters, order=2)
@@ -419,7 +430,9 @@ def test_hmc(poisson_model, poisson_example, example_center, mass):
 
 
 # an order-2 cache rejects about one u-move in 1000; at this seed each
-# order-2 case rejects at least one, so both branches of the u-step are taken
+# order-2 case rejects at least one.  The order-0 and order-1 cases reject
+# hundreds (2026, 160 and 331 of 2085 under BPM4, BPM4 and independent
+# refresh), so the u-step's rejection branch does not rest on a rare event
 ECS_SEED = 47
 
 
@@ -508,6 +521,7 @@ BPM4 = DependenceConfig(kind="bpm", n_blocks=4)
 ECS_CASES = {
     "order0": (0, True, BPM4, 0.005),
     "order1": (1, True, BPM4, 0.005),
+    "order1_independent": (1, True, DependenceConfig(), 0.005),
     "no_variance_grad": (2, False, BPM4, 0.005),
     "independent": (2, True, DependenceConfig(), 0.005),
     "exact": ("exact", True, BPM4, 0.005),
